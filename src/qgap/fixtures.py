@@ -71,17 +71,12 @@ class AuditSummary:
         }
 
 
-@lru_cache(maxsize=1)
-def _context():
-    return standard_context()
-
-
 def _conj_projector(axis: Axis, a_dir: Direction, b_dir: Direction) -> Projector:
-    return compile_proposition(conjunction(axis, a_dir, b_dir), _context())
+    return compile_proposition(conjunction(axis, a_dir, b_dir), standard_context())
 
 
 def _diff_projector(axis: Axis) -> Projector:
-    return compile_proposition(different_spins(axis), _context())
+    return compile_proposition(different_spins(axis), standard_context())
 
 
 def _derivations() -> dict[str, Callable[[], object]]:

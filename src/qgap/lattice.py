@@ -138,28 +138,5 @@ class Subspace:
         self._check_ambient(other)
         return self.orthocomplement().sum(other.orthocomplement()).orthocomplement()
 
-    def basis_matrix(self) -> Matrix | None:
-        return Matrix.from_rows([list(b.entries) for b in self.basis]) if self.basis else None
-
     def __str__(self) -> str:
         return "span{" + ", ".join(str(b) for b in self.basis) + "}"
-
-
-def subspace_leq(a: Subspace, b: Subspace) -> bool:
-    return a.leq(b)
-
-
-def meet(a: Subspace, b: Subspace) -> Subspace:
-    return a.meet(b)
-
-
-def join(a: Subspace, b: Subspace) -> Subspace:
-    return a.join(b)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def orthocomplement(s: Subspace) -> Subspace:
-    return s.orthocomplement()

@@ -273,23 +273,3 @@ def tensor_product(a: Matrix, b: Matrix) -> Matrix:
 def state_tensor(u: StateVector, v: StateVector) -> StateVector:
     """Kronecker product of column vectors, e.g. dim 2 x dim 2 -> dim 4."""
     return StateVector(tuple(x * y for x in u.entries for y in v.entries))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def conjugate_transpose(m: Matrix) -> Matrix:
-    return m.conjugate_transpose()
-
-
-def rref(m: Matrix) -> Matrix:
-    return m.rref()
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> tuple[StateVector, ...]:
-    return m.kernel_basis()

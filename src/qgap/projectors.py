@@ -107,20 +107,22 @@ def kernel_of(p: Projector) -> Subspace:
 
 
 def projector_meet(a: Projector, b: Projector) -> Projector:
-    """Projector onto the intersection of the two ranges.
+    """Projector onto the intersection of the two ranges, for any pair.
 
-    For commuting operands this equals the matrix product; the general case
-    goes through the subspace lattice.
+    Goes through the subspace lattice, so it also covers non-commuting
+    operands. For commuting ones it equals the matrix product, which is
+    how ``compile_proposition`` computes conjunction without calling this.
     """
     a._check_dim(b)
     return projector_onto(range_of(a).meet(range_of(b)))
 
 
 def projector_join(a: Projector, b: Projector) -> Projector:
-    """Projector onto the span of the union of the two ranges.
+    """Projector onto the span of the union of the two ranges, for any pair.
 
-    For orthogonal operands the resulting matrix is exactly the sum of the
-    two matrices.
+    Goes through the subspace lattice. For orthogonal operands it equals
+    the sum of the two matrices, which is how ``compile_proposition``
+    computes exclusive-or without calling this.
     """
     a._check_dim(b)
     return projector_onto(range_of(a).join(range_of(b)))

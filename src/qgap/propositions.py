@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedConnectiveError,
 )
 from .linalg import StateVector
-from .projectors import Projector, projector_join, projector_meet
+from .projectors import Projector
 
 
 class Particle(str, Enum):
@@ -155,11 +155,15 @@ class TruthValueSet(Enum):
 def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Projector:
     """Map a proposition to its projector.
 
-    Conjunction becomes the lattice meet and is only defined for commuting
-    operands (where it equals the matrix product); exclusive-or becomes the
-    lattice join and is only defined for orthogonal operands (where the
-    join matrix equals the matrix sum). Outside those domains the
-    connective is not the one this language means, so compilation refuses.
+    Conjunction is only defined for commuting operands and exclusive-or
+    only for orthogonal ones; outside those domains the connective is not
+    the one this language means, so compilation refuses. Inside them the
+    lattice operations have closed forms, computed from the product PQ of
+    the two operand matrices:
+
+    * P and Q commute exactly when PQ is Hermitian, since (PQ)* = QP; then
+      their meet is PQ.
+    * P and Q are orthogonal exactly when PQ = 0; then their join is P + Q.
     """
     if isinstance(p, Atom):
         try:
@@ -168,17 +172,18 @@ def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Pr
             raise IncompleteAssignmentError(f"no projector for atom {p}") from None
     left = compile_proposition(p.left, context)
     right = compile_proposition(p.right, context)
+    product = left.matrix @ right.matrix
     if isinstance(p, And):
-        if not left.commutes_with(right):
+        if not product.is_hermitian():
             raise UnsupportedConnectiveError(
                 f"conjunction of non-commuting propositions: {p.left} & {p.right}"
             )
-        return projector_meet(left, right)
-    if not left.orthogonal_to(right):
+        return Projector(product)
+    if not product.is_zero():
         raise UnsupportedConnectiveError(
             f"exclusive-or of non-orthogonal propositions: {p.left} ^ {p.right}"
         )
-    return projector_join(left, right)
+    return Projector(left.matrix + right.matrix)
 
 
 def valuate(state: StateVector, p: Projector) -> TruthValueSet:
@@ -210,45 +215,33 @@ def classical_valuate(p: Proposition, assignment: Mapping[Atom, int]) -> int:
     return x * y if isinstance(p, And) else x + y - 2 * x * y
 
 
-def _complete_pairs(atoms: Sequence[Atom]) -> list[Atom]:
-    """Close the atom list under up/down partners and sort it lexicographically."""
-    closed: dict[Atom, None] = {}
-    for a in atoms:
-        closed.setdefault(a, None)
-        closed.setdefault(a.opposite(), None)
-    return sorted(closed, key=Atom.sort_key)
-
-
 def classical_solutions(
     constraints: Sequence[tuple[Proposition, int]],
     atoms: Sequence[Atom],
 ) -> list[dict[Atom, int]]:
     """All bivalent assignments satisfying the constraints, by exhaustive enumeration.
 
-    The atom list is closed under up/down partners, and every (particle,
-    axis) pair is forced to have exactly one of its two atoms true: a
-    spin-half particle points one way or the other along an axis, never
-    both and never neither. Enumeration order is the ascending binary
-    order over the lexicographically sorted atom list, so results are
-    stable across runs.
+    A spin-half particle points one way or the other along an axis, never
+    both and never neither, so each (particle, axis) pair named by the atom
+    list carries one bit: its down atom takes the bit, its up atom the
+    complement. Bits run in ascending binary order over the sorted pairs,
+    and each assignment lists its atoms sorted (down before up), so results
+    are stable across runs.
     """
-    universe = _complete_pairs(atoms)
-    available = set(universe)
+    covered = {(a.particle, a.axis) for a in atoms}
     for prop, _ in constraints:
-        missing = [a for a in atoms_of(prop) if a not in available]
+        missing = [a for a in atoms_of(prop) if (a.particle, a.axis) not in covered]
         if missing:
             raise IncompleteAssignmentError(
                 f"constraint atoms not covered by the atom list: {', '.join(map(str, missing))}"
             )
-    pairs = sorted({(a.particle, a.axis) for a in universe})
+    slots = [(Atom(p, ax, Direction.DOWN), Atom(p, ax, Direction.UP)) for p, ax in sorted(covered)]
     solutions = []
-    for bits in itertools.product((0, 1), repeat=len(universe)):
-        assignment = dict(zip(universe, bits))
-        if any(
-            assignment[Atom(p, ax, Direction.UP)] + assignment[Atom(p, ax, Direction.DOWN)] != 1
-            for p, ax in pairs
-        ):
-            continue
+    for bits in itertools.product((0, 1), repeat=len(slots)):
+        assignment: dict[Atom, int] = {}
+        for (down, up), bit in zip(slots, bits):
+            assignment[down] = bit
+            assignment[up] = 1 - bit
         if all(classical_valuate(prop, assignment) == target for prop, target in constraints):
             solutions.append(assignment)
     return solutions

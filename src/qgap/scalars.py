@@ -107,25 +107,33 @@ _IMAG_RE = re.compile(rf"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$")
 _FULL_RE = re.compile(rf"^({_FRACTION})([+-])(?:(\d+(?:/\d+)?)\*)?i$")
 
 
+def _fraction(digits: str, text: str) -> Fraction:
+    try:
+        return Fraction(digits)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in scalar: {text!r}") from None
+
+
 def parse_scalar(text: str) -> GaussianRational:
     """Parse the string form produced by ``str()``, e.g. ``1/2-3/4*i``.
 
-    Bare ``i`` and ``-i`` are accepted for convenience.
+    Bare ``i`` and ``-i`` are accepted for convenience. A zero denominator
+    in either part is malformed input and raises ``ParseError`` too.
     """
     s = text.strip().replace(" ", "")
     m = _REAL_RE.match(s)
     if m:
-        return GaussianRational(Fraction(m.group(1)))
+        return GaussianRational(_fraction(m.group(1), text))
     m = _IMAG_RE.match(s)
     if m:
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coeff = _fraction(m.group(2), text) if m.group(2) else Fraction(1)
         if m.group(1) == "-":
             coeff = -coeff
         return GaussianRational(Fraction(0), coeff)
     m = _FULL_RE.match(s)
     if m:
-        coeff = Fraction(m.group(3)) if m.group(3) else Fraction(1)
+        coeff = _fraction(m.group(3), text) if m.group(3) else Fraction(1)
         if m.group(2) == "-":
             coeff = -coeff
-        return GaussianRational(Fraction(m.group(1)), coeff)
+        return GaussianRational(_fraction(m.group(1), text), coeff)
     raise ParseError(f"not a Gaussian rational: {text!r}")

@@ -1,11 +1,12 @@
 """Shared builders, hypothesis strategies, and independent test oracles."""
 
+import itertools
 from fractions import Fraction
 from random import Random
 
 from hypothesis import strategies as st
 
-from qgap import GaussianRational, Matrix, StateVector, Subspace
+from qgap import Atom, Direction, GaussianRational, Matrix, StateVector, Subspace, classical_valuate
 from qgap.scalars import ZERO
 
 
@@ -105,6 +106,34 @@ def meet_oracle(a: Subspace, b: Subspace) -> Subspace:
         if any(not e.is_zero for e in entries):
             vectors.append(StateVector(tuple(entries)))
     return Subspace.from_vectors(a.ambient_dim, vectors)
+
+
+def classical_solutions_oracle(constraints, atoms) -> list[dict[Atom, int]]:
+    """Satisfying assignments by brute force over every atom independently.
+
+    Closes the atom list under up/down partners, sorts it, enumerates all
+    2^|atoms| bit vectors in ascending binary order and drops those where
+    some (particle, axis) pair is not exactly one up and one down, before
+    checking the constraints. Shares no enumeration code with
+    classical_solutions, which assigns one bit per pair.
+    """
+    closed = {}
+    for a in atoms:
+        closed.setdefault(a, None)
+        closed.setdefault(a.opposite(), None)
+    universe = sorted(closed, key=Atom.sort_key)
+    solutions = []
+    for bits in itertools.product((0, 1), repeat=len(universe)):
+        assignment = dict(zip(universe, bits))
+        if any(
+            assignment[a] + assignment[a.opposite()] != 1
+            for a in universe
+            if a.direction is Direction.UP
+        ):
+            continue
+        if all(classical_valuate(prop, assignment) == target for prop, target in constraints):
+            solutions.append(assignment)
+    return solutions
 
 
 def to_sympy(m: Matrix):

@@ -117,6 +117,13 @@ class TestValuate:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "valuate", "--prop", "A.z.up", "--state", "1/0,1,0,0"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
     def test_rational_state_entries(self, capsys):
         code, out, _ = run_cli(
             capsys, "valuate", "--prop", "A.z.up & B.z.down", "--state", "0,1/2,0,0"

@@ -1,10 +1,11 @@
+import itertools
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SINGLET, gr, rand_state, rand_subspace, vec
+from helpers import SINGLET, classical_solutions_oracle, gr, rand_state, rand_subspace, vec
 from qgap import (
     And,
     Atom,
@@ -22,11 +23,15 @@ from qgap import (
     classical_solutions,
     classical_valuate,
     compile_proposition,
+    different_spins,
     inner,
     parse_atom,
     parse_proposition,
     population,
+    projector_join,
+    projector_meet,
     projector_onto,
+    same_spins,
     standard_context,
     valuate,
 )
@@ -36,6 +41,7 @@ A_DOWN = Atom(Particle.A, Axis.Z, Direction.DOWN)
 B_UP = Atom(Particle.B, Axis.Z, Direction.UP)
 B_DOWN = Atom(Particle.B, Axis.Z, Direction.DOWN)
 DIFF_Z = Xor(And(A_UP, B_DOWN), And(A_DOWN, B_UP))
+ALL_ATOMS = [Atom(p, ax, d) for p in Particle for ax in Axis for d in Direction]
 
 T = TruthValueSet.TRUE_ONLY
 F = TruthValueSet.FALSE_ONLY
@@ -88,6 +94,27 @@ class TestCompile:
     def test_missing_atom(self):
         with pytest.raises(IncompleteAssignmentError):
             compile_proposition(A_UP, {})
+
+    def test_direct_connectives_match_lattice_route(self):
+        # Both orders of every pair of the 12 atoms and the six Diff/Same
+        # propositions: where a connective is defined, the compiled
+        # projector equals the general lattice meet or join; elsewhere
+        # compilation refuses. Two stand-in atoms carry the operands'
+        # projectors, so each pair compiles only its connective.
+        ctx = standard_context()
+        props = list(ctx) + [f(ax) for f in (different_spins, same_spins) for ax in Axis]
+        compiled = [compile_proposition(p, ctx) for p in props]
+        for a, b in itertools.combinations_with_replacement(compiled, 2):
+            meet = projector_meet(a, b) if a.commutes_with(b) else None
+            join = projector_join(a, b) if a.orthogonal_to(b) else None
+            for pair in ({A_UP: a, B_UP: b}, {A_UP: b, B_UP: a}):
+                for connective, expected in ((And, meet), (Xor, join)):
+                    prop = connective(A_UP, B_UP)
+                    if expected is None:
+                        with pytest.raises(UnsupportedConnectiveError):
+                            compile_proposition(prop, pair)
+                    else:
+                        assert compile_proposition(prop, pair) == expected
 
 
 class TestValuate:
@@ -201,6 +228,21 @@ class TestClassicalSolutions:
     def test_uncovered_constraint_atom(self):
         with pytest.raises(IncompleteAssignmentError):
             classical_solutions([(DIFF_Z, 1)], [A_UP, A_DOWN])
+
+    @given(st.data())
+    def test_matches_brute_force_oracle(self, data):
+        atoms = data.draw(st.lists(st.sampled_from(ALL_ATOMS), min_size=1, max_size=6))
+        covered = sorted({a for x in atoms for a in (x, x.opposite())}, key=Atom.sort_key)
+        props = st.recursive(
+            st.sampled_from(covered),
+            lambda sub: st.builds(And, sub, sub) | st.builds(Xor, sub, sub),
+            max_leaves=4,
+        )
+        constraints = data.draw(st.lists(st.tuples(props, st.sampled_from((0, 1))), max_size=3))
+        got = classical_solutions(constraints, atoms)
+        want = classical_solutions_oracle(constraints, atoms)
+        assert got == want
+        assert [list(s) for s in got] == [list(s) for s in want]
 
 
 class TestPopulation:

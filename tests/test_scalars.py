@@ -57,6 +57,12 @@ def test_parse_rejects_garbage(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text", ["1/0", "1/0*i", "1+1/0*i"])
+def test_parse_rejects_zero_denominator(text):
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+
+
 @given(scalars_st, scalars_st, scalars_st)
 def test_field_laws(a, b, c):
     assert a + b == b + a
