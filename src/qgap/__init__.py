@@ -10,6 +10,7 @@ from .errors import (
     ImpossibleOutcomeError,
     IncompleteAssignmentError,
     InvalidStateError,
+    InvalidValueError,
     ParseError,
     QgapError,
     ShapeError,

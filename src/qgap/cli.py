@@ -22,26 +22,32 @@ from .fixtures import audit, render_audit_table
 from .lattice import Subspace
 from .linalg import StateVector
 from .propositions import parse_atom, parse_proposition, compile_proposition, valuate
-from .scalars import parse_scalar
+from .scalars import GaussianRational, parse_scalar
 from .scenario import Axis, render_report, report_to_dict, run_epr, singlet, standard_context
 
 _SEMANTICS = ("super", "classical", "both")
 
 
-def _parse_state(text: str) -> StateVector:
+def _parse_entries(text: str) -> tuple[GaussianRational, ...]:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise ParseError("empty state vector")
-    return StateVector(tuple(parse_scalar(p) for p in parts))
+    return tuple(parse_scalar(p) for p in parts)
+
+
+def _parse_state(text: str) -> StateVector:
+    return StateVector(_parse_entries(text))
 
 
 def _parse_span(text: str) -> Subspace:
-    vectors = [
-        _parse_state(chunk) for chunk in text.split(";") if chunk.strip()
-    ]
-    if not vectors:
+    """Span of the ';'-separated rows; zero rows add nothing, so all-zero input is the zero subspace."""
+    rows = [_parse_entries(chunk) for chunk in text.split(";") if chunk.strip()]
+    if not rows:
         raise ParseError("a span needs at least one vector")
-    return Subspace.from_vectors(vectors[0].dim, vectors)
+    dim = len(rows[0])
+    if any(len(row) != dim for row in rows):
+        raise ParseError(f"span vectors differ in length: {sorted({len(row) for row in rows})}")
+    return Subspace.from_vectors(dim, [StateVector(row) for row in rows if any(not e.is_zero for e in row)])
 
 
 def _parse_query(text: str):

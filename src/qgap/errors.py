@@ -31,3 +31,11 @@ class ImpossibleOutcomeError(QgapError):
 
 class ParseError(QgapError):
     """Malformed scalar, vector, or proposition text."""
+
+
+class InvalidValueError(QgapError, ValueError):
+    """A value object was built from arguments that break its invariant.
+
+    Raised by ``Projector``, ``SpinBasis`` and ``TruthValueSet.from_values``.
+    It is also a ``ValueError``, so callers that catch ``ValueError`` keep working.
+    """

@@ -153,10 +153,13 @@ class Matrix:
         return Matrix.from_rows(rows)
 
     def pivot_columns(self) -> tuple[int, ...]:
-        reduced = self.rref()
+        return self.rref()._leading_columns()
+
+    def _leading_columns(self) -> tuple[int, ...]:
+        """Leading column of each nonzero row; the pivots when self is already in RREF."""
         pivots = []
-        for i in range(reduced.rows):
-            row = reduced.row(i)
+        for i in range(self.rows):
+            row = self.row(i)
             lead = next((j for j, e in enumerate(row) if not e.is_zero), None)
             if lead is None:
                 break
@@ -174,7 +177,7 @@ class Matrix:
         basis tuple. Empty iff the matrix is injective.
         """
         reduced = self.rref()
-        pivots = list(reduced.pivot_columns())
+        pivots = reduced._leading_columns()
         free = [c for c in range(self.cols) if c not in pivots]
         if not free:
             return ()

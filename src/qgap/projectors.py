@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ShapeError
+from .errors import InvalidValueError, ShapeError
 from .lattice import Subspace
 from .linalg import Matrix, StateVector
 
@@ -34,11 +34,11 @@ class Projector:
     def __post_init__(self) -> None:
         m = self.matrix
         if not m.is_square:
-            raise ValueError(f"projector matrix must be square, got {m.rows}x{m.cols}")
+            raise InvalidValueError(f"projector matrix must be square, got {m.rows}x{m.cols}")
         if not m.is_hermitian():
-            raise ValueError("projector matrix is not Hermitian")
+            raise InvalidValueError("projector matrix is not Hermitian")
         if m @ m != m:
-            raise ValueError("projector matrix is not idempotent")
+            raise InvalidValueError("projector matrix is not idempotent")
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":

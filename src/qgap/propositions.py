@@ -27,6 +27,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import (
     IncompleteAssignmentError,
+    InvalidValueError,
     ParseError,
     ShapeError,
     UnsupportedConnectiveError,
@@ -146,7 +147,7 @@ class TruthValueSet(Enum):
             return cls.INDETERMINATE
         if not s:
             return cls.GAP
-        raise ValueError(f"not a subset of {{0,1}}: {values!r}")
+        raise InvalidValueError(f"not a subset of {{0,1}}: {values!r}")
 
     def __str__(self) -> str:
         return self.value

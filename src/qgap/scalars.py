@@ -1,16 +1,20 @@
 """Exact complex scalars with rational real and imaginary parts.
 
-Every number in this package is a Gaussian rational a + b*i where a and b
-are arbitrary-precision ``fractions.Fraction`` values. The field is closed
-under the four arithmetic operations, so no computation ever rounds;
-equality is structural equality of the canonical reduced forms.
+Every number in this package is a Gaussian rational (a + b*i)/d, stored as
+three Python ints: the real numerator ``a``, the imaginary numerator ``b``
+and a shared positive denominator ``d``, reduced so that
+``gcd(a, b, d) == 1``. That form is unique for each value, so equality is
+equality of the triples. The field is closed under the four arithmetic
+operations, so no computation ever rounds; each operation is integer
+arithmetic followed by a single gcd. ``.re`` and ``.im`` give the parts as
+``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import ParseError
@@ -18,86 +22,166 @@ from .errors import ParseError
 Scalarish = Union["GaussianRational", int, Fraction]
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an int, Fraction or other rational input."""
+    if type(value) is int:
+        return value, 1
+    f = value if type(value) is Fraction else Fraction(value)
+    return f.numerator, f.denominator
 
-    def __post_init__(self) -> None:
-        # Fraction() canonicalizes: reduced, positive denominator. Results of
-        # Fraction arithmetic are already canonical, so skip the re-wrap.
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", Fraction(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", Fraction(self.im))
+
+class GaussianRational:
+    """Immutable (a + b*i)/d with d > 0 and gcd(a, b, d) == 1."""
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
+        rn, rd = _ratio(re)
+        im_n, im_d = _ratio(im)
+        a, b, d = rn * im_d, im_n * rd, rd * im_d
+        g = gcd(a, b, d)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: Scalarish) -> "GaussianRational":
-        o = coerce_scalar(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else coerce_scalar(other)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            a, b, d = self._a + o._a, self._b + o._b, d1
+        else:
+            a, b, d = self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2
+        g = gcd(a, b, d)
+        if g == 1:
+            return _make(a, b, d)
+        return _make(a // g, b // g, d // g)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalarish) -> "GaussianRational":
-        o = coerce_scalar(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else coerce_scalar(other)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            a, b, d = self._a - o._a, self._b - o._b, d1
+        else:
+            a, b, d = self._a * d2 - o._a * d1, self._b * d2 - o._b * d1, d1 * d2
+        g = gcd(a, b, d)
+        if g == 1:
+            return _make(a, b, d)
+        return _make(a // g, b // g, d // g)
 
     def __rsub__(self, other: Scalarish) -> "GaussianRational":
         return coerce_scalar(other) - self
 
     def __mul__(self, other: Scalarish) -> "GaussianRational":
-        o = coerce_scalar(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = other if type(other) is GaussianRational else coerce_scalar(other)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d
+        g = gcd(a, b, d)
+        if g == 1:
+            return _make(a, b, d)
+        return _make(a // g, b // g, d // g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalarish) -> "GaussianRational":
-        o = coerce_scalar(other)
-        norm = o.re * o.re + o.im * o.im
+        # x/y = x * conj(y) / |y|^2 with y = (c + e*i)/f:
+        # ((a + b*i)/d) / y = (a + b*i)(c - e*i) * f / (d * (c^2 + e^2)).
+        o = other if type(other) is GaussianRational else coerce_scalar(other)
+        c, e, f = o._a, o._b, o._d
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return self * GaussianRational(o.re / norm, -o.im / norm)
+        a1, b1 = self._a, self._b
+        a, b, d = (a1 * c + b1 * e) * f, (b1 * c - a1 * e) * f, self._d * norm
+        g = gcd(a, b, d)
+        if g == 1:
+            return _make(a, b, d)
+        return _make(a // g, b // g, d // g)
 
     def __rtruediv__(self, other: Scalarish) -> "GaussianRational":
         return coerce_scalar(other) / self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __str__(self) -> str:
         """Render as ``a/b``, ``c/d*i`` or ``a/b+c/d*i`` (zero parts omitted)."""
-        if self.im == 0:
-            return str(self.re)
-        imag = f"{self.im}*i" if self.im > 0 else f"-{-self.im}*i"
-        if self.re == 0:
+        re_part, im_part = self.re, self.im
+        if im_part == 0:
+            return str(re_part)
+        imag = f"{im_part}*i" if im_part > 0 else f"-{-im_part}*i"
+        if re_part == 0:
             return imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        sign = "+" if im_part > 0 else "-"
+        return f"{re_part}{sign}{abs(im_part)}*i"
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """Build from an already canonical triple, skipping coercion and reduction."""
+    x = _new(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
+ONE = GaussianRational(1)
+I_UNIT = GaussianRational(0, 1)
 
 
 def coerce_scalar(value: Scalarish) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
+        n, d = _ratio(value)
+        return _make(n, 0, d)
     raise TypeError(f"cannot treat {value!r} as a scalar")
 
 

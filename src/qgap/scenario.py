@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import ImpossibleOutcomeError, ShapeError
+from .errors import ImpossibleOutcomeError, InvalidValueError, ShapeError
 from .linalg import Matrix, StateVector, inner, state_tensor, tensor_product
 from .projectors import Projector
 from .propositions import (
@@ -66,11 +66,11 @@ class SpinBasis:
     def __post_init__(self) -> None:
         sigma = pauli(self.axis)
         if sigma.apply(self.up) != self.up.entries:
-            raise ValueError(f"up vector is not a +1 eigenvector along {self.axis.value}")
+            raise InvalidValueError(f"up vector is not a +1 eigenvector along {self.axis.value}")
         if sigma.apply(self.down) != self.down.scale(-1).entries:
-            raise ValueError(f"down vector is not a -1 eigenvector along {self.axis.value}")
+            raise InvalidValueError(f"down vector is not a -1 eigenvector along {self.axis.value}")
         if not inner(self.up, self.down).is_zero:
-            raise ValueError(f"spin basis along {self.axis.value} is not orthogonal")
+            raise InvalidValueError(f"spin basis along {self.axis.value} is not orthogonal")
 
     def vector(self, direction: Direction) -> StateVector:
         return self.up if direction is Direction.UP else self.down

@@ -54,6 +54,15 @@ _SCALAR_POOL = [GaussianRational(re, im) for re in _FRACTION_POOL for im in _FRA
 fractions_st = st.sampled_from(_FRACTION_POOL)
 scalars_st = st.sampled_from(_SCALAR_POOL)
 
+# Heights far beyond the pool above: unequal denominators, common factors
+# for the gcd to remove, and parts that are exactly zero.
+wide_fractions_st = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**12, 10**12).map(Fraction),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+)
+wide_scalars_st = st.builds(GaussianRational, wide_fractions_st, wide_fractions_st)
+
 
 @st.composite
 def matrices_st(draw, min_dim=1, max_dim=4, square=False):
@@ -134,6 +143,33 @@ def classical_solutions_oracle(constraints, atoms) -> list[dict[Atom, int]]:
         if all(classical_valuate(prop, assignment) == target for prop, target in constraints):
             solutions.append(assignment)
     return solutions
+
+
+def scalar_pair(value) -> tuple[Fraction, Fraction]:
+    """A scalar, int or Fraction as a plain (real, imaginary) Fraction pair."""
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return Fraction(value), Fraction(0)
+
+
+def pair_oracle(op: str, x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
+    """Gaussian-rational arithmetic on Fraction pairs, sharing no code with qgap.scalars.
+
+    Division by zero raises ZeroDivisionError, as the scalar type does.
+    """
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    if op == "/":
+        norm = c * c + d * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return (a * c + b * d) / norm, (b * c - a * d) / norm
+    raise ValueError(f"unknown operator {op!r}")
 
 
 def to_sympy(m: Matrix):

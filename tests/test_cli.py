@@ -167,6 +167,28 @@ class TestLattice:
         payload = json.loads(out)
         assert payload["result"] == [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
 
+    @pytest.mark.parametrize(
+        "span,expected",
+        [
+            ("0,0,0,0", "span{[1,0,0,0], [0,1,0,0], [0,0,1,0], [0,0,0,1]}\n"),
+            ("1,0,0,0;0,0,0,0", "span{[0,1,0,0], [0,0,1,0], [0,0,0,1]}\n"),
+        ],
+    )
+    def test_zero_vectors_in_a_span_add_nothing(self, capsys, span, expected):
+        code, out, err = run_cli(capsys, "lattice", "--op", "complement", "--a", span)
+        assert (code, out, err) == (0, expected, "")
+
+    def test_zero_span_is_the_zero_subspace(self, capsys):
+        code, out, _ = run_cli(capsys, "lattice", "--op", "join", "--a", "0,0,0,0", "--b", "0,0,0,0")
+        assert code == 0 and out == "span{}\n"
+        code, out, _ = run_cli(capsys, "lattice", "--op", "contains", "--a", "0,0", "--vector", "1,0")
+        assert code == 0 and out == "false\n"
+
+    def test_span_rows_of_different_lengths_are_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "lattice", "--op", "complement", "--a", "1,0;0,0,1")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
     def test_missing_operand_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "lattice", "--op", "meet", "--a", "0,1,0,0")
         assert code == 2

@@ -8,6 +8,7 @@ from helpers import SINGLET, E2, gr, rand_state, span, states_st, vec
 from qgap import (
     Matrix,
     Projector,
+    QgapError,
     ShapeError,
     Subspace,
     kernel_of,
@@ -44,6 +45,14 @@ class TestConstructorValidation:
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValueError):
             Projector(Matrix.identity(2).scale(2))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [Matrix.zero(2, 3), Matrix.from_rows([[0, 1], [0, 0]]), Matrix.identity(2).scale(2)],
+    )
+    def test_rejections_are_package_errors(self, matrix):
+        with pytest.raises(QgapError):
+            Projector(matrix)
 
     def test_accepts_projectors(self):
         assert Projector.zero(4).is_zero

@@ -16,6 +16,7 @@ from qgap import (
     ParseError,
     Particle,
     Projector,
+    QgapError,
     TruthValueSet,
     UnsupportedConnectiveError,
     Xor,
@@ -66,6 +67,10 @@ class TestTruthValueSet:
         assert TruthValueSet.from_values([]) is G
         with pytest.raises(ValueError):
             TruthValueSet.from_values([2])
+
+    def test_from_values_rejection_is_a_package_error(self):
+        with pytest.raises(QgapError):
+            TruthValueSet.from_values([0, 2])
 
 
 class TestCompile:

@@ -1,9 +1,14 @@
+import copy
+import operator
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import gr, scalars_st
+from helpers import gr, pair_oracle, scalar_pair, scalars_st, wide_fractions_st, wide_scalars_st
 from qgap import GaussianRational, ParseError, parse_scalar
 
 
@@ -73,6 +78,99 @@ def test_field_laws(a, b, c):
         assert (a / b) * b == a
 
 
-@given(scalars_st)
+@settings(max_examples=200)
+@given(st.one_of(scalars_st, wide_scalars_st))
 def test_str_parse_round_trip_random(a):
     assert parse_scalar(str(a)) == a
+
+
+# --- differential tests of the integer-triple kernel against Fraction pairs ---
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+operands_st = st.one_of(wide_scalars_st, wide_fractions_st, st.integers(-10**12, 10**12))
+
+
+def assert_canonical(x):
+    assert type(x) is GaussianRational
+    assert x._d > 0 and gcd(x._a, x._b, x._d) == 1
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(OPERATORS)), wide_scalars_st, operands_st, st.booleans())
+def test_arithmetic_matches_pair_oracle(op, x, other, scalar_on_left):
+    left, right = (x, other) if scalar_on_left else (other, x)
+    try:
+        expected = pair_oracle(op, scalar_pair(left), scalar_pair(right))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            OPERATORS[op](left, right)
+        return
+    got = OPERATORS[op](left, right)
+    assert_canonical(got)
+    assert (got.re, got.im) == expected
+
+
+@settings(max_examples=200)
+@given(wide_fractions_st, wide_fractions_st)
+def test_unary_ops_and_parts_match_pair_oracle(re, im):
+    x = GaussianRational(re, im)
+    assert_canonical(x)
+    assert (x.re, x.im) == (re, im)
+    assert x.is_zero == (re == 0 and im == 0) and x.is_real == (im == 0)
+    for y, expected in ((-x, (-re, -im)), (x.conjugate(), (re, -im))):
+        assert_canonical(y)
+        assert (y.re, y.im) == expected
+
+
+@settings(max_examples=200)
+@given(wide_scalars_st, wide_scalars_st)
+def test_equality_and_hash_follow_the_value(x, y):
+    assert (x == y) == (scalar_pair(x) == scalar_pair(y))
+    assert (x != y) == (scalar_pair(x) != scalar_pair(y))
+    # The same value reached by other routes reduces to the same triple.
+    routes = [(x + y) - y, GaussianRational(x.re, x.im)]
+    if not y.is_zero:
+        routes.append((x * y) / y)
+    for same in routes:
+        assert same == x and hash(same) == hash(x)
+        assert (same._a, same._b, same._d) == (x._a, x._b, x._d)
+
+
+@settings(max_examples=200)
+@given(wide_scalars_st)
+def test_repr_keeps_the_field_format(x):
+    assert repr(x) == f"GaussianRational(re={x.re!r}, im={x.im!r})"
+
+
+def test_repr_literal():
+    assert repr(gr(Fraction(1, 2), -3)) == "GaussianRational(re=Fraction(1, 2), im=Fraction(-3, 1))"
+
+
+def test_constructor_takes_int_or_fraction_by_position_or_keyword():
+    assert GaussianRational() == gr(0)
+    assert GaussianRational(3) == GaussianRational(re=Fraction(3)) == gr(3)
+    assert GaussianRational(im=Fraction(2, 4)) == GaussianRational(0, Fraction(1, 2))
+    assert type(GaussianRational(3).re) is Fraction and type(GaussianRational(3).im) is Fraction
+
+
+@pytest.mark.parametrize("name", ["re", "im", "_a", "_b", "_d", "other"])
+def test_instances_are_immutable(name):
+    x = gr(1, 2)
+    with pytest.raises(AttributeError):
+        setattr(x, name, 5)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    assert x == gr(1, 2)
+    assert not hasattr(x, "__dict__")
+
+
+def test_copy_and_pickle_round_trip():
+    x = gr(Fraction(-7, 6), Fraction(5, 4))
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_never_equal_to_other_types():
+    assert GaussianRational(1) != 1
+    assert GaussianRational(1) != Fraction(1)
+    assert gr(1, 2) != (1, 2) and gr(1, 2) != (1, 2, 1)
+    assert not (GaussianRational(1) == 1)

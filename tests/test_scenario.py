@@ -8,6 +8,7 @@ from qgap import (
     ImpossibleOutcomeError,
     Matrix,
     Particle,
+    QgapError,
     ShapeError,
     SpinBasis,
     TruthValueSet,
@@ -70,6 +71,10 @@ class TestSpinBasis:
     def test_invalid_basis_rejected(self):
         with pytest.raises(ValueError):
             SpinBasis(Axis.Z, vec(1, 1), vec(0, 1))
+
+    def test_invalid_basis_is_a_package_error(self):
+        with pytest.raises(QgapError):
+            SpinBasis(Axis.Z, vec(1, 0), vec(1, 0))
 
 
 class TestAtomProjector:
