@@ -7,7 +7,11 @@ queries, and ``paper-check`` prints the fixture audit. Output is
 deterministic: identical invocations produce byte-identical bytes.
 
 Exit codes: 0 success, 1 domain error (e.g. an impossible verification),
-2 usage error (bad flags or unparseable input).
+2 usage error (bad flags or unparseable input). Inputs whose dimensions
+disagree with each other are usage errors too: a ``--state`` whose length
+is not the proposition's dimension, ``--b`` in another ambient dimension
+than ``--a``, and a ``--vector`` whose length is not ``--a``'s ambient
+dimension.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ def _parse_entries(text: str) -> tuple[GaussianRational, ...]:
     return tuple(parse_scalar(p) for p in parts)
 
 
-def _parse_state(text: str) -> StateVector:
-    return StateVector(_parse_entries(text))
+def _check_dim(flag: str, dim: int, expected: int, against: str) -> None:
+    if dim != expected:
+        raise ParseError(f"{flag} has dimension {dim}, but {against} has dimension {expected}")
 
 
 def _parse_span(text: str) -> Subspace:
@@ -100,8 +105,14 @@ def _cmd_epr_run(args: argparse.Namespace) -> int:
 
 def _cmd_valuate(args: argparse.Namespace) -> int:
     prop = parse_proposition(args.prop)
-    state = _parse_state(args.state) if args.state else singlet(Axis.Z)
-    value = valuate(state, compile_proposition(prop, standard_context()))
+    entries = _parse_entries(args.state) if args.state else None
+    projector = compile_proposition(prop, standard_context())
+    if entries is None:
+        state = singlet(Axis.Z)
+    else:
+        _check_dim("--state", len(entries), projector.dim, "the proposition")
+        state = StateVector(entries)
+    value = valuate(state, projector)
     if args.output == "json":
         _emit_json(
             {
@@ -126,9 +137,13 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     if op == "complement":
         result: object = a.orthocomplement()
     elif op == "contains":
-        result = a.contains(_parse_state(args.vector))
+        # Parsed as entries, not as a state: the zero vector lies in every span.
+        entries = _parse_entries(args.vector)
+        _check_dim("--vector", len(entries), a.ambient_dim, "--a")
+        result = all(e.is_zero for e in entries) or a.contains(StateVector(entries))
     else:
         b = _parse_span(args.b)
+        _check_dim("--b", b.ambient_dim, a.ambient_dim, "--a")
         result = {
             "meet": a.meet,
             "join": a.join,

@@ -21,7 +21,7 @@ from typing import Callable
 from .lattice import Subspace
 from .linalg import GaussianRational, Matrix, StateVector, state_tensor
 from .projectors import Projector, range_of
-from .propositions import Axis, Direction, compile_proposition
+from .propositions import Axis, Direction
 from .scalars import parse_scalar
 from .scenario import (
     conjunction,
@@ -29,7 +29,7 @@ from .scenario import (
     pair_observable,
     singlet,
     spin_basis,
-    standard_context,
+    standard_projector,
 )
 
 MATCH = "MATCH"
@@ -72,11 +72,11 @@ class AuditSummary:
 
 
 def _conj_projector(axis: Axis, a_dir: Direction, b_dir: Direction) -> Projector:
-    return compile_proposition(conjunction(axis, a_dir, b_dir), standard_context())
+    return standard_projector(conjunction(axis, a_dir, b_dir))
 
 
 def _diff_projector(axis: Axis) -> Projector:
-    return compile_proposition(different_spins(axis), standard_context())
+    return standard_projector(different_spins(axis))
 
 
 def _derivations() -> dict[str, Callable[[], object]]:
@@ -132,6 +132,13 @@ def _check_fixture(entry: dict, derivations: dict[str, Callable[[], object]]) ->
     kind = entry["kind"]
     note = entry.get("note", "")
 
+    names = entry["derived"] if kind == "chain" else [entry["derived"]]
+    unknown = [name for name in names if name not in derivations]
+    if unknown:
+        return FixtureResult(
+            label, kind, MISMATCH, "", "", f"unknown derived value {', '.join(map(repr, unknown))}"
+        )
+
     if kind == "chain":
         printed_spans = [_parse_span(rows) for rows in entry["printed"]]
         derived_spans = [derivations[name]() for name in entry["derived"]]
@@ -167,7 +174,7 @@ def _check_fixture(entry: dict, derivations: dict[str, Callable[[], object]]) ->
         printed = _parse_span(entry["printed"])
         status = MATCH if printed == derived_value else MISMATCH
         return FixtureResult(label, kind, status, str(printed), str(derived_value), note)
-    raise ValueError(f"unknown fixture kind {kind!r} for {label}")
+    return FixtureResult(label, kind, MISMATCH, "", "", f"unknown fixture kind {kind!r}")
 
 
 @lru_cache(maxsize=1)

@@ -123,6 +123,18 @@ def standard_context() -> dict[Atom, Projector]:
     }
 
 
+@lru_cache(maxsize=None)
+def standard_projector(p: Proposition) -> Projector:
+    """The projector of a proposition in ``standard_context()``, compiled once.
+
+    Meant for the scenario's constant propositions (the atoms and the
+    Diff/Same/conjunction propositions of every run and of the fixture
+    audit); arbitrary user propositions go through ``compile_proposition``
+    so the memo stays bounded.
+    """
+    return compile_proposition(p, standard_context())
+
+
 def conjunction(axis: Axis, a_dir: Direction, b_dir: Direction) -> Proposition:
     return And(Atom(Particle.A, axis, a_dir), Atom(Particle.B, axis, b_dir))
 
@@ -210,9 +222,8 @@ _RUN_NOTE = (
 
 
 def _valuation_records(state: StateVector, entries: Sequence[tuple[str, Proposition]]) -> tuple[ValuationRecord, ...]:
-    context = standard_context()
     return tuple(
-        ValuationRecord(label, prop, valuate(state, compile_proposition(prop, context)))
+        ValuationRecord(label, prop, valuate(state, standard_projector(prop)))
         for label, prop in entries
     )
 

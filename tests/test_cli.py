@@ -23,6 +23,14 @@ class TestEprRun:
         code2, out2, _ = run_cli(capsys, *args)
         assert code2 == 0 and out2 == out
 
+    def test_json_output_matches_golden_output(self, capsys):
+        args = ("epr-run", "--axis", "x", "--query", "A.y.up,B.x.down,B.z.up", "--output", "json")
+        golden = (GOLDEN_DIR / "epr_run_json.txt").read_bytes()
+        for _ in range(2):
+            code, out, err = run_cli(capsys, *args)
+            assert code == 0 and err == ""
+            assert out.encode() == golden
+
     def test_single_query_populations_agree(self, capsys):
         args = ("epr-run", "--axis", "z", "--query", "B.z.down")
         code, out, err = run_cli(capsys, *args)
@@ -124,6 +132,11 @@ class TestValuate:
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
+    def test_state_of_wrong_dimension_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "valuate", "--prop", "A.z.up", "--state", "1,0")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
     def test_rational_state_entries(self, capsys):
         code, out, _ = run_cli(
             capsys, "valuate", "--prop", "A.z.up & B.z.down", "--state", "0,1/2,0,0"
@@ -186,6 +199,34 @@ class TestLattice:
 
     def test_span_rows_of_different_lengths_are_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "lattice", "--op", "complement", "--a", "1,0;0,0,1")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "output,expected",
+        [("table", "true\n"), ("json", '{\n  "op": "contains",\n  "result": true\n}\n')],
+    )
+    def test_zero_vector_is_in_every_span(self, capsys, output, expected):
+        for span in ("1,0,0,0", "0,0,0,0"):
+            code, out, err = run_cli(
+                capsys, "lattice", "--op", "contains", "--a", span, "--vector", "0,0,0,0",
+                "--output", output,
+            )
+            assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize("vector", ["1,0", "0,0", "1,0,0,0,0"])
+    def test_vector_of_wrong_dimension_is_usage_error(self, capsys, output, vector):
+        code, out, err = run_cli(
+            capsys, "lattice", "--op", "contains", "--a", "1,0,0,0", "--vector", vector,
+            "--output", output,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("op", ["meet", "join", "sum", "leq"])
+    def test_spans_of_different_ambient_dimension_are_usage_error(self, capsys, op):
+        code, out, err = run_cli(capsys, "lattice", "--op", op, "--a", "1,0", "--b", "1,0,0")
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from qgap import fixtures
 from qgap.fixtures import MATCH, MISMATCH, audit, audit_summary, render_audit_table
 
 EXPECTED_STATUS = {
@@ -99,3 +102,28 @@ def test_table_rendering():
     lines = table.splitlines()
     mismatch_lines = [l for l in lines if "MISMATCH" in l]
     assert len(mismatch_lines) == 6
+
+
+@pytest.fixture
+def fresh_audit():
+    audit.cache_clear()
+    yield
+    audit.cache_clear()
+
+
+def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fresh_audit):
+    entries = (
+        {"label": "bad_kind", "kind": "tensor", "derived": "sigma_xx", "printed": []},
+        {"label": "bad_name", "kind": "matrix", "derived": "no_such_value", "printed": [["1"]]},
+        {"label": "bad_chain", "kind": "chain", "derived": ["range_diff_z", "nope"], "printed": []},
+        {"label": "good", "kind": "ray", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
+    )
+    monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
+    by_label = {r.label: r for r in audit()}
+    assert [r.status for r in by_label.values()] == [MISMATCH, MISMATCH, MISMATCH, MATCH]
+    assert by_label["bad_kind"].note == "unknown fixture kind 'tensor'"
+    assert by_label["bad_name"].note == "unknown derived value 'no_such_value'"
+    assert by_label["bad_chain"].note == "unknown derived value 'nope'"
+    summary = audit_summary()
+    assert (summary.total, summary.match_count) == (4, 1)
+    assert "3 mismatch" in render_audit_table(audit())

@@ -1,5 +1,6 @@
 import pytest
 
+import qgap.scenario as scenario
 from helpers import SINGLET, E2, gr, vec
 from qgap import (
     Atom,
@@ -28,6 +29,8 @@ from qgap import (
     valuate,
     verify,
 )
+from qgap.fixtures import audit
+from qgap.scenario import standard_projector
 
 T = TruthValueSet.TRUE_ONLY
 F = TruthValueSet.FALSE_ONLY
@@ -237,3 +240,51 @@ class TestRunEpr:
         report = run_epr(Axis.Z, [])
         assert report.fixture_summary.total == 27
         assert report.fixture_summary.match_count == 21
+
+
+ALL_ATOMS = [Atom(p, ax, d) for p in Particle for ax in Axis for d in Direction]
+
+
+def _pre_verification_propositions():
+    props = [r.proposition for r in run_epr(Axis.Z, []).pre_valuations]
+    assert len(props) == 18
+    return props
+
+
+class TestStandardProjector:
+    def test_agrees_with_compile_proposition(self):
+        ctx = standard_context()
+        for prop in _pre_verification_propositions() + ALL_ATOMS:
+            assert standard_projector(prop) == compile_proposition(prop, ctx)
+
+    def test_repeated_call_returns_the_same_object(self):
+        for prop in _pre_verification_propositions() + ALL_ATOMS:
+            assert standard_projector(prop) is standard_projector(prop)
+
+    def test_warm_runs_compile_nothing(self, monkeypatch):
+        query = [Atom(Particle.B, Axis.Z, Direction.DOWN), Atom(Particle.B, Axis.X, Direction.UP)]
+        for axis in Axis:
+            run_epr(axis, query)
+        calls = []
+        compile_once = scenario.compile_proposition
+
+        def counted(p, context):
+            calls.append(p)
+            return compile_once(p, context)
+
+        monkeypatch.setattr(scenario, "compile_proposition", counted)
+        for axis in Axis:
+            run_epr(axis, query)
+        assert calls == []
+        standard_projector.cache_clear()
+        run_epr(Axis.Z, query)
+        assert len(calls) == 30
+
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_warm_and_cold_reports_are_equal(self, axis):
+        query = [Atom(Particle.B, axis, Direction.DOWN), Atom(Particle.A, Axis.Y, Direction.UP)]
+        standard_projector.cache_clear()
+        audit.cache_clear()
+        cold = run_epr(axis, query)
+        warm = run_epr(axis, query)
+        assert warm == cold
