@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable
+from typing import Callable, Sequence
 
+from .errors import ParseError, QgapError
 from .lattice import Subspace
 from .linalg import GaussianRational, Matrix, StateVector, state_tensor
 from .projectors import Projector, range_of
@@ -62,6 +63,11 @@ class AuditSummary:
     match_count: int
     mismatched: tuple[str, ...]
 
+    @classmethod
+    def of(cls, results: Sequence[FixtureResult]) -> "AuditSummary":
+        mismatched = tuple(r.label for r in results if r.status == MISMATCH)
+        return cls(len(results), len(results) - len(mismatched), mismatched)
+
     def to_dict(self) -> dict:
         return {
             "total": self.total,
@@ -105,6 +111,8 @@ def _parse_matrix(rows: list[list[str]]) -> Matrix:
 
 
 def _parse_span(rows: list[list[str]]) -> Subspace:
+    if not rows:
+        raise ParseError("a span needs at least one vector")
     vectors = [StateVector(_parse_vector(row)) for row in rows]
     return Subspace.from_vectors(len(rows[0]), vectors)
 
@@ -127,25 +135,75 @@ def _bool_word(value: bool) -> str:
     return "true" if value else "false"
 
 
+# The type of derived value each kind compares against.
+_KIND_TYPES = {"matrix": Matrix, "vector": StateVector, "ray": StateVector, "range": Subspace, "chain": Subspace}
+# A chain links the z, x and y families: z <= x <= y.
+_CHAIN_LENGTH = 3
+
+
+class _Uncheckable(Exception):
+    """An entry the audit cannot compare; the message becomes its note."""
+
+
+def _derived_values(entry: dict, derivations: dict[str, Callable[[], object]]) -> list[object]:
+    kind = entry["kind"]
+    missing = [key for key in ("derived", "printed") if key not in entry]
+    if missing:
+        raise _Uncheckable(f"missing {' and '.join(missing)} value")
+    derived = entry["derived"]
+    names = derived if kind == "chain" else [derived]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        expected = "a list of names" if kind == "chain" else "a name"
+        raise _Uncheckable(f"derived value is not {expected}: {derived!r}")
+    unknown = [name for name in names if name not in derivations]
+    if unknown:
+        raise _Uncheckable(f"unknown derived value {', '.join(map(repr, unknown))}")
+    if kind not in _KIND_TYPES:
+        raise _Uncheckable(f"unknown fixture kind {kind!r}")
+    if kind == "chain" and len(names) != _CHAIN_LENGTH:
+        raise _Uncheckable(f"a chain needs {_CHAIN_LENGTH} derived values, got {len(names)}")
+    values = [derivations[name]() for name in names]
+    for name, value in zip(names, values):
+        if not isinstance(value, _KIND_TYPES[kind]):
+            expected = _KIND_TYPES[kind].__name__
+            raise _Uncheckable(f"derived value {name!r} is a {type(value).__name__}, not a {expected}")
+    return values
+
+
+def _printed_value(entry: dict) -> object:
+    kind, printed = entry["kind"], entry["printed"]
+    if kind == "chain" and len(printed) != _CHAIN_LENGTH:
+        raise _Uncheckable(f"a chain needs {_CHAIN_LENGTH} printed spans, got {len(printed)}")
+    try:
+        if kind == "matrix":
+            return _parse_matrix(printed)
+        if kind == "range":
+            return _parse_span(printed)
+        if kind == "chain":
+            spans = [_parse_span(rows) for rows in printed]
+            if len({span.ambient_dim for span in spans}) != 1:
+                raise ParseError("spans of different dimensions")
+            return spans
+        return _parse_vector(printed)
+    except QgapError as exc:
+        raise _Uncheckable(f"unparseable printed {kind}: {exc}") from None
+
+
 def _check_fixture(entry: dict, derivations: dict[str, Callable[[], object]]) -> FixtureResult:
     label = entry["label"]
     kind = entry["kind"]
     note = entry.get("note", "")
-
-    names = entry["derived"] if kind == "chain" else [entry["derived"]]
-    unknown = [name for name in names if name not in derivations]
-    if unknown:
-        return FixtureResult(
-            label, kind, MISMATCH, "", "", f"unknown derived value {', '.join(map(repr, unknown))}"
-        )
+    try:
+        derived = _derived_values(entry, derivations)
+        printed = _printed_value(entry)
+    except _Uncheckable as exc:
+        return FixtureResult(label, kind, MISMATCH, "", "", str(exc))
 
     if kind == "chain":
-        printed_spans = [_parse_span(rows) for rows in entry["printed"]]
-        derived_spans = [derivations[name]() for name in entry["derived"]]
-        printed_holds = [printed_spans[i] <= printed_spans[i + 1] for i in range(2)]
-        derived_holds = [derived_spans[i] <= derived_spans[i + 1] for i in range(2)]
+        printed_holds = [printed[i] <= printed[i + 1] for i in range(2)]
+        derived_holds = [derived[i] <= derived[i + 1] for i in range(2)]
         ray = StateVector.of(0, 1, -1, 0)
-        in_all = all(s.contains(ray) for s in derived_spans)
+        in_all = all(s.contains(ray) for s in derived)
         status = MATCH if all(printed_holds) and all(derived_holds) else MISMATCH
         printed_text = (
             f"z<=x: {_bool_word(printed_holds[0])}, x<=y: {_bool_word(printed_holds[1])}"
@@ -157,24 +215,15 @@ def _check_fixture(entry: dict, derivations: dict[str, Callable[[], object]]) ->
         )
         return FixtureResult(label, kind, status, printed_text, derived_text, note)
 
-    derived_value = derivations[entry["derived"]]()
-    if kind == "matrix":
-        printed = _parse_matrix(entry["printed"])
-        status = MATCH if printed == derived_value else MISMATCH
-        return FixtureResult(label, kind, status, str(printed), str(derived_value), note)
+    (derived_value,) = derived
     if kind == "vector":
-        printed = _parse_vector(entry["printed"])
         status = MATCH if printed == derived_value.entries else MISMATCH
         return FixtureResult(label, kind, status, _show_vector(printed), str(derived_value), note)
     if kind == "ray":
-        printed = _parse_vector(entry["printed"])
         status = MATCH if _ray_equal(printed, derived_value) else MISMATCH
         return FixtureResult(label, kind, status, _show_vector(printed), str(derived_value), note)
-    if kind == "range":
-        printed = _parse_span(entry["printed"])
-        status = MATCH if printed == derived_value else MISMATCH
-        return FixtureResult(label, kind, status, str(printed), str(derived_value), note)
-    return FixtureResult(label, kind, MISMATCH, "", "", f"unknown fixture kind {kind!r}")
+    status = MATCH if printed == derived_value else MISMATCH  # a matrix or a range
+    return FixtureResult(label, kind, status, str(printed), str(derived_value), note)
 
 
 @lru_cache(maxsize=1)
@@ -191,9 +240,7 @@ def audit() -> tuple[FixtureResult, ...]:
 
 
 def audit_summary() -> AuditSummary:
-    results = audit()
-    mismatched = tuple(r.label for r in results if r.status == MISMATCH)
-    return AuditSummary(len(results), len(results) - len(mismatched), mismatched)
+    return AuditSummary.of(audit())
 
 
 def render_audit_table(results: tuple[FixtureResult, ...]) -> str:
@@ -204,7 +251,7 @@ def render_audit_table(results: tuple[FixtureResult, ...]) -> str:
         if r.status == MISMATCH:
             lines.append(f"{''.ljust(width)}  printed: {r.printed}")
             lines.append(f"{''.ljust(width)}  derived: {r.derived}")
-    summary = audit_summary()
+    summary = AuditSummary.of(results)
     lines.append("")
     lines.append(
         f"{summary.total} fixtures: {summary.match_count} match, "

@@ -4,21 +4,28 @@ Matrices and state vectors are immutable values; every operation returns a
 fresh result and is referentially transparent. There is no floating point
 anywhere: elimination uses exact division, so reduced row-echelon forms,
 ranks and kernels are canonical rather than tolerance-dependent.
+
+Every sum of products goes through ``_dot`` and every elimination
+(rank, kernel, a solve on an augmented matrix) through ``Matrix.rref``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidStateError, ShapeError
 from .scalars import ONE, ZERO, GaussianRational, Scalarish, coerce_scalar
 
-Entryish = Scalarish
 
-
-def _coerce_entries(values: Iterable[Entryish]) -> tuple[GaussianRational, ...]:
+def _coerce_entries(values: Iterable[Scalarish]) -> tuple[GaussianRational, ...]:
     return tuple(coerce_scalar(v) for v in values)
+
+
+def _dot(xs: Iterable[GaussianRational], ys: Iterable[GaussianRational]) -> GaussianRational:
+    """Sum of pairwise products, accumulated left to right from zero."""
+    return sum(map(operator.mul, xs, ys), ZERO)
 
 
 @dataclass(frozen=True)
@@ -37,7 +44,7 @@ class Matrix:
             )
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Entryish]]) -> "Matrix":
+    def from_rows(cls, rows: Sequence[Sequence[Scalarish]]) -> "Matrix":
         if not rows or not rows[0]:
             raise ShapeError("matrix needs at least one row and one column")
         ncols = len(rows[0])
@@ -90,31 +97,15 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            lhs = self.row(i)
-            for j in range(other.cols):
-                rhs = other.col(j)
-                acc = ZERO
-                for a, b in zip(lhs, rhs):
-                    acc = acc + a * b
-                out.append(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
+        cols = [other.col(j) for j in range(other.cols)]
+        entries = tuple(_dot(self.row(i), col) for i in range(self.rows) for col in cols)
+        return Matrix(self.rows, other.cols, entries)
 
     def apply(self, state: "StateVector") -> tuple[GaussianRational, ...]:
         """Matrix-vector product, returned raw so callers can see a zero image."""
         if self.cols != state.dim:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to dim-{state.dim} vector")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            for a, b in zip(self.row(i), state.entries):
-                acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        return tuple(_dot(self.row(i), state.entries) for i in range(self.rows))
 
     def conjugate_transpose(self) -> "Matrix":
         return Matrix(
@@ -152,9 +143,6 @@ class Matrix:
                 break
         return Matrix.from_rows(rows)
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        return self.rref()._leading_columns()
-
     def _leading_columns(self) -> tuple[int, ...]:
         """Leading column of each nonzero row; the pivots when self is already in RREF."""
         pivots = []
@@ -167,7 +155,7 @@ class Matrix:
         return tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.pivot_columns())
+        return len(self.rref()._leading_columns())
 
     def kernel_basis(self) -> tuple["StateVector", ...]:
         """Canonical basis of the null space {x : self @ x = 0}.
@@ -195,22 +183,6 @@ class Matrix:
             if any(not e.is_zero for e in canonical.row(i))
         )
 
-    def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan on the identity-augmented matrix."""
-        if not self.is_square:
-            raise ShapeError("only square matrices can be inverted")
-        n = self.rows
-        eye = Matrix.identity(n)
-        aug = Matrix.from_rows(
-            [list(self.row(i)) + list(eye.row(i)) for i in range(n)]
-        ).rref()
-        for i in range(n):
-            for j in range(n):
-                expected = ONE if i == j else ZERO
-                if aug.at(i, j) != expected:
-                    raise ZeroDivisionError("matrix is singular")
-        return Matrix.from_rows([list(aug.row(i))[n:] for i in range(n)])
-
     def __str__(self) -> str:
         return "[" + ",".join("[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)) + "]"
 
@@ -229,7 +201,7 @@ class StateVector:
             raise InvalidStateError("the zero vector is not a state")
 
     @classmethod
-    def of(cls, *values: Entryish) -> "StateVector":
+    def of(cls, *values: Scalarish) -> "StateVector":
         return cls(tuple(values))
 
     @property
@@ -245,9 +217,6 @@ class StateVector:
     def as_column(self) -> Matrix:
         return Matrix(self.dim, 1, self.entries)
 
-    def as_row(self) -> Matrix:
-        return Matrix(1, self.dim, self.entries)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
 
@@ -256,10 +225,7 @@ def inner(u: StateVector, v: StateVector) -> GaussianRational:
     """Hermitian inner product, conjugate-linear in the first argument."""
     if u.dim != v.dim:
         raise ShapeError(f"inner product of dim {u.dim} with dim {v.dim}")
-    acc = ZERO
-    for a, b in zip(u.entries, v.entries):
-        acc = acc + a.conjugate() * b
-    return acc
+    return _dot((a.conjugate() for a in u.entries), v.entries)
 
 
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:

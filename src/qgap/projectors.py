@@ -75,17 +75,21 @@ class Projector:
 def projector_onto(subspace: Subspace) -> Projector:
     """Orthogonal projector with the given range.
 
-    Built as B (B* B)^-1 B* for B the canonical basis stacked as columns;
-    the Gram matrix of a basis is always invertible, and the construction
-    is exact, Hermitian and idempotent by algebra (the constructor
-    re-checks anyway).
+    For M the canonical basis conjugated and stacked as rows, the projector
+    is M* G^-1 M with Gram matrix G = M M*, invertible because the rows are
+    independent. G^-1 M comes from one elimination: the reduced form of
+    the augmented matrix [G | M] is [I | G^-1 M]. The result is exact,
+    Hermitian and idempotent by algebra (the constructor re-checks anyway).
     """
     if subspace.is_zero:
         return Projector.zero(subspace.ambient_dim)
-    b = Matrix.from_rows([list(v.entries) for v in subspace.basis]).transpose()
-    b_star = b.conjugate_transpose()
-    gram = b_star @ b
-    return Projector(b @ gram.inverse() @ b_star)
+    m = Matrix.from_rows([[e.conjugate() for e in v.entries] for v in subspace.basis])
+    m_star = m.conjugate_transpose()
+    gram = m @ m_star
+    k = gram.rows
+    solved = Matrix.from_rows([gram.row(i) + m.row(i) for i in range(k)]).rref()
+    x = Matrix.from_rows([solved.row(i)[k:] for i in range(k)])
+    return Projector(m_star @ x)
 
 
 def projector_from_span(vectors: Sequence[StateVector]) -> Projector:

@@ -277,6 +277,10 @@ def population(components: Sequence[TruthValueSet], labels: Sequence[str]) -> Po
 
 _ATOM_RE = re.compile(r"[AB]\.[xyz]\.(?:up|down)")
 _TOKEN_RE = re.compile(r"\s*(?:(?P<atom>[AB]\.[xyz]\.(?:up|down))|(?P<op>[&^()]))")
+# Parsing, printing and compiling all recurse once per level of nesting, so
+# the connectives and parentheses of one proposition are capped well below
+# the interpreter's recursion limit.
+MAX_OPERATORS = 100
 
 
 def parse_atom(text: str) -> Atom:
@@ -304,11 +308,17 @@ def _tokenize(text: str) -> list[str]:
 def parse_proposition(text: str) -> Proposition:
     """Parse the CLI grammar: atoms ``A.z.up``, ``&``, ``^``, parentheses.
 
-    ``&`` binds tighter than ``^``; both associate to the left.
+    ``&`` binds tighter than ``^``; both associate to the left. At most
+    ``MAX_OPERATORS`` connectives and parentheses are accepted.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty proposition")
+    operators = sum(tok in ("&", "^", "(", ")") for tok in tokens)
+    if operators > MAX_OPERATORS:
+        raise ParseError(
+            f"proposition has {operators} connectives and parentheses, more than {MAX_OPERATORS}"
+        )
     pos = 0
 
     def peek() -> str | None:

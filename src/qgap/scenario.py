@@ -11,7 +11,6 @@ post-state without ever introducing irrational normalizers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -33,12 +32,10 @@ from .propositions import (
     population,
     valuate,
 )
-from .scalars import ONE, GaussianRational, Scalarish, coerce_scalar
+from .scalars import I_UNIT, ONE, Scalarish, coerce_scalar
 
 if TYPE_CHECKING:
     from .fixtures import AuditSummary
-
-_I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def pauli(axis: Axis) -> Matrix:
@@ -46,7 +43,7 @@ def pauli(axis: Axis) -> Matrix:
     if axis is Axis.X:
         return Matrix.from_rows([[0, 1], [1, 0]])
     if axis is Axis.Y:
-        return Matrix.from_rows([[0, -_I], [_I, 0]])
+        return Matrix.from_rows([[0, -I_UNIT], [I_UNIT, 0]])
     return Matrix.from_rows([[1, 0], [0, -1]])
 
 
@@ -65,9 +62,9 @@ class SpinBasis:
 
     def __post_init__(self) -> None:
         sigma = pauli(self.axis)
-        if sigma.apply(self.up) != self.up.entries:
+        if not eigencheck(sigma, self.up, 1):
             raise InvalidValueError(f"up vector is not a +1 eigenvector along {self.axis.value}")
-        if sigma.apply(self.down) != self.down.scale(-1).entries:
+        if not eigencheck(sigma, self.down, -1):
             raise InvalidValueError(f"down vector is not a -1 eigenvector along {self.axis.value}")
         if not inner(self.up, self.down).is_zero:
             raise InvalidValueError(f"spin basis along {self.axis.value} is not orthogonal")
@@ -81,7 +78,7 @@ def spin_basis(axis: Axis) -> SpinBasis:
     if axis is Axis.X:
         return SpinBasis(axis, StateVector.of(1, 1), StateVector.of(1, -1))
     if axis is Axis.Y:
-        return SpinBasis(axis, StateVector.of(1, _I), StateVector.of(1, -_I))
+        return SpinBasis(axis, StateVector.of(1, I_UNIT), StateVector.of(1, -I_UNIT))
     return SpinBasis(axis, StateVector.of(1, 0), StateVector.of(0, 1))
 
 

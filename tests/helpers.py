@@ -28,15 +28,19 @@ SINGLET = vec(0, 1, -1, 0)
 
 # --- seeded random generation (acceptance-style exhaustive loops) ---
 
-def rand_scalar(rng: Random, allow_imag: bool = True) -> GaussianRational:
-    re = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-    im = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if allow_imag and rng.random() < 0.5 else Fraction(0)
+def rand_scalar(rng: Random, allow_imag: bool = True, height: int = 2) -> GaussianRational:
+    re = Fraction(rng.randint(-height, height), rng.randint(1, height))
+    im = (
+        Fraction(rng.randint(-height, height), rng.randint(1, height))
+        if allow_imag and rng.random() < 0.5
+        else Fraction(0)
+    )
     return GaussianRational(re, im)
 
 
-def rand_state(rng: Random, dim: int = 4) -> StateVector:
+def rand_state(rng: Random, dim: int = 4, height: int = 2) -> StateVector:
     while True:
-        entries = tuple(rand_scalar(rng) for _ in range(dim))
+        entries = tuple(rand_scalar(rng, height=height) for _ in range(dim))
         if any(not e.is_zero for e in entries):
             return StateVector(entries)
 

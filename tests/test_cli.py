@@ -1,9 +1,15 @@
+import contextlib
+import io
+import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgap.cli import main
+from qgap.propositions import MAX_OPERATORS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -148,6 +154,32 @@ class TestValuate:
         assert code == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("output", ["table", "json"])
+    def test_proposition_at_the_operator_bound(self, capsys, output):
+        chain = " & ".join(["A.z.up"] * (MAX_OPERATORS + 1))
+        code, out, err = run_cli(capsys, "valuate", "--prop", chain, "--output", output)
+        assert code == 0 and err == ""
+        _, single, _ = run_cli(capsys, "valuate", "--prop", "A.z.up", "--output", output)
+        if output == "json":
+            out, single = json.loads(out), json.loads(single)
+            assert out.pop("proposition") == chain and single.pop("proposition") == "A.z.up"
+        assert out == single
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize(
+        "prop",
+        [
+            " & ".join(["A.z.up"] * (MAX_OPERATORS + 2)),
+            "(" * 329 + "A.z.up" + ")" * 329,
+            " & ".join(["A.z.up"] * 986),
+        ],
+        ids=["one-past", "deep-nesting", "long-chain"],
+    )
+    def test_proposition_past_the_operator_bound_is_usage_error(self, capsys, output, prop):
+        code, out, err = run_cli(capsys, "valuate", "--prop", prop, "--output", output)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
 
 class TestLattice:
     def test_meet_of_diff_ranges_is_singlet_ray(self, capsys):
@@ -258,3 +290,83 @@ class TestPaperCheck:
         _, first, _ = run_cli(capsys, "paper-check")
         _, second, _ = run_cli(capsys, "paper-check")
         assert first == second
+
+
+# Pieces of the CLI grammar, put together into valid input, near misses and
+# garbage.
+COMMAND_FLAGS = {
+    "epr-run": ["--axis", "--query", "--semantics", "--output"],
+    "valuate": ["--prop", "--state", "--output"],
+    "lattice": ["--op", "--a", "--b", "--vector", "--output"],
+    "paper-check": ["--output"],
+}
+REQUIRED = {"valuate": ["--prop"], "lattice": ["--op", "--a"]}
+ATOMS = [f"{p}.{a}.{d}" for p in "AB" for a in "xyz" for d in ("up", "down")] + ["A.w.up"]
+CONNECTIVES = [" & ", " ^ ", "&", "^"]
+SCALARS = ["0", "1", "-1", "1/2", "i", "-i", "1+i", "2/3-1/2*i", "1/0", "x"]
+WORDS = {
+    "--axis": ["x", "y", "z", "w"],
+    "--semantics": ["super", "classical", "both"],
+    "--output": ["table", "json"],
+    "--op": ["meet", "join", "sum", "complement", "leq", "contains"],
+}
+ALL_PIECES = sorted(
+    {*ATOMS, *CONNECTIVES, *SCALARS, "(", ")", ",", ";", *itertools.chain(*WORDS.values())}
+)
+
+prop_st = st.recursive(
+    st.sampled_from(ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(CONNECTIVES), inner).map("".join),
+        inner.map(lambda text: f"({text})"),
+    ),
+    max_leaves=6,
+)
+vector_st = st.lists(st.sampled_from(SCALARS), min_size=1, max_size=5).map(",".join)
+VALUES = {
+    **{flag: st.sampled_from(words) for flag, words in WORDS.items()},
+    "--query": st.lists(st.sampled_from(ATOMS), max_size=6).map(",".join),
+    "--prop": prop_st,
+    "--state": vector_st,
+    "--a": st.lists(vector_st, min_size=1, max_size=3).map(";".join),
+    "--b": st.lists(vector_st, min_size=1, max_size=3).map(";".join),
+    "--vector": vector_st,
+}
+garbage_st = st.lists(st.sampled_from(ALL_PIECES), max_size=8).map("".join)
+
+
+# A flag gets a value by its own rule three times in four, garbage otherwise;
+# a command gets one of its own flags three times in four, any flag otherwise.
+def _option(flag):
+    own = VALUES[flag]
+    return st.tuples(st.just(flag), st.one_of(own, own, own, garbage_st))
+
+
+def _argv(command):
+    own = st.sampled_from(COMMAND_FLAGS[command])
+    flag_st = st.one_of(own, own, own, st.sampled_from(sorted(VALUES)))
+    required = st.tuples(*map(_option, REQUIRED.get(command, [])))
+    extra = st.lists(flag_st.flatmap(_option), max_size=3)
+    return st.tuples(required, extra).map(
+        lambda parts: [command, *(word for option in (*parts[0], *parts[1]) for word in option)]
+    )
+
+
+argv_st = st.one_of(
+    st.sampled_from(list(COMMAND_FLAGS)).flatmap(_argv),
+    st.just(["frobnicate"]),
+    st.just(["valuate", "--help"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv_st)
+def test_no_argv_gives_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reports usage errors and --help this way
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qgap import fixtures
-from qgap.fixtures import MATCH, MISMATCH, audit, audit_summary, render_audit_table
+from qgap.fixtures import MATCH, MISMATCH, AuditSummary, audit, audit_summary, render_audit_table
 
 EXPECTED_STATUS = {
     "eq22_sigma_zz": MATCH,
@@ -112,18 +112,54 @@ def fresh_audit():
 
 
 def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fresh_audit):
+    span = [["0", "1", "-1", "0"]]
     entries = (
         {"label": "bad_kind", "kind": "tensor", "derived": "sigma_xx", "printed": []},
         {"label": "bad_name", "kind": "matrix", "derived": "no_such_value", "printed": [["1"]]},
         {"label": "bad_chain", "kind": "chain", "derived": ["range_diff_z", "nope"], "printed": []},
+        {"label": "unparseable", "kind": "matrix", "derived": "sigma_zz", "printed": [["x"]]},
+        {"label": "listed_name", "kind": "matrix", "derived": ["sigma_zz"], "printed": [["1"]]},
+        {"label": "no_derived", "kind": "vector", "printed": ["1"]},
+        {"label": "empty_range", "kind": "range", "derived": "range_diff_z", "printed": []},
+        {
+            "label": "short_chain",
+            "kind": "chain",
+            "derived": ["range_diff_z", "range_diff_x", "range_diff_y"],
+            "printed": [span],
+        },
+        {
+            "label": "ragged_chain",
+            "kind": "chain",
+            "derived": ["range_diff_z", "range_diff_x", "range_diff_y"],
+            "printed": [span, span, [["1", "0"]]],
+        },
+        {"label": "wrong_type", "kind": "ray", "derived": "sigma_zz", "printed": ["1"]},
         {"label": "good", "kind": "ray", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
     )
     monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
     by_label = {r.label: r for r in audit()}
-    assert [r.status for r in by_label.values()] == [MISMATCH, MISMATCH, MISMATCH, MATCH]
+    assert [r.status for r in by_label.values()] == [MISMATCH] * 10 + [MATCH]
     assert by_label["bad_kind"].note == "unknown fixture kind 'tensor'"
     assert by_label["bad_name"].note == "unknown derived value 'no_such_value'"
     assert by_label["bad_chain"].note == "unknown derived value 'nope'"
+    assert by_label["unparseable"].note == "unparseable printed matrix: not a Gaussian rational: 'x'"
+    assert by_label["listed_name"].note == "derived value is not a name: ['sigma_zz']"
+    assert by_label["no_derived"].note == "missing derived value"
+    assert by_label["empty_range"].note == "unparseable printed range: a span needs at least one vector"
+    assert by_label["short_chain"].note == "a chain needs 3 printed spans, got 1"
+    assert by_label["ragged_chain"].note == "unparseable printed chain: spans of different dimensions"
+    assert by_label["wrong_type"].note == "derived value 'sigma_zz' is a Matrix, not a StateVector"
+    for label in by_label.keys() - {"good"}:
+        assert by_label[label].printed == by_label[label].derived == ""
     summary = audit_summary()
-    assert (summary.total, summary.match_count) == (4, 1)
-    assert "3 mismatch" in render_audit_table(audit())
+    assert (summary.total, summary.match_count) == (11, 1)
+    assert "11 fixtures: 1 match, 10 mismatch" in render_audit_table(audit())
+
+
+def test_table_summary_counts_the_given_results():
+    results = audit()[:2]
+    assert [r.status for r in results] == [MATCH, MISMATCH]
+    table = render_audit_table(results)
+    assert table.endswith("\n\n2 fixtures: 1 match, 1 mismatch\n")
+    assert AuditSummary.of(results) == AuditSummary(2, 1, ("eq22_sigma_xx",))
+    assert AuditSummary.of(audit()) == audit_summary()

@@ -162,10 +162,3 @@ def test_matrix_shape_validation():
         Matrix(2, 2, (gr(1),))
     with pytest.raises(ShapeError):
         Matrix.from_rows([[1, 2], [3]])
-
-
-def test_inverse_round_trip():
-    m = Matrix.from_rows([[1, 2], [3, gr(0, 1)]])
-    assert m @ m.inverse() == Matrix.identity(2)
-    with pytest.raises(ZeroDivisionError):
-        Matrix.from_rows([[1, 1], [1, 1]]).inverse()

@@ -86,22 +86,13 @@ def test_tensor_product_agrees_with_sympy_kron():
         assert to_sympy(tensor_product(a, b)) == kron.expand()
 
 
-def test_inverse_agrees_with_sympy():
-    rng = Random(606)
-    found = 0
-    while found < 10:
-        m = rand_matrix(rng, 3, 3)
-        sym = to_sympy(m)
-        if sym.det() == 0:
-            continue
-        found += 1
-        assert to_sympy(m.inverse()) == sym.inv()
-
-
 def test_span_projector_agrees_with_sympy_formula():
+    # 1-4 vectors, so the Gram solve runs at every size up to the full space,
+    # with entries of height 2 and of height 1000 (as in the lattice_mix bench).
     rng = Random(707)
-    for _ in range(15):
-        vectors = [rand_state(rng) for _ in range(rng.randint(1, 3))]
+    for i in range(16):
+        height = (2, 1000)[i % 2]
+        vectors = [rand_state(rng, height=height) for _ in range(rng.randint(1, 4))]
         p = projector_from_span(vectors)
         basis = Subspace.from_vectors(4, vectors).basis
         b = sp.Matrix.hstack(*[to_sympy_vec(v) for v in basis])

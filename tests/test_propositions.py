@@ -36,6 +36,7 @@ from qgap import (
     standard_context,
     valuate,
 )
+from qgap.propositions import MAX_OPERATORS
 
 A_UP = Atom(Particle.A, Axis.Z, Direction.UP)
 A_DOWN = Atom(Particle.A, Axis.Z, Direction.DOWN)
@@ -308,6 +309,31 @@ class TestGrammar:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ParseError):
             parse_proposition(bad)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " & ".join(["A.z.up"] * (MAX_OPERATORS + 1)),
+            "(" * (MAX_OPERATORS // 2) + "A.z.up" + ")" * (MAX_OPERATORS // 2),
+        ],
+        ids=["chain", "nested"],
+    )
+    def test_accepts_the_operator_bound(self, text):
+        prop = parse_proposition(text)
+        assert parse_proposition(str(prop)) == prop
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " & ".join(["A.z.up"] * (MAX_OPERATORS + 2)),
+            "(" * (MAX_OPERATORS // 2) + "A.z.up" + ")" * (MAX_OPERATORS // 2) + " ^ B.z.up",
+            "(" * 329 + "A.z.up" + ")" * 329,
+        ],
+        ids=["chain", "nested", "deep"],
+    )
+    def test_rejects_more_operators_than_the_bound(self, text):
+        with pytest.raises(ParseError, match=f"more than {MAX_OPERATORS}"):
+            parse_proposition(text)
 
     def test_atoms_of(self):
         assert atoms_of(DIFF_Z) == (A_UP, B_DOWN, A_DOWN, B_UP)
