@@ -78,14 +78,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("valuate", help="valuate one proposition in a state (default: the singlet)")
     val.add_argument("--prop", required=True, help='e.g. "A.z.up & B.z.down ^ A.z.down & B.z.up"')
-    val.add_argument("--state", default=None, help="comma-separated rational entries, e.g. 0,1,0,0")
+    val.add_argument(
+        "--state",
+        default=None,
+        help="comma-separated rational entries, e.g. 0,1,0,0; "
+        "a value starting with '-' needs the = form, e.g. --state=-1,1,0,0",
+    )
     val.add_argument("--output", choices=("table", "json"), default="table")
 
     lat = sub.add_parser("lattice", help="subspace lattice queries on explicit spans")
     lat.add_argument("--op", choices=("meet", "join", "sum", "complement", "leq", "contains"), required=True)
-    lat.add_argument("--a", required=True, help="span: vectors separated by ';', entries by ','")
-    lat.add_argument("--b", default=None, help="second span (meet/join/sum/leq)")
-    lat.add_argument("--vector", default=None, help="vector for the contains query")
+    lat.add_argument(
+        "--a",
+        required=True,
+        help="span: vectors separated by ';', entries by ','; "
+        "a value starting with '-' needs the = form, e.g. --a=-1,0,0,0",
+    )
+    lat.add_argument(
+        "--b",
+        default=None,
+        help="second span (meet/join/sum/leq); "
+        "a value starting with '-' needs the = form, e.g. --b=-1,0,0,0",
+    )
+    lat.add_argument(
+        "--vector",
+        default=None,
+        help="vector for the contains query; "
+        "a value starting with '-' needs the = form, e.g. --vector=-1,0,0,0",
+    )
     lat.add_argument("--output", choices=("table", "json"), default="table")
 
     chk = sub.add_parser("paper-check", help="audit the transcribed source displays")

@@ -137,6 +137,9 @@ def _bool_word(value: bool) -> str:
 
 # The type of derived value each kind compares against.
 _KIND_TYPES = {"matrix": Matrix, "vector": StateVector, "ray": StateVector, "range": Subspace, "chain": Subspace}
+# How deep each kind nests its printed strings: a vector or ray is a list of
+# scalars, a matrix or range a list of rows, a chain a list of ranges.
+_PRINTED_DEPTH = {"vector": 1, "ray": 1, "matrix": 2, "range": 2, "chain": 3}
 # A chain links the z, x and y families: z <= x <= y.
 _CHAIN_LENGTH = 3
 
@@ -146,10 +149,10 @@ class _Uncheckable(Exception):
 
 
 def _derived_values(entry: dict, derivations: dict[str, Callable[[], object]]) -> list[object]:
-    kind = entry["kind"]
-    missing = [key for key in ("derived", "printed") if key not in entry]
+    missing = [key for key in ("label", "kind", "derived", "printed") if key not in entry]
     if missing:
         raise _Uncheckable(f"missing {' and '.join(missing)} value")
+    kind = entry["kind"]
     derived = entry["derived"]
     names = derived if kind == "chain" else [derived]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
@@ -170,8 +173,18 @@ def _derived_values(entry: dict, derivations: dict[str, Callable[[], object]]) -
     return values
 
 
+def _nests_strings(value: object, depth: int) -> bool:
+    if depth == 0:
+        return isinstance(value, str)
+    return isinstance(value, list) and all(_nests_strings(v, depth - 1) for v in value)
+
+
 def _printed_value(entry: dict) -> object:
     kind, printed = entry["kind"], entry["printed"]
+    depth = _PRINTED_DEPTH[kind]
+    if not _nests_strings(printed, depth):
+        shape = "a list of " + "lists of " * (depth - 1) + "strings"
+        raise _Uncheckable(f"printed {kind} is not {shape}: {printed!r}")
     if kind == "chain" and len(printed) != _CHAIN_LENGTH:
         raise _Uncheckable(f"a chain needs {_CHAIN_LENGTH} printed spans, got {len(printed)}")
     try:
@@ -190,8 +203,8 @@ def _printed_value(entry: dict) -> object:
 
 
 def _check_fixture(entry: dict, derivations: dict[str, Callable[[], object]]) -> FixtureResult:
-    label = entry["label"]
-    kind = entry["kind"]
+    label = entry.get("label", "")
+    kind = entry.get("kind", "")
     note = entry.get("note", "")
     try:
         derived = _derived_values(entry, derivations)

@@ -7,11 +7,14 @@ ranks and kernels are canonical rather than tolerance-dependent.
 
 Every sum of products goes through ``_dot`` and every elimination
 (rank, kernel, a solve on an augmented matrix) through ``Matrix.rref``.
+Both kernels skip each term with an exact-zero factor: the spin projectors
+and states of the pair space are mostly zeros, and adding or subtracting an
+exact zero changes no canonical triple, so the results are the same values
+without those multiplies and adds.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,8 +27,8 @@ def _coerce_entries(values: Iterable[Scalarish]) -> tuple[GaussianRational, ...]
 
 
 def _dot(xs: Iterable[GaussianRational], ys: Iterable[GaussianRational]) -> GaussianRational:
-    """Sum of pairwise products, accumulated left to right from zero."""
-    return sum(map(operator.mul, xs, ys), ZERO)
+    """Sum of the pairwise products with no zero factor, left to right from zero."""
+    return sum((x * y for x, y in zip(xs, ys) if not (x.is_zero or y.is_zero)), ZERO)
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,13 @@ class Matrix:
                 continue
             rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
             pivot = rows[pivot_row][col]
-            rows[pivot_row] = [x / pivot for x in rows[pivot_row]]
+            rows[pivot_row] = [x if x.is_zero else x / pivot for x in rows[pivot_row]]
             for r in range(self.rows):
                 if r != pivot_row and not rows[r][col].is_zero:
                     factor = rows[r][col]
-                    rows[r] = [x - factor * y for x, y in zip(rows[r], rows[pivot_row])]
+                    rows[r] = [
+                        x if y.is_zero else x - factor * y for x, y in zip(rows[r], rows[pivot_row])
+                    ]
             pivot_row += 1
             if pivot_row == self.rows:
                 break

@@ -7,6 +7,7 @@ from random import Random
 from hypothesis import strategies as st
 
 from qgap import Atom, Direction, GaussianRational, Matrix, StateVector, Subspace, classical_valuate
+from qgap.propositions import And
 from qgap.scalars import ZERO
 
 
@@ -66,6 +67,50 @@ wide_fractions_st = st.one_of(
     st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
 )
 wide_scalars_st = st.builds(GaussianRational, wide_fractions_st, wide_fractions_st)
+
+
+def nonzero_scalars_st(height: int):
+    """Nonzero scalars whose parts have numerators and denominators bounded by ``height``.
+
+    Each part is exactly zero about half the time, so purely real and purely
+    imaginary values, like the entries of the spin projectors, are common.
+    """
+    part = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-height, height), st.integers(1, height)),
+    )
+    return st.builds(GaussianRational, part, part).filter(lambda x: not x.is_zero)
+
+
+def sparse_scalars_st(height: int):
+    """Exactly zero about half the time, else a nonzero scalar of the given height."""
+    return st.one_of(st.just(ZERO), nonzero_scalars_st(height))
+
+
+@st.composite
+def sparse_matrices_st(draw, rows: int, cols: int, height: int):
+    """A rows x cols matrix of sparse scalars, at times with a row and a column forced to zero.
+
+    A single row forced to zero gives the zero matrix.
+    """
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=1))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=1))
+    scalars = sparse_scalars_st(height)
+    entries = tuple(
+        ZERO if i in zero_rows or j in zero_cols else draw(scalars)
+        for i in range(rows)
+        for j in range(cols)
+    )
+    return Matrix(rows, cols, entries)
+
+
+@st.composite
+def sparse_states_st(draw, dim: int, height: int):
+    """A state of sparse scalars; an all-zero draw gets one nonzero entry."""
+    entries = list(draw(sparse_matrices_st(1, dim, height)).entries)
+    if all(e.is_zero for e in entries):
+        entries[draw(st.integers(0, dim - 1))] = draw(nonzero_scalars_st(height))
+    return StateVector(tuple(entries))
 
 
 @st.composite
@@ -185,3 +230,118 @@ def to_sympy(m: Matrix):
             for i in range(m.rows)
         ]
     )
+
+
+class OracleRefusal(Exception):
+    """The spin oracle's prediction that compiling ``node`` is refused."""
+
+    def __init__(self, node):
+        super().__init__(str(node))
+        self.node = node
+
+
+_PAIR_ZERO = (Fraction(0), Fraction(0))
+_PAIR_ONE = (Fraction(1), Fraction(0))
+_SPIN_VECTORS = {
+    ("z", "up"): (_PAIR_ONE, _PAIR_ZERO),
+    ("z", "down"): (_PAIR_ZERO, _PAIR_ONE),
+    ("x", "up"): (_PAIR_ONE, _PAIR_ONE),
+    ("x", "down"): (_PAIR_ONE, (Fraction(-1), Fraction(0))),
+    ("y", "up"): (_PAIR_ONE, (Fraction(0), Fraction(1))),
+    ("y", "down"): (_PAIR_ONE, (Fraction(0), Fraction(-1))),
+}
+
+
+def _pair_conj(x):
+    return x[0], -x[1]
+
+
+def pair_dot(xs, ys):
+    """Dense sum of products of (re, im) Fraction pairs, every term included."""
+    acc = _PAIR_ZERO
+    for x, y in zip(xs, ys):
+        acc = pair_oracle("+", acc, pair_oracle("*", x, y))
+    return acc
+
+
+def _pair_matmul(a, b):
+    return tuple(tuple(pair_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def _pair_kron(a, b):
+    return tuple(tuple(pair_oracle("*", x, y) for x in ra for y in rb) for ra in a for rb in b)
+
+
+class SpinOracle:
+    """The spin language compiled and valuated in plain Fraction pairs.
+
+    A matrix is a tuple of rows of (re, im) pairs, built with ``pair_oracle``
+    and sharing no code with qgap's scalars, linear algebra or compiler.
+    Conjunction is defined when the operands commute, tested as PQ == QP
+    rather than through the Hermitian product, and gives PQ; exclusive-or
+    is defined when PQ is zero and gives P + Q. Operands are compiled left
+    before right, so a refusal names the first node that fails. Equal
+    matrices are interned, which lets products and connectives be memoized
+    by the identity of their operands.
+    """
+
+    def __init__(self):
+        self._interned = {}
+        self._combined = {}
+        self._products = {}
+        self._atoms = {}
+
+    def _intern(self, m):
+        return self._interned.setdefault(m, m)
+
+    def atom_projector(self, atom):
+        if atom not in self._atoms:
+            v = _SPIN_VECTORS[(atom.axis.value, atom.direction.value)]
+            norm = pair_dot(map(_pair_conj, v), v)
+            one = tuple(
+                tuple(pair_oracle("/", pair_oracle("*", x, _pair_conj(y)), norm) for y in v)
+                for x in v
+            )
+            eye = ((_PAIR_ONE, _PAIR_ZERO), (_PAIR_ZERO, _PAIR_ONE))
+            pair = (one, eye) if atom.particle.value == "A" else (eye, one)
+            self._atoms[atom] = self._intern(_pair_kron(*pair))
+        return self._atoms[atom]
+
+    def _product(self, a, b):
+        key = (id(a), id(b))
+        if key not in self._products:
+            self._products[key] = self._intern(_pair_matmul(a, b))
+        return self._products[key]
+
+    def compile(self, prop):
+        """The projector of ``prop``; raises ``OracleRefusal`` where compiling is refused."""
+        if isinstance(prop, Atom):
+            return self.atom_projector(prop)
+        left, right = self.compile(prop.left), self.compile(prop.right)
+        is_and = isinstance(prop, And)
+        key = (is_and, id(left), id(right))
+        if key not in self._combined:
+            product = self._product(left, right)
+            if is_and:
+                defined = product == self._product(right, left)
+                result = product
+            else:
+                defined = all(x == _PAIR_ZERO for row in product for x in row)
+                result = tuple(
+                    tuple(pair_oracle("+", x, y) for x, y in zip(ra, rb)) for ra, rb in zip(left, right)
+                )
+            self._combined[key] = self._intern(result) if defined else None
+        if self._combined[key] is None:
+            raise OracleRefusal(prop)
+        return self._combined[key]
+
+    @staticmethod
+    def apply(matrix, vector):
+        return tuple(pair_dot(row, vector) for row in matrix)
+
+    def valuate(self, matrix, vector) -> str:
+        """``"false"`` on a zero image, ``"true"`` on a fixed point, ``"gap"`` otherwise."""
+        image = self.apply(matrix, vector)
+        if all(x == _PAIR_ZERO for x in image):
+            return "false"
+        return "true" if image == tuple(vector) else "gap"

@@ -268,6 +268,45 @@ class TestLattice:
         assert "needs --b" in err
 
 
+class TestLeadingMinus:
+    """argparse reads a value starting with '-' as a flag; the = form passes it as a value."""
+
+    def test_separate_value_is_read_as_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "--op", "complement", "--a", "-1,0,0,0"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_span_in_the_equals_form(self, capsys):
+        assert run_cli(capsys, "lattice", "--op", "complement", "--a=-1,0,0,0") == (
+            0,
+            "span{[0,1,0,0], [0,0,1,0], [0,0,0,1]}\n",
+            "",
+        )
+        assert run_cli(capsys, "lattice", "--op", "leq", "--a=-1,0,0,0", "--b=-1,1,0,0") == (
+            0,
+            "false\n",
+            "",
+        )
+        assert run_cli(
+            capsys, "lattice", "--op", "contains", "--a=-1,0,0,0", "--vector=-2,0,0,0"
+        ) == (0, "true\n", "")
+
+    def test_state_in_the_equals_form(self, capsys):
+        assert run_cli(capsys, "valuate", "--prop", "A.z.up", "--state=-1,1,0,0") == (0, "true\n", "")
+
+    @pytest.mark.parametrize(
+        "command,flags", [("valuate", ["--state"]), ("lattice", ["--a", "--b", "--vector"])]
+    )
+    def test_help_names_the_equals_form(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in flags:
+            assert f"a value starting with '-' needs the = form, e.g. {flag}=-1," in text
+
+
 class TestPaperCheck:
     def test_exit_zero_despite_mismatches(self, capsys):
         code, out, err = run_cli(capsys, "paper-check")

@@ -134,11 +134,15 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
             "printed": [span, span, [["1", "0"]]],
         },
         {"label": "wrong_type", "kind": "ray", "derived": "sigma_zz", "printed": ["1"]},
+        {"label": "int_scalars", "kind": "vector", "derived": "singlet_z", "printed": [0, 1, -1, 0]},
+        {"label": "flat_matrix", "kind": "matrix", "derived": "sigma_zz", "printed": ["1", "0"]},
+        {"label": "no_kind", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
+        {"kind": "ray", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
         {"label": "good", "kind": "ray", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
     )
     monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
     by_label = {r.label: r for r in audit()}
-    assert [r.status for r in by_label.values()] == [MISMATCH] * 10 + [MATCH]
+    assert [r.status for r in by_label.values()] == [MISMATCH] * 14 + [MATCH]
     assert by_label["bad_kind"].note == "unknown fixture kind 'tensor'"
     assert by_label["bad_name"].note == "unknown derived value 'no_such_value'"
     assert by_label["bad_chain"].note == "unknown derived value 'nope'"
@@ -149,11 +153,15 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
     assert by_label["short_chain"].note == "a chain needs 3 printed spans, got 1"
     assert by_label["ragged_chain"].note == "unparseable printed chain: spans of different dimensions"
     assert by_label["wrong_type"].note == "derived value 'sigma_zz' is a Matrix, not a StateVector"
+    assert by_label["int_scalars"].note == "printed vector is not a list of strings: [0, 1, -1, 0]"
+    assert by_label["flat_matrix"].note == "printed matrix is not a list of lists of strings: ['1', '0']"
+    assert (by_label["no_kind"].kind, by_label["no_kind"].note) == ("", "missing kind value")
+    assert (by_label[""].kind, by_label[""].note) == ("ray", "missing label value")
     for label in by_label.keys() - {"good"}:
         assert by_label[label].printed == by_label[label].derived == ""
     summary = audit_summary()
-    assert (summary.total, summary.match_count) == (11, 1)
-    assert "11 fixtures: 1 match, 10 mismatch" in render_audit_table(audit())
+    assert (summary.total, summary.match_count) == (15, 1)
+    assert "15 fixtures: 1 match, 14 mismatch" in render_audit_table(audit())
 
 
 def test_table_summary_counts_the_given_results():

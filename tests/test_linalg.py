@@ -2,8 +2,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import E2, SINGLET, gr, matrices_st, vec
+from helpers import (
+    E2,
+    SINGLET,
+    gr,
+    matrices_st,
+    pair_dot,
+    scalar_pair,
+    sparse_matrices_st,
+    sparse_states_st,
+    vec,
+)
 from qgap import (
     InvalidStateError,
     Matrix,
@@ -13,6 +24,7 @@ from qgap import (
     state_tensor,
     tensor_product,
 )
+from qgap.scalars import ZERO
 
 I = gr(0, 1)
 
@@ -60,6 +72,55 @@ class TestRref:
     @given(matrices_st())
     def test_idempotent(self, m):
         assert m.rref().rref() == m.rref()
+
+
+HEIGHTS = (2, 1000)
+dims_st = st.integers(1, 4)
+
+
+def pairs(entries):
+    return [scalar_pair(e) for e in entries]
+
+
+class TestSparseProducts:
+    """Products skip exact-zero terms; a dense Fraction-pair reference decides."""
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_matmul(self, height, data):
+        rows, inner_dim, cols = data.draw(dims_st), data.draw(dims_st), data.draw(dims_st)
+        a = data.draw(sparse_matrices_st(rows, inner_dim, height))
+        b = data.draw(sparse_matrices_st(inner_dim, cols, height))
+        expected = [
+            pair_dot(pairs(a.row(i)), pairs(b.col(j))) for i in range(rows) for j in range(cols)
+        ]
+        assert pairs((a @ b).entries) == expected
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_apply(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        m = data.draw(sparse_matrices_st(rows, cols, height))
+        v = data.draw(sparse_states_st(cols, height))
+        assert pairs(m.apply(v)) == [pair_dot(pairs(m.row(i)), pairs(v.entries)) for i in range(rows)]
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_inner(self, height, data):
+        dim = data.draw(dims_st)
+        u, v = data.draw(sparse_states_st(dim, height)), data.draw(sparse_states_st(dim, height))
+        conj = [(re, -im) for re, im in pairs(u.entries)]
+        assert scalar_pair(inner(u, v)) == pair_dot(conj, pairs(v.entries))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 8)])
+    def test_zero_matrix(self, shape):
+        rows, cols = shape
+        zero = Matrix.zero(rows, cols)
+        assert zero @ Matrix.identity(cols) == zero
+        assert Matrix.identity(rows) @ zero == zero
+        assert zero.apply(StateVector.of(*([1] * cols))) == (ZERO,) * rows
+        assert zero.rref() == zero
+        assert zero.rank() == 0
 
 
 class TestRank:

@@ -7,9 +7,12 @@ kernel routines cannot hide behind itself.
 
 from random import Random
 
+import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import rand_scalar, rand_state, rand_subspace, to_sympy
+from helpers import rand_scalar, rand_state, rand_subspace, sparse_matrices_st, to_sympy
 from qgap import Matrix, Subspace, projector_from_span, tensor_product
 
 
@@ -28,6 +31,19 @@ def test_rref_and_rank_agree_with_sympy():
         reduced, pivots = to_sympy(m).rref()
         assert m.rank() == len(pivots)
         assert to_sympy(m.rref()) == reduced
+
+
+@pytest.mark.parametrize("height", (2, 1000))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_sparse_rref_agrees_with_sympy(height, data):
+    # Mostly zero entries, forced zero rows and columns, up to the 4x8 width
+    # of an augmented [G | M] solve.
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    m = data.draw(sparse_matrices_st(rows, cols, height))
+    reduced, pivots = to_sympy(m).rref()
+    assert to_sympy(m.rref()) == reduced
+    assert m.rank() == len(pivots)
 
 
 def test_kernel_agrees_with_sympy():
