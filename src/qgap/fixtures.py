@@ -152,6 +152,8 @@ def _derived_values(entry: dict, derivations: dict[str, Callable[[], object]]) -
     missing = [key for key in ("label", "kind", "derived", "printed") if key not in entry]
     if missing:
         raise _Uncheckable(f"missing {' and '.join(missing)} value")
+    if not isinstance(entry["label"], str):
+        raise _Uncheckable(f"label is not a string: {entry['label']!r}")
     kind = entry["kind"]
     derived = entry["derived"]
     names = derived if kind == "chain" else [derived]
@@ -161,7 +163,7 @@ def _derived_values(entry: dict, derivations: dict[str, Callable[[], object]]) -
     unknown = [name for name in names if name not in derivations]
     if unknown:
         raise _Uncheckable(f"unknown derived value {', '.join(map(repr, unknown))}")
-    if kind not in _KIND_TYPES:
+    if not isinstance(kind, str) or kind not in _KIND_TYPES:
         raise _Uncheckable(f"unknown fixture kind {kind!r}")
     if kind == "chain" and len(names) != _CHAIN_LENGTH:
         raise _Uncheckable(f"a chain needs {_CHAIN_LENGTH} derived values, got {len(names)}")
@@ -202,9 +204,10 @@ def _printed_value(entry: dict) -> object:
         raise _Uncheckable(f"unparseable printed {kind}: {exc}") from None
 
 
-def _check_fixture(entry: dict, derivations: dict[str, Callable[[], object]]) -> FixtureResult:
-    label = entry.get("label", "")
-    kind = entry.get("kind", "")
+def _check_fixture(entry: object, derivations: dict[str, Callable[[], object]]) -> FixtureResult:
+    if not isinstance(entry, dict):
+        return FixtureResult("", "", MISMATCH, "", "", f"entry is not an object: {entry!r}")
+    label, kind = (v if isinstance(v, str) else "" for v in (entry.get("label"), entry.get("kind")))
     note = entry.get("note", "")
     try:
         derived = _derived_values(entry, derivations)

@@ -6,7 +6,8 @@ hashing and golden-file comparisons all work on the canonical basis. The
 lattice operations are meet (intersection), join (closed span of the
 union, which in finite dimension is just the span), vector-sum (identical
 to join here, kept as its own operation so the identity is testable) and
-orthocomplement.
+orthocomplement. Each reduces one matrix: Zassenhaus's block for meet, the
+stacked bases for join, the null space read off the basis for complement.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from typing import Iterable
 
 from .errors import ShapeError
 from .linalg import Matrix, StateVector
-from .scalars import ONE
+from .scalars import ONE, ZERO
+
+
+def _lead(vec: StateVector) -> int | None:
+    """Index of the first nonzero entry; the pivot column of a canonical basis vector."""
+    return next((j for j, e in enumerate(vec.entries) if not e.is_zero), None)
 
 
 def _is_canonical(ambient_dim: int, basis: tuple[StateVector, ...]) -> bool:
@@ -24,7 +30,7 @@ def _is_canonical(ambient_dim: int, basis: tuple[StateVector, ...]) -> bool:
     for row_index, vec in enumerate(basis):
         if vec.dim != ambient_dim:
             return False
-        lead = next((j for j, e in enumerate(vec.entries) if not e.is_zero), None)
+        lead = _lead(vec)
         if lead is None or lead <= last_pivot:
             return False
         if vec.entries[lead] != ONE:
@@ -85,10 +91,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    @property
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError(
@@ -101,8 +103,7 @@ class Subspace:
             raise ShapeError(f"vector of dim {v.dim} against ambient dim {self.ambient_dim}")
         residual = list(v.entries)
         for b in self.basis:
-            lead = next(j for j, e in enumerate(b.entries) if not e.is_zero)
-            coeff = residual[lead]
+            coeff = residual[_lead(b)]
             if not coeff.is_zero:
                 residual = [x - coeff * y for x, y in zip(residual, b.entries)]
         return all(e.is_zero for e in residual)
@@ -125,18 +126,42 @@ class Subspace:
         return self.sum(other)
 
     def orthocomplement(self) -> "Subspace":
-        """All vectors orthogonal (Hermitian inner product) to every basis vector."""
-        if not self.basis:
-            return Subspace.full(self.ambient_dim)
-        constraints = Matrix.from_rows(
-            [[e.conjugate() for e in b.entries] for b in self.basis]
-        )
-        return Subspace(self.ambient_dim, constraints.kernel_basis())
+        """All vectors orthogonal (Hermitian inner product) to every basis vector.
+
+        The conjugated canonical basis is still in reduced row-echelon form,
+        so its null space is read off it: for each non-pivot column f, the
+        vector with 1 at f and -conj(b[f]) at the pivot of each basis vector b.
+        """
+        n = self.ambient_dim
+        pivots = [_lead(b) for b in self.basis]
+        vectors = []
+        for f in range(n):
+            if f in pivots:
+                continue
+            v = [ZERO] * n
+            v[f] = ONE
+            for p, b in zip(pivots, self.basis):
+                v[p] = -b.entries[f].conjugate()
+            vectors.append(StateVector(tuple(v)))
+        return Subspace.from_vectors(n, vectors)
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection, via the identity a n b = (a' + b')' with ' the orthocomplement."""
+        """Intersection, by Zassenhaus's reduction of one block matrix.
+
+        With A and B the two canonical bases, the rows of [[A, A], [B, 0]]
+        are independent, so its reduced form has no zero row. The rows whose
+        left half reduced to zero come last, and their right halves are
+        already the canonical basis of the intersection.
+        """
         self._check_ambient(other)
-        return self.orthocomplement().sum(other.orthocomplement()).orthocomplement()
+        if self.is_zero or other.is_zero:
+            return Subspace.zero(self.ambient_dim)
+        n = self.ambient_dim
+        block = Matrix.from_rows(
+            [a.entries + a.entries for a in self.basis] + [b.entries + (ZERO,) * n for b in other.basis]
+        ).rref()
+        rows = (block.row(i) for i in range(block.rows))
+        return Subspace(n, tuple(StateVector(r[n:]) for r in rows if all(e.is_zero for e in r[:n])))
 
     def __str__(self) -> str:
         return "span{" + ", ".join(str(b) for b in self.basis) + "}"

@@ -2,11 +2,12 @@
 
 Matrices and state vectors are immutable values; every operation returns a
 fresh result and is referentially transparent. There is no floating point
-anywhere: elimination uses exact division, so reduced row-echelon forms,
-ranks and kernels are canonical rather than tolerance-dependent.
+anywhere: elimination uses exact division, so reduced row-echelon forms
+and ranks are canonical rather than tolerance-dependent.
 
 Every sum of products goes through ``_dot`` and every elimination
-(rank, kernel, a solve on an augmented matrix) through ``Matrix.rref``.
+(rank, the lattice operations, a solve on an augmented matrix) through
+``Matrix.rref``.
 Both kernels skip each term with an exact-zero factor: the spin projectors
 and states of the pair space are mostly zeros, and adding or subtracting an
 exact zero changes no canonical triple, so the results are the same values
@@ -27,8 +28,9 @@ def _coerce_entries(values: Iterable[Scalarish]) -> tuple[GaussianRational, ...]
 
 
 def _dot(xs: Iterable[GaussianRational], ys: Iterable[GaussianRational]) -> GaussianRational:
-    """Sum of the pairwise products with no zero factor, left to right from zero."""
-    return sum((x * y for x, y in zip(xs, ys) if not (x.is_zero or y.is_zero)), ZERO)
+    """Sum of the pairwise products with no zero factor, from the first of them; ZERO if none."""
+    terms = (x * y for x, y in zip(xs, ys) if not (x.is_zero or y.is_zero))
+    return sum(terms, next(terms, ZERO))
 
 
 @dataclass(frozen=True)
@@ -148,45 +150,9 @@ class Matrix:
                 break
         return Matrix.from_rows(rows)
 
-    def _leading_columns(self) -> tuple[int, ...]:
-        """Leading column of each nonzero row; the pivots when self is already in RREF."""
-        pivots = []
-        for i in range(self.rows):
-            row = self.row(i)
-            lead = next((j for j, e in enumerate(row) if not e.is_zero), None)
-            if lead is None:
-                break
-            pivots.append(lead)
-        return tuple(pivots)
-
     def rank(self) -> int:
-        return len(self.rref()._leading_columns())
-
-    def kernel_basis(self) -> tuple["StateVector", ...]:
-        """Canonical basis of the null space {x : self @ x = 0}.
-
-        The free-variable vectors read off the RREF are themselves stacked
-        and re-reduced so that equal kernels always produce the identical
-        basis tuple. Empty iff the matrix is injective.
-        """
         reduced = self.rref()
-        pivots = reduced._leading_columns()
-        free = [c for c in range(self.cols) if c not in pivots]
-        if not free:
-            return ()
-        vectors = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced.at(r, f)
-            vectors.append(v)
-        canonical = Matrix.from_rows(vectors).rref()
-        return tuple(
-            StateVector(canonical.row(i))
-            for i in range(canonical.rows)
-            if any(not e.is_zero for e in canonical.row(i))
-        )
+        return sum(1 for i in range(reduced.rows) if not all(e.is_zero for e in reduced.row(i)))
 
     def __str__(self) -> str:
         return "[" + ",".join("[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)) + "]"

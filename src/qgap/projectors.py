@@ -4,7 +4,8 @@ A ``Projector`` wraps a square matrix that is exactly Hermitian and
 idempotent; both properties are checked at construction, so a Projector in
 hand is always a legal quantum-logic proposition carrier. The operator
 lattice (meet, join) is computed through the subspace lattice of ranges,
-which also covers non-commuting pairs.
+which also covers non-commuting pairs. The kernel of P is the range of
+I - P, which holds exactly for every orthogonal projector.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def range_of(p: Projector) -> Subspace:
 
 
 def kernel_of(p: Projector) -> Subspace:
-    """Canonical null space; always the orthocomplement of the range."""
-    return Subspace(p.dim, p.matrix.kernel_basis())
+    """Canonical null space, as the column space of I - P; the orthocomplement of the range."""
+    return Subspace.column_space(Matrix.identity(p.dim) - p.matrix)
 
 
 def projector_meet(a: Projector, b: Projector) -> Projector:

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from random import Random
 
+import sympy as sp
 from hypothesis import strategies as st
 
 from qgap import Atom, Direction, GaussianRational, Matrix, StateVector, Subspace, classical_valuate
@@ -39,9 +40,13 @@ def rand_scalar(rng: Random, allow_imag: bool = True, height: int = 2) -> Gaussi
     return GaussianRational(re, im)
 
 
-def rand_state(rng: Random, dim: int = 4, height: int = 2) -> StateVector:
+def rand_state(rng: Random, dim: int = 4, height: int = 2, sparse: bool = False) -> StateVector:
+    """A random nonzero state; with ``sparse`` each entry is exactly zero half the time."""
     while True:
-        entries = tuple(rand_scalar(rng, height=height) for _ in range(dim))
+        entries = tuple(
+            ZERO if sparse and rng.random() < 0.5 else rand_scalar(rng, height=height)
+            for _ in range(dim)
+        )
         if any(not e.is_zero for e in entries):
             return StateVector(entries)
 
@@ -49,6 +54,23 @@ def rand_state(rng: Random, dim: int = 4, height: int = 2) -> StateVector:
 def rand_subspace(rng: Random, dim: int = 4) -> Subspace:
     count = rng.randint(0, dim)
     return Subspace.from_vectors(dim, [rand_state(rng, dim) for _ in range(count)])
+
+
+def rand_span_pair(rng: Random, height: int) -> tuple[Subspace, Subspace]:
+    """Two spans of 1-3 vectors in C^4, drawn like the lattice_mix benchmark's.
+
+    Half the time the second span's first vector is a combination of the
+    first span's vectors, so the two spans share it.
+    """
+    a = [rand_state(rng, height=height) for _ in range(rng.randint(1, 3))]
+    b = [rand_state(rng, height=height) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        shared = [ZERO] * 4
+        while all(e.is_zero for e in shared):
+            coeffs = [rand_scalar(rng) for _ in a]
+            shared = [sum((c * v.entries[j] for c, v in zip(coeffs, a)), ZERO) for j in range(4)]
+        b[0] = StateVector(tuple(shared))
+    return Subspace.from_vectors(4, a), Subspace.from_vectors(4, b)
 
 
 # --- hypothesis strategies ---
@@ -140,30 +162,17 @@ def subspaces_st(draw, dim=4):
 # --- independent oracles ---
 
 def meet_oracle(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection by a direct solver on stacked coordinates.
+    """Intersection by a direct solver on stacked coordinates, in sympy.
 
-    Solves basisA^T x - basisB^T y = 0 and maps the x part back, which never
-    touches the orthocomplement route used by Subspace.meet.
+    Takes sympy's null space of basisA^T x - basisB^T y = 0 and maps the x
+    part back, which shares no elimination with Subspace.meet.
     """
     if a.is_zero or b.is_zero:
         return Subspace.zero(a.ambient_dim)
-    rows = []
-    for coord in range(a.ambient_dim):
-        row = [v.entries[coord] for v in a.basis] + [-v.entries[coord] for v in b.basis]
-        rows.append(row)
-    combos = Matrix.from_rows(rows).kernel_basis()
-    vectors = []
-    for combo in combos:
-        coeffs = combo.entries[: len(a.basis)]
-        entries = []
-        for coord in range(a.ambient_dim):
-            acc = ZERO
-            for c, v in zip(coeffs, a.basis):
-                acc = acc + c * v.entries[coord]
-            entries.append(acc)
-        if any(not e.is_zero for e in entries):
-            vectors.append(StateVector(tuple(entries)))
-    return Subspace.from_vectors(a.ambient_dim, vectors)
+    rows_a = to_sympy(Matrix.from_rows([v.entries for v in a.basis]))
+    rows_b = to_sympy(Matrix.from_rows([v.entries for v in b.basis]))
+    combos = sp.Matrix.hstack(rows_a.T, -rows_b.T).nullspace()
+    return sympy_span(a.ambient_dim, [combo[: len(a.basis), :].T * rows_a for combo in combos])
 
 
 def classical_solutions_oracle(constraints, atoms) -> list[dict[Atom, int]]:
@@ -222,13 +231,28 @@ def pair_oracle(op: str, x: tuple[Fraction, Fraction], y: tuple[Fraction, Fracti
 
 
 def to_sympy(m: Matrix):
-    import sympy as sp
-
     return sp.Matrix(
         [
             [sp.Rational(m.at(i, j).re) + sp.I * sp.Rational(m.at(i, j).im) for j in range(m.cols)]
             for i in range(m.rows)
         ]
+    )
+
+
+def from_sympy(value) -> GaussianRational:
+    """A Gaussian-rational sympy number as the scalar type."""
+    re, im = (sp.Rational(part) for part in sp.expand(value).as_real_imag())
+    return GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
+
+
+def sympy_span(dim: int, vectors) -> Subspace:
+    """The canonical subspace spanned by sympy vectors, reduced by sympy alone."""
+    if not vectors:
+        return Subspace.zero(dim)
+    reduced, pivots = sp.Matrix([list(v) for v in vectors]).rref()
+    return Subspace(
+        dim,
+        tuple(StateVector(tuple(from_sympy(e) for e in reduced.row(i))) for i in range(len(pivots))),
     )
 
 

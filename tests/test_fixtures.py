@@ -138,11 +138,20 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
         {"label": "flat_matrix", "kind": "matrix", "derived": "sigma_zz", "printed": ["1", "0"]},
         {"label": "no_kind", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
         {"kind": "ray", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
+        {"label": "listed_kind", "kind": ["vector"], "derived": "singlet_z", "printed": ["0"]},
+        {"label": 5, "kind": "ray", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
+        "not a dict",
         {"label": "good", "kind": "ray", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
     )
     monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
-    by_label = {r.label: r for r in audit()}
-    assert [r.status for r in by_label.values()] == [MISMATCH] * 14 + [MATCH]
+    results = audit()
+    assert [r.status for r in results] == [MISMATCH] * 17 + [MATCH]
+    by_label = {r.label: r for r in results if r.label}
+    assert [(r.kind, r.note) for r in results if not r.label] == [
+        ("ray", "missing label value"),
+        ("ray", "label is not a string: 5"),
+        ("", "entry is not an object: 'not a dict'"),
+    ]
     assert by_label["bad_kind"].note == "unknown fixture kind 'tensor'"
     assert by_label["bad_name"].note == "unknown derived value 'no_such_value'"
     assert by_label["bad_chain"].note == "unknown derived value 'nope'"
@@ -156,12 +165,15 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
     assert by_label["int_scalars"].note == "printed vector is not a list of strings: [0, 1, -1, 0]"
     assert by_label["flat_matrix"].note == "printed matrix is not a list of lists of strings: ['1', '0']"
     assert (by_label["no_kind"].kind, by_label["no_kind"].note) == ("", "missing kind value")
-    assert (by_label[""].kind, by_label[""].note) == ("ray", "missing label value")
-    for label in by_label.keys() - {"good"}:
-        assert by_label[label].printed == by_label[label].derived == ""
+    assert (by_label["listed_kind"].kind, by_label["listed_kind"].note) == (
+        "",
+        "unknown fixture kind ['vector']",
+    )
+    for r in results[:-1]:
+        assert r.printed == r.derived == ""
     summary = audit_summary()
-    assert (summary.total, summary.match_count) == (15, 1)
-    assert "15 fixtures: 1 match, 14 mismatch" in render_audit_table(audit())
+    assert (summary.total, summary.match_count) == (18, 1)
+    assert "18 fixtures: 1 match, 17 mismatch" in render_audit_table(results)
 
 
 def test_table_summary_counts_the_given_results():

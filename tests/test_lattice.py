@@ -3,8 +3,18 @@ from random import Random
 import pytest
 from hypothesis import given
 
-from helpers import SINGLET, E2, gr, meet_oracle, rand_subspace, span, subspaces_st, vec
-from qgap import ShapeError, StateVector, Subspace, inner
+from helpers import (
+    SINGLET,
+    E2,
+    gr,
+    meet_oracle,
+    rand_span_pair,
+    rand_subspace,
+    span,
+    subspaces_st,
+    vec,
+)
+from qgap import Matrix, ShapeError, StateVector, Subspace, inner, kernel_of, projector_onto
 
 DIFF_Z_RANGE = span(4, (0, 1, 0, 0), (0, 0, 1, 0))
 
@@ -86,6 +96,60 @@ class TestMeet:
     @given(subspaces_st(), subspaces_st())
     def test_against_direct_solver(self, a, b):
         assert a.meet(b) == meet_oracle(a, b)
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_against_direct_solver_on_benchmark_pairs(self, height):
+        rng = Random(909 + height)
+        for _ in range(40):
+            a, b = rand_span_pair(rng, height)
+            assert a.meet(b) == meet_oracle(a, b)
+
+    @given(subspaces_st(), subspaces_st())
+    def test_de_morgan(self, a, b):
+        assert a.meet(b) == a.orthocomplement().join(b.orthocomplement()).orthocomplement()
+
+
+class TestEliminationCount:
+    """Each lattice operation on nonzero, non-full spans reduces one matrix."""
+
+    @pytest.fixture
+    def rref_calls(self, monkeypatch):
+        calls = []
+        rref = Matrix.rref
+
+        def counted(self):
+            calls.append(self)
+            return rref(self)
+
+        monkeypatch.setattr(Matrix, "rref", counted)
+        return calls
+
+    SPANS = (
+        span(4, (0, 1, 0, 0)),
+        DIFF_Z_RANGE,
+        span(4, (1, 0, 0, -1), (0, 1, -1, 0)),
+        span(4, (1, gr(0, 1), 0, 0), (0, 0, 1, 1), (0, 0, 0, gr(2, -1))),
+    )
+
+    def test_meet(self, rref_calls):
+        for a in self.SPANS:
+            for b in self.SPANS:
+                rref_calls.clear()
+                a.meet(b)
+                assert len(rref_calls) == 1
+
+    def test_orthocomplement(self, rref_calls):
+        for s in (Subspace.zero(4),) + self.SPANS:
+            rref_calls.clear()
+            s.orthocomplement()
+            assert len(rref_calls) == 1
+
+    def test_kernel_of(self, rref_calls):
+        projectors = [projector_onto(s) for s in (Subspace.zero(4),) + self.SPANS]
+        for p in projectors:
+            rref_calls.clear()
+            kernel_of(p)
+            assert len(rref_calls) == 1
 
 
 class TestJoinAndSum:

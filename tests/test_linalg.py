@@ -18,9 +18,12 @@ from helpers import (
 from qgap import (
     InvalidStateError,
     Matrix,
+    Projector,
     ShapeError,
     StateVector,
+    Subspace,
     inner,
+    kernel_of,
     state_tensor,
     tensor_product,
 )
@@ -135,23 +138,35 @@ class TestRank:
 
 
 class TestKernel:
+    """Null spaces, read off a canonical basis by ``orthocomplement`` and ``kernel_of``."""
+
     def test_injective(self):
-        assert Matrix.identity(4).kernel_basis() == ()
+        assert Subspace.full(4).orthocomplement() == Subspace.zero(4)
 
     def test_zero_matrix(self):
-        basis = Matrix.zero(4, 4).kernel_basis()
+        basis = kernel_of(Projector.zero(4)).basis
         assert len(basis) == 4
         assert [b.entries for b in basis] == [
             tuple(Matrix.identity(4).row(i)) for i in range(4)
         ]
 
     def test_coordinate_projector(self):
-        basis = P_Z_UD.kernel_basis()
+        basis = kernel_of(Projector(P_Z_UD)).basis
         assert [str(b) for b in basis] == ["[1,0,0,0]", "[0,0,1,0]", "[0,0,0,1]"]
 
     @given(matrices_st(square=True))
     def test_rank_nullity(self, m):
-        assert m.rank() + len(m.kernel_basis()) == m.cols
+        # The null space of m is the complement of the span of its conjugated rows.
+        rows = [
+            StateVector(tuple(e.conjugate() for e in m.row(i)))
+            for i in range(m.rows)
+            if not all(e.is_zero for e in m.row(i))
+        ]
+        s = Subspace.from_vectors(m.cols, rows)
+        null = s.orthocomplement()
+        assert m.rank() == s.dim
+        assert s.dim + null.dim == m.cols
+        assert all(m.apply(v) == (ZERO,) * m.rows for v in null.basis)
 
 
 class TestAdjoint:
