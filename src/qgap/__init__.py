@@ -41,6 +41,7 @@ from .propositions import (
     atoms_of,
     classical_solutions,
     classical_valuate,
+    classical_value_sets,
     compile_proposition,
     parse_atom,
     parse_proposition,

@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     IncompleteAssignmentError,
@@ -59,13 +59,6 @@ class Atom:
     particle: Particle
     axis: Axis
     direction: Direction
-
-    def opposite(self) -> "Atom":
-        flipped = Direction.DOWN if self.direction is Direction.UP else Direction.UP
-        return Atom(self.particle, self.axis, flipped)
-
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.particle.value, self.axis.value, self.direction.value)
 
     def __str__(self) -> str:
         return f"{self.particle.value}.{self.axis.value}.{self.direction.value}"
@@ -137,7 +130,7 @@ class TruthValueSet(Enum):
         }[self]
 
     @classmethod
-    def from_values(cls, values: Sequence[int]) -> "TruthValueSet":
+    def from_values(cls, values: Iterable[int]) -> "TruthValueSet":
         s = frozenset(values)
         if s == frozenset({1}):
             return cls.TRUE_ONLY
@@ -246,6 +239,30 @@ def classical_solutions(
         if all(classical_valuate(prop, assignment) == target for prop, target in constraints):
             solutions.append(assignment)
     return solutions
+
+
+def classical_value_sets(
+    constraints: Sequence[tuple[Proposition, int]],
+    query: Sequence[Atom],
+) -> list[TruthValueSet]:
+    """Admissible value set of each query atom over all bivalent solutions.
+
+    The same sets as projecting ``classical_solutions`` over the pairs of
+    the query and of the constraints, but only the pairs the constraints
+    name are enumerated. A free pair, one no constraint mentions, extends
+    every solution both ways, so it factors out: its atoms are
+    indeterminate when a solution exists and gapped when none does.
+    """
+    constrained = tuple(dict.fromkeys(a for prop, _ in constraints for a in atoms_of(prop)))
+    solutions = classical_solutions(constraints, constrained)
+    pairs = {(a.particle, a.axis) for a in constrained}
+    free = TruthValueSet.INDETERMINATE if solutions else TruthValueSet.GAP
+    return [
+        TruthValueSet.from_values({sol[a] for sol in solutions})
+        if (a.particle, a.axis) in pairs
+        else free
+        for a in query
+    ]
 
 
 @dataclass(frozen=True)

@@ -185,10 +185,12 @@ def coerce_scalar(value: Scalarish) -> GaussianRational:
     raise TypeError(f"cannot treat {value!r} as a scalar")
 
 
+# ASCII digits only: without re.ASCII, \d also matches other scripts'
+# decimal digits, which Fraction would then read as their values.
 _FRACTION = r"[+-]?\d+(?:/\d+)?"
-_REAL_RE = re.compile(rf"^({_FRACTION})$")
-_IMAG_RE = re.compile(rf"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$")
-_FULL_RE = re.compile(rf"^({_FRACTION})([+-])(?:(\d+(?:/\d+)?)\*)?i$")
+_REAL_RE = re.compile(rf"^({_FRACTION})$", re.ASCII)
+_IMAG_RE = re.compile(rf"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
+_FULL_RE = re.compile(rf"^({_FRACTION})([+-])(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
 
 
 def _fraction(digits: str, text: str) -> Fraction:

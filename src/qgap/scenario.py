@@ -27,7 +27,7 @@ from .propositions import (
     Proposition,
     TruthValueSet,
     Xor,
-    classical_solutions,
+    classical_value_sets,
     compile_proposition,
     population,
     valuate,
@@ -218,10 +218,39 @@ _RUN_NOTE = (
 )
 
 
-def _valuation_records(state: StateVector, entries: Sequence[tuple[str, Proposition]]) -> tuple[ValuationRecord, ...]:
+_Entry = tuple[str, Proposition, Projector]
+
+
+def _with_projectors(entries: Sequence[tuple[str, Proposition]]) -> tuple[_Entry, ...]:
+    return tuple((label, prop, standard_projector(prop)) for label, prop in entries)
+
+
+@lru_cache(maxsize=None)
+def _run_table() -> tuple[tuple[_Entry, ...], tuple[_Entry, ...]]:
+    """The (label, proposition, projector) rows every run valuates, built on first use.
+
+    Before verification: Diff, Same and the four conjunctions along each
+    axis; after it: the twelve atoms. None depends on the run's inputs.
+    """
+    pre: list[tuple[str, Proposition]] = []
+    for ax in Axis:
+        pre.append((f"Diff({ax.value})", different_spins(ax)))
+        pre.append((f"Same({ax.value})", same_spins(ax)))
+        for a_dir, b_dir in (
+            (Direction.UP, Direction.DOWN),
+            (Direction.DOWN, Direction.UP),
+            (Direction.UP, Direction.UP),
+            (Direction.DOWN, Direction.DOWN),
+        ):
+            prop = conjunction(ax, a_dir, b_dir)
+            pre.append((str(prop), prop))
+    atoms = [Atom(p, ax, d) for p in Particle for ax in Axis for d in Direction]
+    return _with_projectors(pre), _with_projectors([(str(a), a) for a in atoms])
+
+
+def _valuation_records(state: StateVector, entries: Sequence[_Entry]) -> tuple[ValuationRecord, ...]:
     return tuple(
-        ValuationRecord(label, prop, valuate(state, standard_projector(prop)))
-        for label, prop in entries
+        ValuationRecord(label, prop, valuate(state, projector)) for label, prop, projector in entries
     )
 
 
@@ -232,22 +261,15 @@ def _classical_query_sets(
 
     The constraints are the ones a singlet preparation justifies along the
     verified axis: the spins differ there, and the verified atom came out
-    true. Atoms on other axes float freely over the exclusivity rule, so
-    their projections are the indeterminate set.
+    true. They name only the two pairs of that axis, so only those are
+    enumerated; an atom on any other pair is free and factors out as the
+    indeterminate set.
     """
-    pairs = {(a.particle, a.axis) for a in query}
-    pairs.add((Particle.A, verify_axis))
-    pairs.add((Particle.B, verify_axis))
-    atoms = [Atom(p, ax, d) for p, ax in sorted(pairs) for d in Direction]
     constraints: list[tuple[Proposition, int]] = [
         (different_spins(verify_axis), 1),
         (verified_atom, 1),
     ]
-    solutions = classical_solutions(constraints, atoms)
-    return [
-        TruthValueSet.from_values(sorted({sol[a] for sol in solutions}))
-        for a in query
-    ]
+    return classical_value_sets(constraints, query)
 
 
 def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
@@ -255,8 +277,11 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
 
     The report contrasts the two semantics on the queried atoms: the
     supervaluational populations come from valuating the post-verification
-    state, the classical ones from exhaustive enumeration of preexisting
-    bivalent values.
+    state, the classical ones from the bivalent assignments that satisfy the
+    run's constraints. Only the verified axis's pairs are enumerated; every
+    other queried pair is unconstrained and factors out as {0,1}. The 30
+    constant valuation rows, with their projectors, are built once and
+    shared by every run.
     """
     from .fixtures import audit_summary
 
@@ -264,26 +289,7 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     system = prepare_singlet(verify_axis)
     verified_atom = Atom(Particle.A, verify_axis, Direction.UP)
     post = verify(system, verified_atom)
-
-    pre_entries: list[tuple[str, Proposition]] = []
-    for ax in Axis:
-        pre_entries.append((f"Diff({ax.value})", different_spins(ax)))
-        pre_entries.append((f"Same({ax.value})", same_spins(ax)))
-        for a_dir, b_dir in (
-            (Direction.UP, Direction.DOWN),
-            (Direction.DOWN, Direction.UP),
-            (Direction.UP, Direction.UP),
-            (Direction.DOWN, Direction.DOWN),
-        ):
-            prop = conjunction(ax, a_dir, b_dir)
-            pre_entries.append((str(prop), prop))
-
-    post_entries: list[tuple[str, Proposition]] = [
-        (str(Atom(p, ax, d)), Atom(p, ax, d))
-        for p in Particle
-        for ax in Axis
-        for d in Direction
-    ]
+    pre_entries, post_entries = _run_table()
 
     super_sets = [
         valuate(post.state, atom_projector(a)) for a in query

@@ -175,6 +175,17 @@ def meet_oracle(a: Subspace, b: Subspace) -> Subspace:
     return sympy_span(a.ambient_dim, [combo[: len(a.basis), :].T * rows_a for combo in combos])
 
 
+def partner(a: Atom) -> Atom:
+    """The atom of the same particle and axis pointing the other way."""
+    flipped = Direction.DOWN if a.direction is Direction.UP else Direction.UP
+    return Atom(a.particle, a.axis, flipped)
+
+
+def atom_order(a: Atom) -> tuple[str, str, str]:
+    """Sort key: particle, then axis, then direction by name (down before up)."""
+    return (a.particle.value, a.axis.value, a.direction.value)
+
+
 def classical_solutions_oracle(constraints, atoms) -> list[dict[Atom, int]]:
     """Satisfying assignments by brute force over every atom independently.
 
@@ -187,13 +198,13 @@ def classical_solutions_oracle(constraints, atoms) -> list[dict[Atom, int]]:
     closed = {}
     for a in atoms:
         closed.setdefault(a, None)
-        closed.setdefault(a.opposite(), None)
-    universe = sorted(closed, key=Atom.sort_key)
+        closed.setdefault(partner(a), None)
+    universe = sorted(closed, key=atom_order)
     solutions = []
     for bits in itertools.product((0, 1), repeat=len(universe)):
         assignment = dict(zip(universe, bits))
         if any(
-            assignment[a] + assignment[a.opposite()] != 1
+            assignment[a] + assignment[partner(a)] != 1
             for a in universe
             if a.direction is Direction.UP
         ):

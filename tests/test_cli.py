@@ -37,6 +37,22 @@ class TestEprRun:
             assert code == 0 and err == ""
             assert out.encode() == golden
 
+    @pytest.mark.parametrize(
+        "golden, extra",
+        [
+            ("epr_run_x_mixed.txt", ("--axis", "x")),
+            ("epr_run_y_mixed_json.txt", ("--axis", "y", "--output", "json")),
+        ],
+    )
+    def test_mixed_query_matches_golden_output(self, capsys, golden, extra):
+        # Constrained and free (particle, axis) pairs side by side in one query.
+        query = "A.y.up,B.y.down,B.z.up,A.z.down,B.x.up,A.x.down"
+        expected = (GOLDEN_DIR / golden).read_bytes()
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "epr-run", *extra, "--query", query)
+            assert code == 0 and err == ""
+            assert out.encode() == expected
+
     def test_single_query_populations_agree(self, capsys):
         args = ("epr-run", "--axis", "z", "--query", "B.z.down")
         code, out, err = run_cli(capsys, *args)
@@ -137,6 +153,15 @@ class TestValuate:
         )
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize("state", ["\u0661,0,0,0", "\uff11,0,0,0", "1,0,0,1/\u0662"])
+    def test_non_ascii_digit_is_usage_error(self, capsys, output, state):
+        code, out, err = run_cli(
+            capsys, "valuate", "--prop", "A.z.up", "--state", state, "--output", output
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: not a Gaussian rational:") and len(err.splitlines()) == 1
 
     def test_state_of_wrong_dimension_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "valuate", "--prop", "A.z.up", "--state", "1,0")

@@ -183,3 +183,20 @@ def test_table_summary_counts_the_given_results():
     assert table.endswith("\n\n2 fixtures: 1 match, 1 mismatch\n")
     assert AuditSummary.of(results) == AuditSummary(2, 1, ("eq22_sigma_xx",))
     assert AuditSummary.of(audit()) == audit_summary()
+
+
+def test_non_ascii_printed_digit_is_a_mismatch(monkeypatch, fresh_audit):
+    entries = (
+        ("full_width", "vector", ["0", "\uff11", "-1", "0"]),
+        ("arabic_indic", "ray", ["0", "\u0661", "-\u0661", "0"]),
+        ("ascii", "vector", ["0", "1", "-1", "0"]),
+    )
+    entries = tuple(
+        {"label": label, "kind": kind, "derived": "singlet_z", "printed": printed}
+        for label, kind, printed in entries
+    )
+    monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
+    results = audit()
+    assert [r.status for r in results] == [MISMATCH, MISMATCH, MATCH]
+    assert results[0].note == "unparseable printed vector: not a Gaussian rational: '\uff11'"
+    assert results[1].note == "unparseable printed ray: not a Gaussian rational: '\u0661'"

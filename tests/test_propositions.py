@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SINGLET, classical_solutions_oracle, gr, rand_state, rand_subspace, vec
+from helpers import (
+    SINGLET,
+    atom_order,
+    classical_solutions_oracle,
+    gr,
+    partner,
+    rand_state,
+    rand_subspace,
+    vec,
+)
 from qgap import (
     And,
     Atom,
@@ -23,6 +32,7 @@ from qgap import (
     atoms_of,
     classical_solutions,
     classical_valuate,
+    classical_value_sets,
     compile_proposition,
     different_spins,
     inner,
@@ -238,7 +248,7 @@ class TestClassicalSolutions:
     @given(st.data())
     def test_matches_brute_force_oracle(self, data):
         atoms = data.draw(st.lists(st.sampled_from(ALL_ATOMS), min_size=1, max_size=6))
-        covered = sorted({a for x in atoms for a in (x, x.opposite())}, key=Atom.sort_key)
+        covered = sorted({a for x in atoms for a in (x, partner(x))}, key=atom_order)
         props = st.recursive(
             st.sampled_from(covered),
             lambda sub: st.builds(And, sub, sub) | st.builds(Xor, sub, sub),
@@ -249,6 +259,83 @@ class TestClassicalSolutions:
         want = classical_solutions_oracle(constraints, atoms)
         assert got == want
         assert [list(s) for s in got] == [list(s) for s in want]
+
+
+def projected_value_sets(constraints, query):
+    """Each query atom's value set over the full enumeration of every named pair."""
+    atoms = list(query) + [a for prop, _ in constraints for a in atoms_of(prop)]
+    solutions = classical_solutions(constraints, atoms)
+    return [TruthValueSet.from_values({sol[a] for sol in solutions}) for a in query]
+
+
+def short_proposition(rng: Random):
+    """A random proposition of zero to two connectives over the twelve atoms."""
+    prop = rng.choice(ALL_ATOMS)
+    for _ in range(rng.randint(0, 2)):
+        op = rng.choice((And, Xor))
+        other = rng.choice(ALL_ATOMS)
+        prop = op(prop, other) if rng.random() < 0.5 else op(other, prop)
+    return prop
+
+
+VERIFIED_ATOMS = [Atom(Particle.A, ax, d) for ax in Axis for d in Direction]
+
+
+class TestClassicalValueSets:
+    def test_contrast_query(self):
+        constraints = [(different_spins(Axis.Z), 1), (A_UP, 1)]
+        b_x_up = Atom(Particle.B, Axis.X, Direction.UP)
+        assert classical_value_sets(constraints, [B_DOWN, b_x_up]) == [T, IND]
+
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_every_single_atom_under_diff_and_each_verified_atom(self, axis):
+        for verified in [None] + VERIFIED_ATOMS:
+            constraints = [(different_spins(axis), 1)]
+            if verified is not None:
+                constraints.append((verified, 1))
+            for atom in ALL_ATOMS:
+                assert classical_value_sets(constraints, [atom]) == projected_value_sets(
+                    constraints, [atom]
+                )
+
+    def test_seeded_scenario_queries(self):
+        rng = Random(8)
+        for _ in range(360):
+            axis = rng.choice(list(Axis))
+            constraints = [(different_spins(axis), 1), (rng.choice(VERIFIED_ATOMS), 1)]
+            query = rng.sample(ALL_ATOMS, rng.randint(1, 6))
+            assert classical_value_sets(constraints, query) == projected_value_sets(
+                constraints, query
+            )
+
+    def test_seeded_constraint_sets(self):
+        rng = Random(88)
+        unsatisfiable = 0
+        for _ in range(400):
+            constraints = [
+                (short_proposition(rng), rng.randint(0, 1)) for _ in range(rng.randint(0, 3))
+            ]
+            query = rng.sample(ALL_ATOMS, rng.randint(1, 6))
+            got = classical_value_sets(constraints, query)
+            assert got == projected_value_sets(constraints, query)
+            if not classical_solutions(constraints, [a for p, _ in constraints for a in atoms_of(p)]):
+                unsatisfiable += 1
+                assert got == [G] * len(query)
+        assert unsatisfiable >= 10
+
+    def test_unsatisfiable_constraints_gap_every_atom(self):
+        for constraints in (
+            [(A_UP, 1), (A_DOWN, 1)],
+            [(DIFF_Z, 1), (same_spins(Axis.Z), 1)],
+            [(Xor(A_UP, A_UP), 1)],
+        ):
+            assert classical_value_sets(constraints, ALL_ATOMS) == [G] * 12
+            assert projected_value_sets(constraints, ALL_ATOMS) == [G] * 12
+
+    def test_no_constraints_leave_every_atom_indeterminate(self):
+        assert classical_value_sets([], ALL_ATOMS) == [IND] * 12
+        assert projected_value_sets([], ALL_ATOMS) == [IND] * 12
+        assert classical_value_sets([], []) == []
 
 
 class TestPopulation:

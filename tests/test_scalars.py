@@ -62,6 +62,19 @@ def test_parse_rejects_garbage(bad):
         parse_scalar(bad)
 
 
+NON_ASCII_DIGITS = [c for c in map(chr, range(0x80, 0x110000)) if c.isdecimal()]
+
+
+@pytest.mark.parametrize(
+    "template", ["{}", "-{}", "1/{}", "{}*i", "-{}/2*i", "1+{}*i", "{}-1*i", "1{}"]
+)
+def test_parse_rejects_non_ascii_digits(template):
+    assert len(NON_ASCII_DIGITS) > 600
+    for digit in NON_ASCII_DIGITS:
+        with pytest.raises(ParseError, match="not a Gaussian rational"):
+            parse_scalar(template.format(digit))
+
+
 @pytest.mark.parametrize("text", ["1/0", "1/0*i", "1+1/0*i"])
 def test_parse_rejects_zero_denominator(text):
     with pytest.raises(ParseError):

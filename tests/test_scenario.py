@@ -1,5 +1,6 @@
 import pytest
 
+import qgap.propositions as propositions
 import qgap.scenario as scenario
 from helpers import SINGLET, E2, gr, vec
 from qgap import (
@@ -236,6 +237,29 @@ class TestRunEpr:
         assert report.super_population.tuples == ((1,),)
         assert report.classical_population.tuples == ((1,),)
 
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_classical_part_enumerates_only_the_verified_axis(self, monkeypatch, axis):
+        calls = []
+        enumerate_all = propositions.classical_solutions
+
+        def counted(constraints, atoms):
+            calls.append(list(atoms))
+            return enumerate_all(constraints, atoms)
+
+        monkeypatch.setattr(propositions, "classical_solutions", counted)
+        query = [
+            Atom(Particle.A, Axis.Y, Direction.UP),
+            Atom(Particle.B, Axis.Y, Direction.DOWN),
+            Atom(Particle.B, Axis.Z, Direction.UP),
+            Atom(Particle.A, Axis.Z, Direction.DOWN),
+            Atom(Particle.B, Axis.X, Direction.UP),
+            Atom(Particle.A, Axis.X, Direction.DOWN),
+        ]
+        run_epr(axis, query)
+        assert len(calls) == 1
+        assert len(calls[0]) == 4
+        assert set(calls[0]) == {Atom(p, axis, d) for p in Particle for d in Direction}
+
     def test_fixture_summary_included(self):
         report = run_epr(Axis.Z, [])
         assert report.fixture_summary.total == 27
@@ -277,13 +301,30 @@ class TestStandardProjector:
             run_epr(axis, query)
         assert calls == []
         standard_projector.cache_clear()
+        scenario._run_table.cache_clear()
         run_epr(Axis.Z, query)
         assert len(calls) == 30
+
+    def test_warm_runs_share_one_table(self, monkeypatch):
+        query = [Atom(Particle.B, Axis.Z, Direction.DOWN), Atom(Particle.B, Axis.X, Direction.UP)]
+        first = run_epr(Axis.Z, query)
+        calls = []
+        compiled = scenario.standard_projector
+        monkeypatch.setattr(scenario, "standard_projector", lambda p: calls.append(p) or compiled(p))
+        for axis in Axis:
+            again = run_epr(axis, query)
+            for old, new in zip(
+                first.pre_valuations + first.post_valuations,
+                again.pre_valuations + again.post_valuations,
+            ):
+                assert new.label is old.label and new.proposition is old.proposition
+        assert calls == []
 
     @pytest.mark.parametrize("axis", list(Axis))
     def test_warm_and_cold_reports_are_equal(self, axis):
         query = [Atom(Particle.B, axis, Direction.DOWN), Atom(Particle.A, Axis.Y, Direction.UP)]
         standard_projector.cache_clear()
+        scenario._run_table.cache_clear()
         audit.cache_clear()
         cold = run_epr(axis, query)
         warm = run_epr(axis, query)
