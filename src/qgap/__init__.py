@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedConnectiveError,
 )
 from .fixtures import AuditSummary, FixtureResult, audit, audit_summary
-from .lattice import Subspace
+from .lattice import Subspace, parse_span
 from .linalg import Matrix, StateVector, inner, state_tensor, tensor_product
 from .projectors import (
     Projector,

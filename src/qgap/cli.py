@@ -11,19 +11,22 @@ Exit codes: 0 success, 1 domain error (e.g. an impossible verification),
 disagree with each other are usage errors too: a ``--state`` whose length
 is not the proposition's dimension, ``--b`` in another ambient dimension
 than ``--a``, and a ``--vector`` whose length is not ``--a``'s ambient
-dimension.
+dimension. Every ','-separated entry is one scalar token, so a blank entry
+is a usage error; a span's ';'-separated rows are read by
+``lattice.parse_span``, the reader the fixture audit uses too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 from typing import Sequence
 
 from .errors import ParseError, QgapError
 from .fixtures import audit, render_audit_table
-from .lattice import Subspace
+from .lattice import Subspace, parse_span
 from .linalg import StateVector
 from .propositions import parse_atom, parse_proposition, compile_proposition, valuate
 from .scalars import GaussianRational, parse_scalar
@@ -33,10 +36,7 @@ _SEMANTICS = ("super", "classical", "both")
 
 
 def _parse_entries(text: str) -> tuple[GaussianRational, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ParseError("empty state vector")
-    return tuple(parse_scalar(p) for p in parts)
+    return tuple(parse_scalar(p) for p in text.split(","))
 
 
 def _check_dim(flag: str, dim: int, expected: int, against: str) -> None:
@@ -45,14 +45,8 @@ def _check_dim(flag: str, dim: int, expected: int, against: str) -> None:
 
 
 def _parse_span(text: str) -> Subspace:
-    """Span of the ';'-separated rows; zero rows add nothing, so all-zero input is the zero subspace."""
-    rows = [_parse_entries(chunk) for chunk in text.split(";") if chunk.strip()]
-    if not rows:
-        raise ParseError("a span needs at least one vector")
-    dim = len(rows[0])
-    if any(len(row) != dim for row in rows):
-        raise ParseError(f"span vectors differ in length: {sorted({len(row) for row in rows})}")
-    return Subspace.from_vectors(dim, [StateVector(row) for row in rows if any(not e.is_zero for e in row)])
+    """Span of the ';'-separated rows of ','-separated entries; a blank row is skipped."""
+    return parse_span([chunk.split(",") for chunk in text.split(";") if chunk.strip(string.whitespace)])
 
 
 def _parse_query(text: str):

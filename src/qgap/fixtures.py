@@ -8,19 +8,23 @@ MATCH or MISMATCH per fixture, with both values attached. A MISMATCH is a
 finding about the transcribed text, never an assertion failure: a handful
 of the printed displays carry typographical slips, and pinning those down
 is exactly what the audit is for.
+
+Printed text is read, compared and shown through the library's own values:
+a vector or ray is a ``StateVector``, a matrix a ``Matrix``, and a range or
+each span of a chain goes through ``parse_span``, the CLI's span reader.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Sequence
 
 from .errors import ParseError, QgapError
-from .lattice import Subspace
-from .linalg import GaussianRational, Matrix, StateVector, state_tensor
+from .lattice import Subspace, parse_span
+from .linalg import Matrix, StateVector, state_tensor
 from .projectors import Projector, range_of
 from .propositions import Axis, Direction
 from .scalars import parse_scalar
@@ -47,14 +51,7 @@ class FixtureResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "status": self.status,
-            "printed": self.printed,
-            "derived": self.derived,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -100,35 +97,6 @@ def _derivations() -> dict[str, Callable[[], object]]:
         table[f"vector_{j}_down_up"] = lambda ax=ax: state_tensor(spin_basis(ax).down, spin_basis(ax).up)
         table[f"singlet_{j}"] = lambda ax=ax: singlet(ax)
     return table
-
-
-def _parse_vector(entries: list[str]) -> tuple[GaussianRational, ...]:
-    return tuple(parse_scalar(s) for s in entries)
-
-
-def _parse_matrix(rows: list[list[str]]) -> Matrix:
-    return Matrix.from_rows([[parse_scalar(s) for s in row] for row in rows])
-
-
-def _parse_span(rows: list[list[str]]) -> Subspace:
-    if not rows:
-        raise ParseError("a span needs at least one vector")
-    vectors = [StateVector(_parse_vector(row)) for row in rows]
-    return Subspace.from_vectors(len(rows[0]), vectors)
-
-
-def _show_vector(entries: tuple[GaussianRational, ...]) -> str:
-    return "[" + ",".join(str(e) for e in entries) + "]"
-
-
-def _ray_equal(printed: tuple[GaussianRational, ...], derived: StateVector) -> bool:
-    if len(printed) != derived.dim:
-        return False
-    lead = next(i for i, e in enumerate(derived.entries) if not e.is_zero)
-    if printed[lead].is_zero:
-        return False
-    factor = printed[lead] / derived.entries[lead]
-    return all(p == factor * d for p, d in zip(printed, derived.entries))
 
 
 def _bool_word(value: bool) -> str:
@@ -191,15 +159,15 @@ def _printed_value(entry: dict) -> object:
         raise _Uncheckable(f"a chain needs {_CHAIN_LENGTH} printed spans, got {len(printed)}")
     try:
         if kind == "matrix":
-            return _parse_matrix(printed)
+            return Matrix.from_rows([[parse_scalar(s) for s in row] for row in printed])
         if kind == "range":
-            return _parse_span(printed)
+            return parse_span(printed)
         if kind == "chain":
-            spans = [_parse_span(rows) for rows in printed]
+            spans = [parse_span(rows) for rows in printed]
             if len({span.ambient_dim for span in spans}) != 1:
                 raise ParseError("spans of different dimensions")
             return spans
-        return _parse_vector(printed)
+        return StateVector(tuple(parse_scalar(s) for s in printed))
     except QgapError as exc:
         raise _Uncheckable(f"unparseable printed {kind}: {exc}") from None
 
@@ -218,8 +186,7 @@ def _check_fixture(entry: object, derivations: dict[str, Callable[[], object]]) 
     if kind == "chain":
         printed_holds = [printed[i] <= printed[i + 1] for i in range(2)]
         derived_holds = [derived[i] <= derived[i + 1] for i in range(2)]
-        ray = StateVector.of(0, 1, -1, 0)
-        in_all = all(s.contains(ray) for s in derived)
+        in_all = all(s.contains(singlet(Axis.Z)) for s in derived)
         status = MATCH if all(printed_holds) and all(derived_holds) else MISMATCH
         printed_text = (
             f"z<=x: {_bool_word(printed_holds[0])}, x<=y: {_bool_word(printed_holds[1])}"
@@ -232,14 +199,12 @@ def _check_fixture(entry: object, derivations: dict[str, Callable[[], object]]) 
         return FixtureResult(label, kind, status, printed_text, derived_text, note)
 
     (derived_value,) = derived
-    if kind == "vector":
-        status = MATCH if printed == derived_value.entries else MISMATCH
-        return FixtureResult(label, kind, status, _show_vector(printed), str(derived_value), note)
-    if kind == "ray":
-        status = MATCH if _ray_equal(printed, derived_value) else MISMATCH
-        return FixtureResult(label, kind, status, _show_vector(printed), str(derived_value), note)
-    status = MATCH if printed == derived_value else MISMATCH  # a matrix or a range
-    return FixtureResult(label, kind, status, str(printed), str(derived_value), note)
+    if kind == "ray":  # equal up to a nonzero scale: the printed state lies on the derived ray
+        ray = Subspace.from_vectors(derived_value.dim, [derived_value])
+        same = printed.dim == ray.ambient_dim and ray.contains(printed)
+    else:
+        same = printed == derived_value
+    return FixtureResult(label, kind, MATCH if same else MISMATCH, str(printed), str(derived_value), note)
 
 
 @lru_cache(maxsize=1)

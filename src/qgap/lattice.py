@@ -8,16 +8,18 @@ union, which in finite dimension is just the span), vector-sum (identical
 to join here, kept as its own operation so the identity is testable) and
 orthocomplement. Each reduces one matrix: Zassenhaus's block for meet, the
 stacked bases for join, the null space read off the basis for complement.
+``parse_span`` reads a span written as rows of scalar text; the CLI and the
+fixture audit both read spans with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import ShapeError
+from .errors import ParseError, ShapeError
 from .linalg import Matrix, StateVector
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, parse_scalar
 
 
 def _lead(vec: StateVector) -> int | None:
@@ -165,3 +167,14 @@ class Subspace:
 
     def __str__(self) -> str:
         return "span{" + ", ".join(str(b) for b in self.basis) + "}"
+
+
+def parse_span(rows: Sequence[Sequence[str]]) -> Subspace:
+    """The span of rows of scalar text, all of one length; all-zero rows add nothing."""
+    if not rows:
+        raise ParseError("a span needs at least one vector")
+    vectors = [tuple(parse_scalar(s) for s in row) for row in rows]
+    lengths = {len(v) for v in vectors}
+    if len(lengths) != 1:
+        raise ParseError(f"span vectors differ in length: {sorted(lengths)}")
+    return Subspace.from_vectors(len(vectors[0]), [StateVector(v) for v in vectors if any(not e.is_zero for e in v)])

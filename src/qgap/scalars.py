@@ -13,6 +13,7 @@ arithmetic followed by a single gcd. ``.re`` and ``.im`` give the parts as
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -203,10 +204,12 @@ def _fraction(digits: str, text: str) -> Fraction:
 def parse_scalar(text: str) -> GaussianRational:
     """Parse the string form produced by ``str()``, e.g. ``1/2-3/4*i``.
 
-    Bare ``i`` and ``-i`` are accepted for convenience. A zero denominator
-    in either part is malformed input and raises ``ParseError`` too.
+    Bare ``i`` and ``-i`` are accepted for convenience. A scalar is one
+    token: only surrounding ASCII whitespace is stripped, so ``"1 0"`` and
+    a no-break space before ``1`` are malformed. A zero denominator in
+    either part is malformed input and raises ``ParseError`` too.
     """
-    s = text.strip().replace(" ", "")
+    s = text.strip(string.whitespace)
     m = _REAL_RE.match(s)
     if m:
         return GaussianRational(_fraction(m.group(1), text))

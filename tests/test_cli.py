@@ -163,6 +163,18 @@ class TestValuate:
         assert code == 2 and out == ""
         assert err.startswith("usage error: not a Gaussian rational:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize(
+        "state, bad", [("1 0,0,0,0", "1 0"), ("0,,1,0,0", ""), ("0,1,0,0,", ""), (",", "")]
+    )
+    def test_spaced_or_blank_entry_is_usage_error(self, capsys, output, state, bad):
+        # A scalar is one token and every comma-separated slot holds one.
+        code, out, err = run_cli(
+            capsys, "valuate", "--prop", "A.z.up", "--state", state, "--output", output
+        )
+        assert (code, out) == (2, "")
+        assert err == f"usage error: not a Gaussian rational: {bad!r}\n"
+
     def test_state_of_wrong_dimension_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "valuate", "--prop", "A.z.up", "--state", "1,0")
         assert code == 2 and out == ""
@@ -242,6 +254,7 @@ class TestLattice:
         [
             ("0,0,0,0", "span{[1,0,0,0], [0,1,0,0], [0,0,1,0], [0,0,0,1]}\n"),
             ("1,0,0,0;0,0,0,0", "span{[0,1,0,0], [0,0,1,0], [0,0,0,1]}\n"),
+            ("1,0,0,0;", "span{[0,1,0,0], [0,0,1,0], [0,0,0,1]}\n"),
         ],
     )
     def test_zero_vectors_in_a_span_add_nothing(self, capsys, span, expected):
@@ -280,6 +293,22 @@ class TestLattice:
         )
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--op", "complement", "--a", "1,,0,0,0"),
+            ("--op", "complement", "--a", "1,0,0,0,"),
+            ("--op", "complement", "--a", "1,0,0,0;0,1 0,0,0"),
+            ("--op", "contains", "--a", "1,0,0,0", "--vector", "1,,0,0,0"),
+            ("--op", "contains", "--a", "1,0,0,0", "--vector", "1,0,0,0,"),
+        ],
+    )
+    def test_spaced_or_blank_entry_is_usage_error(self, capsys, output, flags):
+        code, out, err = run_cli(capsys, "lattice", *flags, "--output", output)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: not a Gaussian rational:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("op", ["meet", "join", "sum", "leq"])
     def test_spans_of_different_ambient_dimension_are_usage_error(self, capsys, op):
@@ -367,7 +396,7 @@ COMMAND_FLAGS = {
 REQUIRED = {"valuate": ["--prop"], "lattice": ["--op", "--a"]}
 ATOMS = [f"{p}.{a}.{d}" for p in "AB" for a in "xyz" for d in ("up", "down")] + ["A.w.up"]
 CONNECTIVES = [" & ", " ^ ", "&", "^"]
-SCALARS = ["0", "1", "-1", "1/2", "i", "-i", "1+i", "2/3-1/2*i", "1/0", "x"]
+SCALARS = ["0", "1", "-1", "1/2", "i", "-i", "1+i", "2/3-1/2*i", "1/0", "x", " ", "1 0", ",,", "\xa0"]
 WORDS = {
     "--axis": ["x", "y", "z", "w"],
     "--semantics": ["super", "classical", "both"],

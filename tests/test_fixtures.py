@@ -122,6 +122,26 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
         {"label": "no_derived", "kind": "vector", "printed": ["1"]},
         {"label": "empty_range", "kind": "range", "derived": "range_diff_z", "printed": []},
         {
+            "label": "zero_row_range",
+            "kind": "range",
+            "derived": "range_diff_z",
+            "printed": [["0", "1", "0", "0"], ["0"] * 4],
+        },
+        {
+            "label": "ragged_range",
+            "kind": "range",
+            "derived": "range_diff_z",
+            "printed": [["0", "1", "0"], ["0"] * 4],
+        },
+        {"label": "zero_vector", "kind": "vector", "derived": "singlet_z", "printed": ["0"] * 4},
+        {"label": "zero_ray", "kind": "ray", "derived": "singlet_z", "printed": ["0"] * 4},
+        {
+            "label": "spaced_scalar",
+            "kind": "vector",
+            "derived": "vector_z_up_down",
+            "printed": ["0", "1 0", "0", "0"],
+        },
+        {
             "label": "short_chain",
             "kind": "chain",
             "derived": ["range_diff_z", "range_diff_x", "range_diff_y"],
@@ -145,7 +165,7 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
     )
     monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
     results = audit()
-    assert [r.status for r in results] == [MISMATCH] * 17 + [MATCH]
+    assert [r.status for r in results] == [MISMATCH] * 22 + [MATCH]
     by_label = {r.label: r for r in results if r.label}
     assert [(r.kind, r.note) for r in results if not r.label] == [
         ("ray", "missing label value"),
@@ -159,6 +179,17 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
     assert by_label["listed_name"].note == "derived value is not a name: ['sigma_zz']"
     assert by_label["no_derived"].note == "missing derived value"
     assert by_label["empty_range"].note == "unparseable printed range: a span needs at least one vector"
+    assert by_label["ragged_range"].note == "unparseable printed range: span vectors differ in length: [3, 4]"
+    assert by_label["zero_vector"].note == "unparseable printed vector: the zero vector is not a state"
+    assert by_label["zero_ray"].note == "unparseable printed ray: the zero vector is not a state"
+    assert by_label["spaced_scalar"].note == "unparseable printed vector: not a Gaussian rational: '1 0'"
+    # A zero row adds nothing, as in the CLI: the span is read and compared.
+    zero_row = by_label["zero_row_range"]
+    assert (zero_row.printed, zero_row.derived, zero_row.note) == (
+        "span{[0,1,0,0]}",
+        "span{[0,1,0,0], [0,0,1,0]}",
+        "",
+    )
     assert by_label["short_chain"].note == "a chain needs 3 printed spans, got 1"
     assert by_label["ragged_chain"].note == "unparseable printed chain: spans of different dimensions"
     assert by_label["wrong_type"].note == "derived value 'sigma_zz' is a Matrix, not a StateVector"
@@ -170,10 +201,10 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
         "unknown fixture kind ['vector']",
     )
     for r in results[:-1]:
-        assert r.printed == r.derived == ""
+        assert r.printed == r.derived == "" or r is zero_row
     summary = audit_summary()
-    assert (summary.total, summary.match_count) == (18, 1)
-    assert "18 fixtures: 1 match, 17 mismatch" in render_audit_table(results)
+    assert (summary.total, summary.match_count) == (23, 1)
+    assert "23 fixtures: 1 match, 22 mismatch" in render_audit_table(results)
 
 
 def test_table_summary_counts_the_given_results():

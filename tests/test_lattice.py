@@ -9,12 +9,13 @@ from helpers import (
     gr,
     meet_oracle,
     rand_span_pair,
+    rand_state,
     rand_subspace,
     span,
     subspaces_st,
     vec,
 )
-from qgap import Matrix, ShapeError, StateVector, Subspace, inner, kernel_of, projector_onto
+from qgap import Matrix, ShapeError, StateVector, Subspace, inner, kernel_of, parse_span, projector_onto
 
 DIFF_Z_RANGE = span(4, (0, 1, 0, 0), (0, 0, 1, 0))
 
@@ -238,3 +239,16 @@ class TestLatticeLaws:
             assert s.meet(t) == t.meet(s)
             assert s.meet(s.join(t)) == s
             assert s.orthocomplement().orthocomplement() == s
+
+
+class TestParseSpan:
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_reads_back_the_canonical_basis_between_zero_rows(self, height):
+        rng = Random(313 + height)
+        zero = ["0"] * 4
+        for _ in range(60):
+            s = Subspace.from_vectors(4, [rand_state(rng, height=height) for _ in range(rng.randint(1, 4))])
+            rows = [zero]
+            for b in s.basis:
+                rows += [[str(e) for e in b.entries], zero]
+            assert parse_span(rows) == s

@@ -54,9 +54,17 @@ def test_parse_convenience_forms():
     assert parse_scalar("i") == gr(0, 1)
     assert parse_scalar("-i") == gr(0, -1)
     assert parse_scalar(" 1/2 ") == gr(Fraction(1, 2))
+    assert parse_scalar("\t-i\r\n") == gr(0, -1)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1+", "i*i", "1/0j", "2i", "1,2"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "x", "1+", "i*i", "1/0j", "2i", "1,2",
+        # one token: inner spaces and non-ASCII whitespace are malformed
+        " ", "1 2", "1 0", "1/ 2 3", "1 + 2*i", "- 1", "\xa01", "1\u2003", "\u20031",
+    ],
+)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_scalar(bad)
