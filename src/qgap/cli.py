@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 domain error (e.g. an impossible verification),
 disagree with each other are usage errors too: a ``--state`` whose length
 is not the proposition's dimension, ``--b`` in another ambient dimension
 than ``--a``, and a ``--vector`` whose length is not ``--a``'s ambient
-dimension. Every ','-separated entry is one scalar token, so a blank entry
-is a usage error; a span's ';'-separated rows are read by
+dimension. Every ','-separated entry is one scalar token and every
+','-separated part of a nonempty ``--query`` one atom, so a blank one is a
+usage error, and so is an empty ``--state``; a span's ';'-separated rows are read by
 ``lattice.parse_span``, the reader the fixture audit uses too.
 """
 
@@ -50,7 +51,8 @@ def _parse_span(text: str) -> Subspace:
 
 
 def _parse_query(text: str):
-    return tuple(parse_atom(part) for part in text.split(",") if part.strip())
+    """Atoms of a ','-separated query: empty text is the empty query, a blank part is malformed."""
+    return tuple(parse_atom(part) for part in text.split(",")) if text else ()
 
 
 def _emit_json(payload: dict) -> None:
@@ -119,7 +121,7 @@ def _cmd_epr_run(args: argparse.Namespace) -> int:
 
 def _cmd_valuate(args: argparse.Namespace) -> int:
     prop = parse_proposition(args.prop)
-    entries = _parse_entries(args.state) if args.state else None
+    entries = None if args.state is None else _parse_entries(args.state)
     projector = compile_proposition(prop, standard_context())
     if entries is None:
         state = singlet(Axis.Z)

@@ -34,8 +34,9 @@ class ParseError(QgapError):
 
 
 class InvalidValueError(QgapError, ValueError):
-    """A value object was built from arguments that break its invariant.
+    """A value object was built from arguments that break its invariant, or cannot be printed.
 
-    Raised by ``Projector``, ``SpinBasis`` and ``TruthValueSet.from_values``.
+    Raised by ``Projector``, ``SpinBasis`` and ``TruthValueSet.from_values``,
+    and by ``str()`` of a scalar too long to print in decimal.
     It is also a ``ValueError``, so callers that catch ``ValueError`` keep working.
     """

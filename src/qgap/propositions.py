@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import string
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
@@ -151,33 +152,31 @@ def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Pr
 
     Conjunction is only defined for commuting operands and exclusive-or
     only for orthogonal ones; outside those domains the connective is not
-    the one this language means, so compilation refuses. Inside them the
-    lattice operations have closed forms, computed from the product PQ of
-    the two operand matrices:
+    the one this language means, so compilation refuses. Each domain is
+    exactly where the connective's closed form is a projector, so the
+    ``Projector`` check of that form is the domain check:
 
-    * P and Q commute exactly when PQ is Hermitian, since (PQ)* = QP; then
-      their meet is PQ.
-    * P and Q are orthogonal exactly when PQ = 0; then their join is P + Q.
+    * PQ is a projector exactly when P and Q commute, since (PQ)* = QP;
+      it is then their meet.
+    * P + Q is idempotent exactly when PQ + QP = 0, which for projectors
+      forces PQ = 0, so it is a projector exactly when P and Q are
+      orthogonal; it is then their join.
     """
     if isinstance(p, Atom):
         try:
             return context[p]
         except KeyError:
             raise IncompleteAssignmentError(f"no projector for atom {p}") from None
-    left = compile_proposition(p.left, context)
-    right = compile_proposition(p.right, context)
-    product = left.matrix @ right.matrix
+    left = compile_proposition(p.left, context).matrix
+    right = compile_proposition(p.right, context).matrix
     if isinstance(p, And):
-        if not product.is_hermitian():
-            raise UnsupportedConnectiveError(
-                f"conjunction of non-commuting propositions: {p.left} & {p.right}"
-            )
-        return Projector(product)
-    if not product.is_zero():
-        raise UnsupportedConnectiveError(
-            f"exclusive-or of non-orthogonal propositions: {p.left} ^ {p.right}"
-        )
-    return Projector(left.matrix + right.matrix)
+        closed_form, refusal = left @ right, "conjunction of non-commuting propositions: {} & {}"
+    else:
+        closed_form, refusal = left + right, "exclusive-or of non-orthogonal propositions: {} ^ {}"
+    try:
+        return Projector(closed_form)
+    except InvalidValueError:
+        raise UnsupportedConnectiveError(refusal.format(p.left, p.right)) from None
 
 
 def valuate(state: StateVector, p: Projector) -> TruthValueSet:
@@ -301,7 +300,8 @@ MAX_OPERATORS = 100
 
 
 def parse_atom(text: str) -> Atom:
-    s = text.strip()
+    """Parse one atom such as ``A.z.up``; only surrounding ASCII whitespace is stripped."""
+    s = text.strip(string.whitespace)
     if not _ATOM_RE.fullmatch(s):
         raise ParseError(f"not an atom (expected e.g. A.z.up): {text!r}")
     particle, axis, direction = s.split(".")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from .errors import ParseError
+from .errors import InvalidValueError, ParseError
 
 Scalarish = Union["GaussianRational", int, Fraction]
 
@@ -146,15 +146,24 @@ class GaussianRational:
         return _make(-self._a, -self._b, self._d)
 
     def __str__(self) -> str:
-        """Render as ``a/b``, ``c/d*i`` or ``a/b+c/d*i`` (zero parts omitted)."""
+        """Render as ``a/b``, ``c/d*i`` or ``a/b+c/d*i`` (zero parts omitted).
+
+        An integer with more digits than the interpreter's int-string limit
+        has no decimal text; printing one raises ``InvalidValueError``.
+        """
         re_part, im_part = self.re, self.im
-        if im_part == 0:
-            return str(re_part)
-        imag = f"{im_part}*i" if im_part > 0 else f"-{-im_part}*i"
-        if re_part == 0:
-            return imag
-        sign = "+" if im_part > 0 else "-"
-        return f"{re_part}{sign}{abs(im_part)}*i"
+        try:
+            if im_part == 0:
+                return str(re_part)
+            imag = f"{im_part}*i" if im_part > 0 else f"-{-im_part}*i"
+            if re_part == 0:
+                return imag
+            sign = "+" if im_part > 0 else "-"
+            return f"{re_part}{sign}{abs(im_part)}*i"
+        except ValueError:
+            raise InvalidValueError(
+                "scalar too long to print: more digits than the int-string limit"
+            ) from None
 
 
 _new = object.__new__
@@ -199,6 +208,11 @@ def _fraction(digits: str, text: str) -> Fraction:
         return Fraction(digits)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar: {text!r}") from None
+    except ValueError:  # a numeral past the interpreter's int-string limit
+        raise ParseError(
+            f"numeral too long in scalar of {len(text)} characters: "
+            "more digits than the int-string limit"
+        ) from None
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -207,7 +221,8 @@ def parse_scalar(text: str) -> GaussianRational:
     Bare ``i`` and ``-i`` are accepted for convenience. A scalar is one
     token: only surrounding ASCII whitespace is stripped, so ``"1 0"`` and
     a no-break space before ``1`` are malformed. A zero denominator in
-    either part is malformed input and raises ``ParseError`` too.
+    either part, or a numeral with more digits than the interpreter's
+    int-string limit, is malformed input and raises ``ParseError`` too.
     """
     s = text.strip(string.whitespace)
     m = _REAL_RE.match(s)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,26 @@ class TestEprRun:
         code, out, err = run_cli(capsys, "epr-run", "--query", "B.z.sideways")
         assert code == 2
         assert err.startswith("usage error:")
+
+    def test_empty_query_is_the_default(self, capsys):
+        assert run_cli(capsys, "epr-run", "--query", "") == run_cli(capsys, "epr-run")
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize(
+        "query, bad",
+        [
+            ("A.z.up,,B.x.up", ""),
+            (",", ""),
+            ("A.z.up,", ""),
+            (" ", " "),
+            ("\xa0A.z.up", "\xa0A.z.up"),
+        ],
+    )
+    def test_blank_or_unicode_spaced_query_part_is_usage_error(self, capsys, output, query, bad):
+        # Every comma-separated part of a nonempty query is one atom.
+        code, out, err = run_cli(capsys, "epr-run", "--query", query, "--output", output)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: not an atom (expected e.g. A.z.up): {bad!r}\n"
 
     def test_semantics_filters_population_lines(self, capsys):
         code, out, _ = run_cli(
@@ -174,6 +195,21 @@ class TestValuate:
         )
         assert (code, out) == (2, "")
         assert err == f"usage error: not a Gaussian rational: {bad!r}\n"
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize("argv", [("--state=",), ("--state", "")])
+    def test_empty_state_is_usage_error(self, capsys, output, argv):
+        # Only an omitted --state means the singlet.
+        code, out, err = run_cli(capsys, "valuate", "--prop", "A.z.up", *argv, "--output", output)
+        assert (code, out) == (2, "")
+        assert err == "usage error: not a Gaussian rational: ''\n"
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    def test_numeral_past_the_int_string_limit_is_usage_error(self, capsys, output):
+        state = "1" * 5000 + ",0,0,0"
+        code, out, err = run_cli(capsys, "valuate", "--prop", "A.z.up", "--state", state, "--output", output)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: numeral too long") and len(err.splitlines()) == 1
 
     def test_state_of_wrong_dimension_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "valuate", "--prop", "A.z.up", "--state", "1,0")
@@ -320,6 +356,23 @@ class TestLattice:
         code, out, err = run_cli(capsys, "lattice", "--op", "meet", "--a", "0,1,0,0")
         assert code == 2
         assert "needs --b" in err
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    def test_numeral_past_the_int_string_limit_is_usage_error(self, capsys, output):
+        span = "1/" + "1" * 5000 + ",0"
+        code, out, err = run_cli(capsys, "lattice", "--op", "complement", "--a", span, "--output", output)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: numeral too long") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    def test_result_too_long_to_print_is_domain_error(self, capsys, output):
+        # Each 4000-digit entry parses, but the join's canonical basis has
+        # entries of about 8000 digits, past the decimal printer's limit.
+        rng = random.Random(10)
+        a, b = (",".join(str(rng.randrange(10**3999, 10**4000)) for _ in range(3)) for _ in range(2))
+        code, out, err = run_cli(capsys, "lattice", "--op", "join", "--a", a, "--b", b, "--output", output)
+        assert (code, out) == (1, "")
+        assert err == "error: scalar too long to print: more digits than the int-string limit\n"
 
 
 class TestLeadingMinus:

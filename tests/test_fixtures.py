@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -231,3 +232,31 @@ def test_non_ascii_printed_digit_is_a_mismatch(monkeypatch, fresh_audit):
     assert [r.status for r in results] == [MISMATCH, MISMATCH, MATCH]
     assert results[0].note == "unparseable printed vector: not a Gaussian rational: '\uff11'"
     assert results[1].note == "unparseable printed ray: not a Gaussian rational: '\u0661'"
+
+
+def test_numeral_or_range_past_the_decimal_limit_is_a_mismatch(monkeypatch, fresh_audit):
+    # A 5000-digit numeral cannot be read; a range of 3000-digit entries
+    # can, but its canonical basis has entries too long to print.
+    rng = random.Random(10)
+    rows = [[str(rng.randrange(10**2999, 10**3000)) for _ in range(4)] for _ in range(2)]
+    entries = (
+        {
+            "label": "long_numeral",
+            "kind": "vector",
+            "derived": "singlet_z",
+            "printed": ["0", "1" * 5000, "-1", "0"],
+        },
+        {"label": "long_range", "kind": "range", "derived": "range_diff_z", "printed": rows},
+        {"label": "good", "kind": "ray", "derived": "singlet_z", "printed": ["0", "1", "-1", "0"]},
+    )
+    monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
+    results = audit()
+    assert [r.status for r in results] == [MISMATCH, MISMATCH, MATCH]
+    assert results[0].note == (
+        "unparseable printed vector: numeral too long in scalar of 5000 characters: "
+        "more digits than the int-string limit"
+    )
+    assert results[1].note == (
+        "unprintable printed range: scalar too long to print: more digits than the int-string limit"
+    )
+    assert all(r.printed == r.derived == "" for r in results[:2])

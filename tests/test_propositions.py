@@ -26,6 +26,7 @@ from qgap import (
     Particle,
     Projector,
     QgapError,
+    ShapeError,
     TruthValueSet,
     UnsupportedConnectiveError,
     Xor,
@@ -110,6 +111,48 @@ class TestCompile:
     def test_missing_atom(self):
         with pytest.raises(IncompleteAssignmentError):
             compile_proposition(A_UP, {})
+
+    @pytest.mark.parametrize("connective", [And, Xor])
+    def test_operands_of_different_dimensions_are_a_shape_error(self, connective):
+        ctx = {A_UP: standard_context()[A_UP], B_UP: Projector(Matrix.from_rows([[1, 0], [0, 0]]))}
+        for prop in (connective(A_UP, B_UP), connective(B_UP, A_UP)):
+            with pytest.raises(ShapeError):
+                compile_proposition(prop, ctx)
+
+    @pytest.mark.parametrize(
+        "prop, refusal, products",
+        [
+            # P + Q, then the validation's square: no PQ of its own.
+            (Xor(A_UP, A_DOWN), None, 1),
+            # PQ, then the validation's square.
+            (And(A_UP, B_DOWN), None, 2),
+            # P + Q is Hermitian, so the validation squares it and refuses.
+            (Xor(A_UP, B_UP), "exclusive-or of non-orthogonal propositions: A.z.up ^ B.z.up", 1),
+            # PQ is not Hermitian, so the validation refuses before squaring.
+            (
+                And(A_UP, Atom(Particle.A, Axis.X, Direction.UP)),
+                "conjunction of non-commuting propositions: A.z.up & A.x.up",
+                1,
+            ),
+        ],
+    )
+    def test_a_connective_is_one_closed_form_validated_once(self, monkeypatch, prop, refusal, products):
+        ctx = standard_context()  # built first: only compilation's own products count
+        calls = []
+        matmul = Matrix.__matmul__
+
+        def counted(self, other):
+            calls.append((self, other))
+            return matmul(self, other)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        if refusal is None:
+            compile_proposition(prop, ctx)
+        else:
+            with pytest.raises(UnsupportedConnectiveError) as exc:
+                compile_proposition(prop, ctx)
+            assert str(exc.value) == refusal
+        assert len(calls) == products
 
     def test_direct_connectives_match_lattice_route(self):
         # Both orders of every pair of the 12 atoms and the six Diff/Same
@@ -370,6 +413,12 @@ class TestPopulation:
 class TestGrammar:
     def test_atom(self):
         assert parse_atom("B.x.down") == Atom(Particle.B, Axis.X, Direction.DOWN)
+
+    def test_atom_strips_only_ascii_whitespace(self):
+        assert parse_atom(" \tB.x.down\n") == Atom(Particle.B, Axis.X, Direction.DOWN)
+        for bad in ("", " ", "\xa0A.z.up", "A.z.up\u2003", "A.z. up"):
+            with pytest.raises(ParseError, match="not an atom"):
+                parse_atom(bad)
 
     def test_precedence(self):
         got = parse_proposition("A.z.up & B.z.down ^ A.z.down & B.z.up")

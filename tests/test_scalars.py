@@ -1,6 +1,7 @@
 import copy
 import operator
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gr, pair_oracle, scalar_pair, scalars_st, wide_fractions_st, wide_scalars_st
-from qgap import GaussianRational, ParseError, parse_scalar
+from qgap import GaussianRational, InvalidValueError, ParseError, parse_scalar
 
 
 def test_canonical_form():
@@ -87,6 +88,29 @@ def test_parse_rejects_non_ascii_digits(template):
 def test_parse_rejects_zero_denominator(text):
     with pytest.raises(ParseError):
         parse_scalar(text)
+
+
+# The interpreter refuses to convert an integer with more decimal digits
+# than this between int and str.
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}*i", "1+1/{}*i", "{}-1*i"])
+def test_parse_rejects_a_numeral_past_the_int_string_limit(template):
+    assert parse_scalar(template.format("1" * DIGIT_LIMIT)) is not None
+    with pytest.raises(ParseError, match="numeral too long"):
+        parse_scalar(template.format("1" * (DIGIT_LIMIT + 1)))
+
+
+def test_str_of_a_scalar_past_the_int_string_limit_is_an_invalid_value():
+    big = 10**DIGIT_LIMIT
+    for value in (GaussianRational(big), GaussianRational(1, Fraction(1, big)), GaussianRational(1, big)):
+        with pytest.raises(InvalidValueError, match="too long to print"):
+            str(value)
+    # It is a ValueError too, as the decimal conversion's own error was.
+    with pytest.raises(ValueError):
+        str(GaussianRational(big))
+    assert str(GaussianRational(10 ** (DIGIT_LIMIT - 1))) == "1" + "0" * (DIGIT_LIMIT - 1)
 
 
 @given(scalars_st, scalars_st, scalars_st)
