@@ -8,8 +8,9 @@ union, which in finite dimension is just the span), vector-sum (identical
 to join here, kept as its own operation so the identity is testable) and
 orthocomplement. Each reduces one matrix: Zassenhaus's block for meet, the
 stacked bases for join, the null space read off the basis for complement.
-``parse_span`` reads a span written as rows of scalar text; the CLI and the
-fixture audit both read spans with it.
+``Subspace.row_space`` is the one reducer of stacked rows to a canonical
+basis: ``from_vectors``, ``column_space`` and ``parse_span`` (the span reader
+of the CLI and the fixture audit) all call it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ class Subspace:
             raise ShapeError("basis is not a canonical RREF basis for this ambient dimension")
 
     @classmethod
+    def row_space(cls, m: Matrix) -> "Subspace":
+        """The span of the rows of m: the nonzero rows of its reduced form."""
+        reduced = m.rref()
+        rows = (reduced.row(i) for i in range(reduced.rows))
+        return cls(m.cols, tuple(StateVector(r) for r in rows if not all(e.is_zero for e in r)))
+
+    @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[StateVector]) -> "Subspace":
         """Canonical subspace spanned by arbitrary vectors (stack and reduce)."""
         vecs = list(vectors)
@@ -64,26 +72,16 @@ class Subspace:
                 raise ShapeError(f"vector of dim {v.dim} in ambient dim {ambient_dim}")
         if not vecs:
             return cls(ambient_dim, ())
-        reduced = Matrix.from_rows([list(v.entries) for v in vecs]).rref()
-        rows = [
-            StateVector(reduced.row(i))
-            for i in range(reduced.rows)
-            if any(not e.is_zero for e in reduced.row(i))
-        ]
-        return cls(ambient_dim, tuple(rows))
+        return cls.row_space(Matrix(len(vecs), ambient_dim, tuple(e for v in vecs for e in v.entries)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, ())
 
     @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(ambient_dim)
-        return cls(ambient_dim, tuple(StateVector(eye.row(i)) for i in range(ambient_dim)))
-
-    @classmethod
     def column_space(cls, m: Matrix) -> "Subspace":
-        return cls.from_vectors(m.rows, [StateVector(m.col(j)) for j in range(m.cols) if any(not e.is_zero for e in m.col(j))])
+        """The span of the columns of m, as the row space of its transpose."""
+        return cls.row_space(Matrix(m.cols, m.rows, tuple(e for j in range(m.cols) for e in m.col(j))))
 
     @property
     def dim(self) -> int:
@@ -173,8 +171,10 @@ def parse_span(rows: Sequence[Sequence[str]]) -> Subspace:
     """The span of rows of scalar text, all of one length; all-zero rows add nothing."""
     if not rows:
         raise ParseError("a span needs at least one vector")
-    vectors = [tuple(parse_scalar(s) for s in row) for row in rows]
+    vectors = [[parse_scalar(s) for s in row] for row in rows]
     lengths = {len(v) for v in vectors}
     if len(lengths) != 1:
         raise ParseError(f"span vectors differ in length: {sorted(lengths)}")
-    return Subspace.from_vectors(len(vectors[0]), [StateVector(v) for v in vectors if any(not e.is_zero for e in v)])
+    if not vectors[0]:
+        raise ShapeError("ambient dimension must be positive")
+    return Subspace.row_space(Matrix.from_rows(vectors))

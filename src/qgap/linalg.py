@@ -3,10 +3,10 @@
 Matrices and state vectors are immutable values; every operation returns a
 fresh result and is referentially transparent. There is no floating point
 anywhere: elimination uses exact division, so reduced row-echelon forms
-and ranks are canonical rather than tolerance-dependent.
+are canonical rather than tolerance-dependent.
 
 Every sum of products goes through ``_dot`` and every elimination
-(rank, the lattice operations, a solve on an augmented matrix) through
+(the lattice operations, a solve on an augmented matrix) through
 ``Matrix.rref``.
 Both kernels skip each term with an exact-zero factor: the spin projectors
 and states of the pair space are mostly zeros, and adding or subtracting an
@@ -149,10 +149,6 @@ class Matrix:
             if pivot_row == self.rows:
                 break
         return Matrix.from_rows(rows)
-
-    def rank(self) -> int:
-        reduced = self.rref()
-        return sum(1 for i in range(reduced.rows) if not all(e.is_zero for e in reduced.row(i)))
 
     def __str__(self) -> str:
         return "[" + ",".join("[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)) + "]"

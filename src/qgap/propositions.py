@@ -292,7 +292,7 @@ def population(components: Sequence[TruthValueSet], labels: Sequence[str]) -> Po
 
 
 _ATOM_RE = re.compile(r"[AB]\.[xyz]\.(?:up|down)")
-_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>[AB]\.[xyz]\.(?:up|down))|(?P<op>[&^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>[AB]\.[xyz]\.(?:up|down))|(?P<op>[&^()]))", re.ASCII)
 # Parsing, printing and compiling all recurse once per level of nesting, so
 # the connectives and parentheses of one proposition are capped well below
 # the interpreter's recursion limit.
@@ -314,8 +314,9 @@ def _tokenize(text: str) -> list[str]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected input at {text[pos:].strip()!r}")
+            rest = text[pos:].strip(string.whitespace)
+            if rest:
+                raise ParseError(f"unexpected input at {rest!r}")
             break
         tokens.append(m.group("atom") or m.group("op"))
         pos = m.end()

@@ -166,10 +166,9 @@ def eigencheck(observable: Matrix, candidate: StateVector, eigenvalue: Scalarish
 
 @dataclass(frozen=True)
 class TwoParticleSystem:
-    """A pair state plus the verifications already applied to it."""
+    """A pair state."""
 
     state: StateVector
-    history: tuple[Atom, ...] = ()
 
 
 def prepare_singlet(axis: Axis = Axis.Z) -> TwoParticleSystem:
@@ -186,7 +185,7 @@ def verify(system: TwoParticleSystem, atom: Atom) -> TwoParticleSystem:
     image = atom_projector(atom).matrix.apply(system.state)
     if all(e.is_zero for e in image):
         raise ImpossibleOutcomeError(f"verifying {atom} is impossible in state {system.state}")
-    return TwoParticleSystem(StateVector(image), system.history + (atom,))
+    return TwoParticleSystem(StateVector(image))
 
 
 @dataclass(frozen=True)
@@ -254,24 +253,6 @@ def _valuation_records(state: StateVector, entries: Sequence[_Entry]) -> tuple[V
     )
 
 
-def _classical_query_sets(
-    verify_axis: Axis, verified_atom: Atom, query: Sequence[Atom]
-) -> list[TruthValueSet]:
-    """Admissible value sets per queried atom under bivalent preexisting values.
-
-    The constraints are the ones a singlet preparation justifies along the
-    verified axis: the spins differ there, and the verified atom came out
-    true. They name only the two pairs of that axis, so only those are
-    enumerated; an atom on any other pair is free and factors out as the
-    indeterminate set.
-    """
-    constraints: list[tuple[Proposition, int]] = [
-        (different_spins(verify_axis), 1),
-        (verified_atom, 1),
-    ]
-    return classical_value_sets(constraints, query)
-
-
 def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     """One full run: prepare the singlet, verify spin-up for particle A, report.
 
@@ -295,6 +276,8 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
         valuate(post.state, atom_projector(a)) for a in query
     ]
     labels = [str(a) for a in query]
+    # The singlet justifies these along the verified axis; they name only its two pairs.
+    constraints = [(different_spins(verify_axis), 1), (verified_atom, 1)]
 
     return ScenarioReport(
         verify_axis=verify_axis,
@@ -304,9 +287,7 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
         post_state=post.state,
         pre_valuations=_valuation_records(system.state, pre_entries),
         post_valuations=_valuation_records(post.state, post_entries),
-        classical_population=population(
-            _classical_query_sets(verify_axis, verified_atom, query), labels
-        ),
+        classical_population=population(classical_value_sets(constraints, query), labels),
         super_population=population(super_sets, labels),
         fixture_summary=audit_summary(),
     )

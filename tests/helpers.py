@@ -7,6 +7,7 @@ from random import Random
 import sympy as sp
 from hypothesis import strategies as st
 
+import exact
 from qgap import Atom, Direction, GaussianRational, Matrix, StateVector, Subspace, classical_valuate
 from qgap.propositions import And
 from qgap.scalars import ZERO
@@ -221,26 +222,6 @@ def scalar_pair(value) -> tuple[Fraction, Fraction]:
     return Fraction(value), Fraction(0)
 
 
-def pair_oracle(op: str, x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
-    """Gaussian-rational arithmetic on Fraction pairs, sharing no code with qgap.scalars.
-
-    Division by zero raises ZeroDivisionError, as the scalar type does.
-    """
-    (a, b), (c, d) = x, y
-    if op == "+":
-        return a + c, b + d
-    if op == "-":
-        return a - c, b - d
-    if op == "*":
-        return a * c - b * d, a * d + b * c
-    if op == "/":
-        norm = c * c + d * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero")
-        return (a * c + b * d) / norm, (b * c - a * d) / norm
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def to_sympy(m: Matrix):
     return sp.Matrix(
         [
@@ -275,43 +256,28 @@ class OracleRefusal(Exception):
         self.node = node
 
 
-_PAIR_ZERO = (Fraction(0), Fraction(0))
-_PAIR_ONE = (Fraction(1), Fraction(0))
 _SPIN_VECTORS = {
-    ("z", "up"): (_PAIR_ONE, _PAIR_ZERO),
-    ("z", "down"): (_PAIR_ZERO, _PAIR_ONE),
-    ("x", "up"): (_PAIR_ONE, _PAIR_ONE),
-    ("x", "down"): (_PAIR_ONE, (Fraction(-1), Fraction(0))),
-    ("y", "up"): (_PAIR_ONE, (Fraction(0), Fraction(1))),
-    ("y", "down"): (_PAIR_ONE, (Fraction(0), Fraction(-1))),
+    ("z", "up"): (exact.ONE, exact.ZERO),
+    ("z", "down"): (exact.ZERO, exact.ONE),
+    ("x", "up"): (exact.ONE, exact.ONE),
+    ("x", "down"): (exact.ONE, exact.c(-1)),
+    ("y", "up"): (exact.ONE, exact.I),
+    ("y", "down"): (exact.ONE, exact.c(0, -1)),
 }
 
 
-def _pair_conj(x):
-    return x[0], -x[1]
-
-
-def pair_dot(xs, ys):
-    """Dense sum of products of (re, im) Fraction pairs, every term included."""
-    acc = _PAIR_ZERO
-    for x, y in zip(xs, ys):
-        acc = pair_oracle("+", acc, pair_oracle("*", x, y))
-    return acc
-
-
-def _pair_matmul(a, b):
-    return tuple(tuple(pair_dot(row, col) for col in zip(*b)) for row in a)
-
-
-def _pair_kron(a, b):
-    return tuple(tuple(pair_oracle("*", x, y) for x in ra for y in rb) for ra in a for rb in b)
+def _frozen(m):
+    """A matrix as a tuple of row tuples, so equal matrices hash alike and can be interned."""
+    return tuple(map(tuple, m))
 
 
 class SpinOracle:
     """The spin language compiled and valuated in plain Fraction pairs.
 
-    A matrix is a tuple of rows of (re, im) pairs, built with ``pair_oracle``
-    and sharing no code with qgap's scalars, linear algebra or compiler.
+    A matrix is a tuple of rows of (re, im) pairs, built with the plain
+    ``fractions`` arithmetic of ``perfbench/exact.py``, which imports no qgap
+    module and so shares no code with qgap's scalars, linear algebra or
+    compiler.
     Conjunction is defined when the operands commute, tested as PQ == QP
     rather than through the Hermitian product, and gives PQ; exclusive-or
     is defined when PQ is zero and gives P + Q. Operands are compiled left
@@ -331,21 +297,16 @@ class SpinOracle:
 
     def atom_projector(self, atom):
         if atom not in self._atoms:
-            v = _SPIN_VECTORS[(atom.axis.value, atom.direction.value)]
-            norm = pair_dot(map(_pair_conj, v), v)
-            one = tuple(
-                tuple(pair_oracle("/", pair_oracle("*", x, _pair_conj(y)), norm) for y in v)
-                for x in v
-            )
-            eye = ((_PAIR_ONE, _PAIR_ZERO), (_PAIR_ZERO, _PAIR_ONE))
+            one = exact.outer_projector(_SPIN_VECTORS[(atom.axis.value, atom.direction.value)])
+            eye = exact.identity(2)
             pair = (one, eye) if atom.particle.value == "A" else (eye, one)
-            self._atoms[atom] = self._intern(_pair_kron(*pair))
+            self._atoms[atom] = self._intern(_frozen(exact.kron(*pair)))
         return self._atoms[atom]
 
     def _product(self, a, b):
         key = (id(a), id(b))
         if key not in self._products:
-            self._products[key] = self._intern(_pair_matmul(a, b))
+            self._products[key] = self._intern(_frozen(exact.matmul(a, b)))
         return self._products[key]
 
     def compile(self, prop):
@@ -361,10 +322,8 @@ class SpinOracle:
                 defined = product == self._product(right, left)
                 result = product
             else:
-                defined = all(x == _PAIR_ZERO for row in product for x in row)
-                result = tuple(
-                    tuple(pair_oracle("+", x, y) for x, y in zip(ra, rb)) for ra, rb in zip(left, right)
-                )
+                defined = all(exact.is_zero(x) for row in product for x in row)
+                result = _frozen(exact.mat_add(left, right))
             self._combined[key] = self._intern(result) if defined else None
         if self._combined[key] is None:
             raise OracleRefusal(prop)
@@ -372,11 +331,11 @@ class SpinOracle:
 
     @staticmethod
     def apply(matrix, vector):
-        return tuple(pair_dot(row, vector) for row in matrix)
+        return tuple(exact.apply(matrix, vector))
 
     def valuate(self, matrix, vector) -> str:
         """``"false"`` on a zero image, ``"true"`` on a fixed point, ``"gap"`` otherwise."""
         image = self.apply(matrix, vector)
-        if all(x == _PAIR_ZERO for x in image):
+        if all(exact.is_zero(x) for x in image):
             return "false"
         return "true" if image == tuple(vector) else "gap"

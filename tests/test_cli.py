@@ -133,8 +133,9 @@ class TestValuate:
         assert code == 0 and out == "true\n"
 
     def test_conjunction_is_gapped_in_singlet(self, capsys):
-        code, out, _ = run_cli(capsys, "valuate", "--prop", "A.z.up & B.z.down")
-        assert code == 0 and out == "gap\n"
+        for prop in ("A.z.up & B.z.down", "\tA.z.up &\nB.z.down\n"):
+            code, out, _ = run_cli(capsys, "valuate", "--prop", prop)
+            assert code == 0 and out == "gap\n"
 
     def test_eigenstate_is_true(self, capsys):
         code, out, _ = run_cli(
@@ -223,9 +224,11 @@ class TestValuate:
         assert code == 0 and out == "true\n"
 
     def test_bad_proposition_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "valuate", "--prop", "A.q.up")
-        assert code == 2
-        assert err.startswith("usage error:")
+        # Only ASCII whitespace separates tokens, so the last three are no propositions.
+        for prop in ("A.q.up", "\xa0A.z.up & B.z.down", "A.z.up\xa0& B.z.down", "A.z.up & B.z.down\u2003"):
+            code, out, err = run_cli(capsys, "valuate", "--prop", prop)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage error:")
 
     @pytest.mark.parametrize("output", ["table", "json"])
     def test_proposition_at_the_operator_bound(self, capsys, output):

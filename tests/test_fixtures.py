@@ -134,6 +134,7 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
             "derived": "range_diff_z",
             "printed": [["0", "1", "0"], ["0"] * 4],
         },
+        {"label": "empty_row_range", "kind": "range", "derived": "range_diff_z", "printed": [[]]},
         {"label": "zero_vector", "kind": "vector", "derived": "singlet_z", "printed": ["0"] * 4},
         {"label": "zero_ray", "kind": "ray", "derived": "singlet_z", "printed": ["0"] * 4},
         {
@@ -166,7 +167,7 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
     )
     monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
     results = audit()
-    assert [r.status for r in results] == [MISMATCH] * 22 + [MATCH]
+    assert [r.status for r in results] == [MISMATCH] * 23 + [MATCH]
     by_label = {r.label: r for r in results if r.label}
     assert [(r.kind, r.note) for r in results if not r.label] == [
         ("ray", "missing label value"),
@@ -181,6 +182,7 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
     assert by_label["no_derived"].note == "missing derived value"
     assert by_label["empty_range"].note == "unparseable printed range: a span needs at least one vector"
     assert by_label["ragged_range"].note == "unparseable printed range: span vectors differ in length: [3, 4]"
+    assert by_label["empty_row_range"].note == "unparseable printed range: ambient dimension must be positive"
     assert by_label["zero_vector"].note == "unparseable printed vector: the zero vector is not a state"
     assert by_label["zero_ray"].note == "unparseable printed ray: the zero vector is not a state"
     assert by_label["spaced_scalar"].note == "unparseable printed vector: not a Gaussian rational: '1 0'"
@@ -204,8 +206,8 @@ def test_unknown_kind_and_derived_name_are_mismatches_not_errors(monkeypatch, fr
     for r in results[:-1]:
         assert r.printed == r.derived == "" or r is zero_row
     summary = audit_summary()
-    assert (summary.total, summary.match_count) == (23, 1)
-    assert "23 fixtures: 1 match, 22 mismatch" in render_audit_table(results)
+    assert (summary.total, summary.match_count) == (24, 1)
+    assert "24 fixtures: 1 match, 23 mismatch" in render_audit_table(results)
 
 
 def test_table_summary_counts_the_given_results():

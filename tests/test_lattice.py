@@ -34,7 +34,7 @@ class TestCanonicalForm:
 
     def test_zero_and_full(self):
         assert Subspace.zero(4).dim == 0
-        assert Subspace.full(4).dim == 4
+        assert Subspace.zero(4).orthocomplement().dim == 4
         assert str(Subspace.zero(4)) == "span{}"
 
     @given(subspaces_st())
@@ -73,7 +73,7 @@ class TestOrder:
         assert Subspace.zero(4) <= DIFF_Z_RANGE
 
     def test_everything_below_full(self):
-        assert DIFF_Z_RANGE <= Subspace.full(4)
+        assert DIFF_Z_RANGE <= Subspace.zero(4).orthocomplement()
 
     def test_line_below_plane(self):
         assert span(4, (0, 1, 0, 0)) <= DIFF_Z_RANGE
@@ -172,7 +172,7 @@ class TestJoinAndSum:
         assert DIFF_Z_RANGE.sum(DIFF_Z_RANGE) == DIFF_Z_RANGE
 
     def test_sum_of_orthogonal_lines_in_plane(self):
-        assert span(2, (1, 1)).sum(span(2, (1, -1))) == Subspace.full(2)
+        assert span(2, (1, 1)).sum(span(2, (1, -1))) == Subspace.zero(2).orthocomplement()
 
     @given(subspaces_st(), subspaces_st())
     def test_sum_equals_join_in_finite_dimension(self, a, b):
@@ -181,7 +181,7 @@ class TestJoinAndSum:
 
 class TestOrthocomplement:
     def test_of_zero(self):
-        assert Subspace.zero(4).orthocomplement() == Subspace.full(4)
+        assert Subspace.zero(4).orthocomplement() == Subspace.row_space(Matrix.identity(4))
 
     def test_of_coordinate_line(self):
         assert span(4, (0, 1, 0, 0)).orthocomplement() == span(

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import exact
 from helpers import (
     E2,
     SINGLET,
     gr,
     matrices_st,
-    pair_dot,
     scalar_pair,
     sparse_matrices_st,
     sparse_states_st,
@@ -70,7 +70,7 @@ class TestRref:
         assert reduced == Matrix.from_rows(
             [[1, 0, 0, -1], [0, 1, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         )
-        assert DIFF_X.rank() == 2
+        assert Subspace.row_space(DIFF_X).dim == 2
 
     @given(matrices_st())
     def test_idempotent(self, m):
@@ -85,6 +85,10 @@ def pairs(entries):
     return [scalar_pair(e) for e in entries]
 
 
+def pair_rows(m):
+    return [pairs(m.row(i)) for i in range(m.rows)]
+
+
 class TestSparseProducts:
     """Products skip exact-zero terms; a dense Fraction-pair reference decides."""
 
@@ -94,10 +98,8 @@ class TestSparseProducts:
         rows, inner_dim, cols = data.draw(dims_st), data.draw(dims_st), data.draw(dims_st)
         a = data.draw(sparse_matrices_st(rows, inner_dim, height))
         b = data.draw(sparse_matrices_st(inner_dim, cols, height))
-        expected = [
-            pair_dot(pairs(a.row(i)), pairs(b.col(j))) for i in range(rows) for j in range(cols)
-        ]
-        assert pairs((a @ b).entries) == expected
+        expected = exact.matmul(pair_rows(a), pair_rows(b))
+        assert pairs((a @ b).entries) == [x for row in expected for x in row]
 
     @pytest.mark.parametrize("height", HEIGHTS)
     @given(data=st.data())
@@ -105,15 +107,14 @@ class TestSparseProducts:
         rows, cols = data.draw(dims_st), data.draw(dims_st)
         m = data.draw(sparse_matrices_st(rows, cols, height))
         v = data.draw(sparse_states_st(cols, height))
-        assert pairs(m.apply(v)) == [pair_dot(pairs(m.row(i)), pairs(v.entries)) for i in range(rows)]
+        assert pairs(m.apply(v)) == exact.apply(pair_rows(m), pairs(v.entries))
 
     @pytest.mark.parametrize("height", HEIGHTS)
     @given(data=st.data())
     def test_inner(self, height, data):
         dim = data.draw(dims_st)
         u, v = data.draw(sparse_states_st(dim, height)), data.draw(sparse_states_st(dim, height))
-        conj = [(re, -im) for re, im in pairs(u.entries)]
-        assert scalar_pair(inner(u, v)) == pair_dot(conj, pairs(v.entries))
+        assert scalar_pair(inner(u, v)) == exact.dot(pairs(u.entries), pairs(v.entries))
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 8)])
     def test_zero_matrix(self, shape):
@@ -123,25 +124,27 @@ class TestSparseProducts:
         assert Matrix.identity(rows) @ zero == zero
         assert zero.apply(StateVector.of(*([1] * cols))) == (ZERO,) * rows
         assert zero.rref() == zero
-        assert zero.rank() == 0
+        assert Subspace.row_space(zero).is_zero
 
 
 class TestRank:
+    """Rank is the dimension of the row space."""
+
     def test_identity(self):
-        assert Matrix.identity(4).rank() == 4
+        assert Subspace.row_space(Matrix.identity(4)).dim == 4
 
     def test_rank_one(self):
-        assert P_Z_UD.rank() == 1
+        assert Subspace.row_space(P_Z_UD).dim == 1
 
     def test_sum_of_orthogonal_rank_ones(self):
-        assert (P_Z_UD + P_Z_DU).rank() == 2
+        assert Subspace.row_space(P_Z_UD + P_Z_DU).dim == 2
 
 
 class TestKernel:
     """Null spaces, read off a canonical basis by ``orthocomplement`` and ``kernel_of``."""
 
     def test_injective(self):
-        assert Subspace.full(4).orthocomplement() == Subspace.zero(4)
+        assert Subspace.zero(4).orthocomplement().orthocomplement() == Subspace.zero(4)
 
     def test_zero_matrix(self):
         basis = kernel_of(Projector.zero(4)).basis
@@ -164,7 +167,7 @@ class TestKernel:
         ]
         s = Subspace.from_vectors(m.cols, rows)
         null = s.orthocomplement()
-        assert m.rank() == s.dim
+        assert Subspace.row_space(m).dim == s.dim
         assert s.dim + null.dim == m.cols
         assert all(m.apply(v) == (ZERO,) * m.rows for v in null.basis)
 

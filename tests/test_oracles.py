@@ -5,6 +5,9 @@ sympy from scratch and compare answers, so a systematic bug in the rref or
 null-space routines cannot hide behind itself.
 """
 
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -20,7 +23,7 @@ from helpers import (
     sympy_span,
     to_sympy,
 )
-from qgap import Matrix, Subspace, kernel_of, projector_from_span, projector_onto, tensor_product
+from qgap import Matrix, Subspace, kernel_of, projector_from_span, projector_onto, range_of, tensor_product
 
 
 def rand_matrix(rng: Random, rows: int, cols: int) -> Matrix:
@@ -36,7 +39,7 @@ def test_rref_and_rank_agree_with_sympy():
     for _ in range(30):
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         reduced, pivots = to_sympy(m).rref()
-        assert m.rank() == len(pivots)
+        assert Subspace.row_space(m).dim == len(pivots)
         assert to_sympy(m.rref()) == reduced
 
 
@@ -50,7 +53,7 @@ def test_sparse_rref_agrees_with_sympy(height, data):
     m = data.draw(sparse_matrices_st(rows, cols, height))
     reduced, pivots = to_sympy(m).rref()
     assert to_sympy(m.rref()) == reduced
-    assert m.rank() == len(pivots)
+    assert Subspace.row_space(m) == sympy_span(cols, [reduced.row(i) for i in range(len(pivots))])
 
 
 def test_kernel_agrees_with_sympy():
@@ -71,6 +74,7 @@ def test_kernel_agrees_with_sympy():
                 assert s.orthocomplement() == sympy_span(4, conj_b.nullspace())
                 p = projector_onto(s)
                 assert kernel_of(p) == sympy_span(4, to_sympy(p.matrix).nullspace())
+                assert range_of(p) == s
 
 
 def test_membership_agrees_with_sympy_rank():
@@ -129,3 +133,17 @@ def test_span_projector_agrees_with_sympy_formula():
         b = sp.Matrix.hstack(*[to_sympy_vec(v) for v in basis])
         sym_p = b * (b.H * b).inv() * b.H
         assert to_sympy(p.matrix) == sp.simplify(sym_p)
+
+
+def test_exact_oracle_loads_no_qgap_module():
+    # The scalar, linalg and spin oracles rest on perfbench/exact.py; they are
+    # independent only while it imports nothing from the code they check.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys; "
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]; "
+        "import exact; "
+        "print(sorted(m for m in sys.modules if m == 'qgap' or m.startswith('qgap.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

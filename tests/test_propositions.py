@@ -427,6 +427,7 @@ class TestGrammar:
     def test_parentheses(self):
         got = parse_proposition("A.z.up & (B.z.down ^ B.z.up)")
         assert got == And(A_UP, Xor(B_DOWN, B_UP))
+        assert parse_proposition("\tA.z.up &\n(B.z.down ^ B.z.up)\n") == got
 
     def test_round_trip(self):
         for text in (
@@ -440,7 +441,11 @@ class TestGrammar:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "A.w.up", "A.z.sideways", "A.z.up &", "& B.z.down", "(A.z.up", "A.z.up) ", "A.z.up B.z.down"],
+        [
+            "", "A.w.up", "A.z.sideways", "A.z.up &", "& B.z.down", "(A.z.up", "A.z.up) ", "A.z.up B.z.down",
+            # Only ASCII whitespace separates tokens.
+            "\xa0A.z.up & B.z.down", "A.z.up\xa0& B.z.down", "A.z.up & B.z.down\u2003",
+        ],
     )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ParseError):
