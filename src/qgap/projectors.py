@@ -1,8 +1,10 @@
 """Orthogonal projection operators as validated first-class values.
 
 A ``Projector`` wraps a square matrix that is exactly Hermitian and
-idempotent; both properties are checked at construction, so a Projector in
-hand is always a legal quantum-logic proposition carrier. The operator
+idempotent, so a Projector in hand is always a legal quantum-logic
+proposition carrier. ``Projector(m)`` checks both properties.
+``Projector.product(p, q)``, the conjunction's closed form, checks only that
+PQ is Hermitian, which already implies that it is idempotent. The operator
 lattice (meet, join) is computed through the subspace lattice of ranges,
 which also covers non-commuting pairs. The kernel of P is the range of
 I - P, which holds exactly for every orthogonal projector.
@@ -40,6 +42,22 @@ class Projector:
             raise InvalidValueError("projector matrix is not Hermitian")
         if m @ m != m:
             raise InvalidValueError("projector matrix is not idempotent")
+
+    @classmethod
+    def product(cls, p: "Projector", q: "Projector") -> "Projector":
+        """The projector PQ of two commuting projectors, the meet of their ranges.
+
+        Raises ``InvalidValueError`` unless PQ is Hermitian. That one test
+        decides it: (PQ)* = Q*P* = QP, so PQ is Hermitian exactly when P and
+        Q commute, and then PQPQ = PPQQ = PQ. This is the one constructor
+        that therefore skips the square of the idempotence check.
+        """
+        m = p.matrix @ q.matrix
+        if not m.is_hermitian():
+            raise InvalidValueError("projector matrix is not Hermitian")
+        result = object.__new__(cls)
+        object.__setattr__(result, "matrix", m)
+        return result
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":

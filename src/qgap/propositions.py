@@ -157,7 +157,8 @@ def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Pr
     ``Projector`` check of that form is the domain check:
 
     * PQ is a projector exactly when P and Q commute, since (PQ)* = QP;
-      it is then their meet.
+      it is then their meet. ``Projector.product`` decides this by the
+      Hermitian test alone, since a Hermitian PQ is already idempotent.
     * P + Q is idempotent exactly when PQ + QP = 0, which for projectors
       forces PQ = 0, so it is a projector exactly when P and Q are
       orthogonal; it is then their join.
@@ -167,15 +168,17 @@ def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Pr
             return context[p]
         except KeyError:
             raise IncompleteAssignmentError(f"no projector for atom {p}") from None
-    left = compile_proposition(p.left, context).matrix
-    right = compile_proposition(p.right, context).matrix
-    if isinstance(p, And):
-        closed_form, refusal = left @ right, "conjunction of non-commuting propositions: {} & {}"
-    else:
-        closed_form, refusal = left + right, "exclusive-or of non-orthogonal propositions: {} ^ {}"
+    left = compile_proposition(p.left, context)
+    right = compile_proposition(p.right, context)
     try:
-        return Projector(closed_form)
+        if isinstance(p, And):
+            return Projector.product(left, right)
+        return Projector(left.matrix + right.matrix)
     except InvalidValueError:
+        if isinstance(p, And):
+            refusal = "conjunction of non-commuting propositions: {} & {}"
+        else:
+            refusal = "exclusive-or of non-orthogonal propositions: {} ^ {}"
         raise UnsupportedConnectiveError(refusal.format(p.left, p.right)) from None
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ImpossibleOutcomeError, InvalidValueError, ShapeError
 from .linalg import Matrix, StateVector, inner, state_tensor, tensor_product
@@ -110,14 +111,17 @@ def atom_projector(atom: Atom) -> Projector:
     return Projector(tensor_product(eye, outer))
 
 
-def standard_context() -> dict[Atom, Projector]:
-    """Projectors for all twelve atoms of the pair space."""
-    return {
-        Atom(p, ax, d): atom_projector(Atom(p, ax, d))
-        for p in Particle
-        for ax in Axis
-        for d in Direction
-    }
+@lru_cache(maxsize=None)
+def standard_context() -> Mapping[Atom, Projector]:
+    """Projectors for all twelve atoms of the pair space, as one shared read-only mapping."""
+    return MappingProxyType(
+        {
+            Atom(p, ax, d): atom_projector(Atom(p, ax, d))
+            for p in Particle
+            for ax in Axis
+            for d in Direction
+        }
+    )
 
 
 @lru_cache(maxsize=None)

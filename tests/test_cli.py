@@ -230,6 +230,12 @@ class TestValuate:
             assert (code, out) == (2, "")
             assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("prop", ["A.z.up &", "A.z.up ^", "(A.z.up &"])
+    def test_proposition_ending_after_a_connective_is_usage_error(self, capsys, prop):
+        code, out, err = run_cli(capsys, "valuate", "--prop", prop)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: expected an atom, got ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("output", ["table", "json"])
     def test_proposition_at_the_operator_bound(self, capsys, output):
         chain = " & ".join(["A.z.up"] * (MAX_OPERATORS + 1))

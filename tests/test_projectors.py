@@ -3,9 +3,11 @@ from random import Random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import SINGLET, E2, gr, rand_state, span, states_st, vec
+from helpers import SINGLET, E2, gr, rand_span_pair, rand_state, span, states_st, vec
 from qgap import (
+    InvalidValueError,
     Matrix,
     Projector,
     QgapError,
@@ -57,6 +59,44 @@ class TestConstructorValidation:
     def test_accepts_projectors(self):
         assert Projector.zero(4).is_zero
         assert Projector.identity(4).dim == 4
+
+
+def _built_or_refused(build, p, q):
+    try:
+        return build(p, q)
+    except InvalidValueError:
+        return None
+
+
+class TestProduct:
+    def test_commuting_pair(self):
+        assert Projector.product(DIFF_Z, P_Z_UD) == P_Z_UD
+        assert Projector.product(DIFF_Z, DIFF_X) == SINGLET_PROJ
+
+    def test_non_commuting_pair_is_refused(self):
+        with pytest.raises(InvalidValueError, match="^projector matrix is not Hermitian$"):
+            Projector.product(P_Z_UD, DIFF_X)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeError):
+            Projector.product(P_Z_UD, Projector.identity(2))
+
+    @given(st.integers(0, 10_000), st.sampled_from([2, 1000]))
+    def test_matches_the_checked_constructor(self, seed, height):
+        # Hermitian PQ is idempotent, so the one-test product agrees with
+        # Projector(PQ), which also squares. Random span pairs commute or
+        # not; nested ranges and P with I - P always commute.
+        a, b = rand_span_pair(Random(seed), height)
+        p, q = projector_onto(a), projector_onto(b)
+        complement = Projector(Matrix.identity(4) - p.matrix)
+        pairs = [(p, q), (q, p), (p, complement), (complement, p)]
+        for nested in (projector_onto(a.meet(b)), projector_onto(a.join(b))):
+            pairs += [(p, nested), (nested, p)]
+        for left, right in pairs:
+            got = _built_or_refused(Projector.product, left, right)
+            assert got == _built_or_refused(lambda x, y: Projector(x.matrix @ y.matrix), left, right)
+            if got is not None:
+                assert Projector(got.matrix) == got
 
 
 class TestFromSpan:

@@ -98,6 +98,11 @@ class TestCompile:
             [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         )
 
+    def test_a_plain_dict_context_compiles_like_the_standard_one(self):
+        ctx = standard_context()
+        for prop in (DIFF_Z, And(A_UP, B_DOWN)):
+            assert compile_proposition(prop, dict(ctx)) == compile_proposition(prop, ctx)
+
     def test_xor_requires_orthogonality(self):
         conj = And(A_UP, B_DOWN)
         with pytest.raises(UnsupportedConnectiveError):
@@ -124,11 +129,11 @@ class TestCompile:
         [
             # P + Q, then the validation's square: no PQ of its own.
             (Xor(A_UP, A_DOWN), None, 1),
-            # PQ, then the validation's square.
-            (And(A_UP, B_DOWN), None, 2),
+            # PQ is Hermitian, so it is already idempotent: no square.
+            (And(A_UP, B_DOWN), None, 1),
             # P + Q is Hermitian, so the validation squares it and refuses.
             (Xor(A_UP, B_UP), "exclusive-or of non-orthogonal propositions: A.z.up ^ B.z.up", 1),
-            # PQ is not Hermitian, so the validation refuses before squaring.
+            # PQ is not Hermitian, so the product refuses it.
             (
                 And(A_UP, Atom(Particle.A, Axis.X, Direction.UP)),
                 "conjunction of non-commuting propositions: A.z.up & A.x.up",

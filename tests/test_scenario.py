@@ -40,6 +40,17 @@ G = TruthValueSet.GAP
 A_Z_UP = Atom(Particle.A, Axis.Z, Direction.UP)
 
 
+class TestStandardContext:
+    def test_one_shared_mapping(self):
+        assert standard_context() is standard_context()
+
+    def test_read_only(self):
+        ctx = standard_context()
+        with pytest.raises(TypeError):
+            ctx[A_Z_UP] = atom_projector(Atom(Particle.A, Axis.Z, Direction.DOWN))
+        assert ctx[A_Z_UP] == atom_projector(A_Z_UP)
+
+
 class TestPauli:
     def test_z(self):
         assert pauli(Axis.Z) == Matrix.from_rows([[1, 0], [0, -1]])
