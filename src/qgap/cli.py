@@ -13,7 +13,8 @@ is not the proposition's dimension, ``--b`` in another ambient dimension
 than ``--a``, and a ``--vector`` whose length is not ``--a``'s ambient
 dimension. Every ','-separated entry is one scalar token and every
 ','-separated part of a nonempty ``--query`` one atom, so a blank one is a
-usage error, and so is an empty ``--state``; a span's ';'-separated rows are read by
+usage error, and so are an empty ``--state`` and a query of more than
+``MAX_QUERY_ATOMS`` atoms; a span's ';'-separated rows are read by
 ``lattice.parse_span``, the reader the fixture audit uses too.
 """
 
@@ -50,9 +51,17 @@ def _parse_span(text: str) -> Subspace:
     return parse_span([chunk.split(",") for chunk in text.split(";") if chunk.strip(string.whitespace)])
 
 
+# A query's classical population doubles with every free atom, repeats
+# included, so a query holds at most as many atoms as the pair space has.
+MAX_QUERY_ATOMS = 12
+
+
 def _parse_query(text: str):
     """Atoms of a ','-separated query: empty text is the empty query, a blank part is malformed."""
-    return tuple(parse_atom(part) for part in text.split(",")) if text else ()
+    parts = text.split(",") if text else []
+    if len(parts) > MAX_QUERY_ATOMS:
+        raise ParseError(f"query has {len(parts)} atoms, more than {MAX_QUERY_ATOMS}")
+    return tuple(parse_atom(part) for part in parts)
 
 
 def _emit_json(payload: dict) -> None:
@@ -68,7 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("epr-run", help="run the two-particle scenario and report both semantics")
     run.add_argument("--axis", choices=[a.value for a in Axis], default="z")
-    run.add_argument("--query", default="", help="comma-separated atoms, e.g. B.z.down,B.x.up")
+    run.add_argument(
+        "--query",
+        default="",
+        help=f"comma-separated atoms, at most {MAX_QUERY_ATOMS}, e.g. B.z.down,B.x.up",
+    )
     run.add_argument("--semantics", choices=_SEMANTICS, default="both")
     run.add_argument("--output", choices=("table", "json"), default="table")
 

@@ -20,13 +20,13 @@ import json
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InvalidValueError, ParseError, QgapError
 from .lattice import Subspace, parse_span
 from .linalg import Matrix, StateVector, state_tensor
-from .projectors import Projector, range_of
-from .propositions import Axis, Direction
+from .projectors import range_of
+from .propositions import Axis, Direction, compile_proposition
 from .scalars import parse_scalar
 from .scenario import (
     conjunction,
@@ -34,7 +34,7 @@ from .scenario import (
     pair_observable,
     singlet,
     spin_basis,
-    standard_projector,
+    standard_context,
 )
 
 MATCH = "MATCH"
@@ -74,28 +74,24 @@ class AuditSummary:
         }
 
 
-def _conj_projector(axis: Axis, a_dir: Direction, b_dir: Direction) -> Projector:
-    return standard_projector(conjunction(axis, a_dir, b_dir))
-
-
-def _diff_projector(axis: Axis) -> Projector:
-    return standard_projector(different_spins(axis))
-
-
-def _derivations() -> dict[str, Callable[[], object]]:
-    table: dict[str, Callable[[], object]] = {}
+def _derivations() -> dict[str, object]:
+    context = standard_context()
+    table: dict[str, object] = {}
     for ax in Axis:
         j = ax.value
-        table[f"sigma_{j}{j}"] = lambda ax=ax: pair_observable(ax)
-        table[f"proj_{j}_up_down"] = lambda ax=ax: _conj_projector(ax, Direction.UP, Direction.DOWN).matrix
-        table[f"proj_{j}_down_up"] = lambda ax=ax: _conj_projector(ax, Direction.DOWN, Direction.UP).matrix
-        table[f"diff_{j}_matrix"] = lambda ax=ax: _diff_projector(ax).matrix
-        table[f"range_diff_{j}"] = lambda ax=ax: range_of(_diff_projector(ax))
-        table[f"range_{j}_up_down"] = lambda ax=ax: range_of(_conj_projector(ax, Direction.UP, Direction.DOWN))
-        table[f"range_{j}_down_up"] = lambda ax=ax: range_of(_conj_projector(ax, Direction.DOWN, Direction.UP))
-        table[f"vector_{j}_up_down"] = lambda ax=ax: state_tensor(spin_basis(ax).up, spin_basis(ax).down)
-        table[f"vector_{j}_down_up"] = lambda ax=ax: state_tensor(spin_basis(ax).down, spin_basis(ax).up)
-        table[f"singlet_{j}"] = lambda ax=ax: singlet(ax)
+        up_down = compile_proposition(conjunction(ax, Direction.UP, Direction.DOWN), context)
+        down_up = compile_proposition(conjunction(ax, Direction.DOWN, Direction.UP), context)
+        diff = compile_proposition(different_spins(ax), context)
+        table[f"sigma_{j}{j}"] = pair_observable(ax)
+        table[f"proj_{j}_up_down"] = up_down.matrix
+        table[f"proj_{j}_down_up"] = down_up.matrix
+        table[f"diff_{j}_matrix"] = diff.matrix
+        table[f"range_diff_{j}"] = range_of(diff)
+        table[f"range_{j}_up_down"] = range_of(up_down)
+        table[f"range_{j}_down_up"] = range_of(down_up)
+        table[f"vector_{j}_up_down"] = state_tensor(spin_basis(ax).up, spin_basis(ax).down)
+        table[f"vector_{j}_down_up"] = state_tensor(spin_basis(ax).down, spin_basis(ax).up)
+        table[f"singlet_{j}"] = singlet(ax)
     return table
 
 
@@ -116,7 +112,7 @@ class _Uncheckable(Exception):
     """An entry the audit cannot compare; the message becomes its note."""
 
 
-def _derived_values(entry: dict, derivations: dict[str, Callable[[], object]]) -> list[object]:
+def _derived_values(entry: dict, derivations: dict[str, object]) -> list[object]:
     missing = [key for key in ("label", "kind", "derived", "printed") if key not in entry]
     if missing:
         raise _Uncheckable(f"missing {' and '.join(missing)} value")
@@ -135,7 +131,7 @@ def _derived_values(entry: dict, derivations: dict[str, Callable[[], object]]) -
         raise _Uncheckable(f"unknown fixture kind {kind!r}")
     if kind == "chain" and len(names) != _CHAIN_LENGTH:
         raise _Uncheckable(f"a chain needs {_CHAIN_LENGTH} derived values, got {len(names)}")
-    values = [derivations[name]() for name in names]
+    values = [derivations[name] for name in names]
     for name, value in zip(names, values):
         if not isinstance(value, _KIND_TYPES[kind]):
             expected = _KIND_TYPES[kind].__name__
@@ -172,7 +168,7 @@ def _printed_value(entry: dict) -> object:
         raise _Uncheckable(f"unparseable printed {kind}: {exc}") from None
 
 
-def _check_fixture(entry: object, derivations: dict[str, Callable[[], object]]) -> FixtureResult:
+def _check_fixture(entry: object, derivations: dict[str, object]) -> FixtureResult:
     if not isinstance(entry, dict):
         return FixtureResult("", "", MISMATCH, "", "", f"entry is not an object: {entry!r}")
     label, kind = (v if isinstance(v, str) else "" for v in (entry.get("label"), entry.get("kind")))

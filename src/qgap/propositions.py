@@ -65,6 +65,11 @@ class Atom:
         return f"{self.particle.value}.{self.axis.value}.{self.direction.value}"
 
 
+# The twelve atoms of the pair space, in particle, axis, direction order.
+ATOMS = tuple(Atom(p, ax, d) for p in Particle for ax in Axis for d in Direction)
+_ATOM_BY_TEXT = {str(a): a for a in ATOMS}
+
+
 @dataclass(frozen=True)
 class And:
     left: "Proposition"
@@ -294,7 +299,6 @@ def population(components: Sequence[TruthValueSet], labels: Sequence[str]) -> Po
     return Population(tuple(labels), tuples)
 
 
-_ATOM_RE = re.compile(r"[AB]\.[xyz]\.(?:up|down)")
 _TOKEN_RE = re.compile(r"\s*(?:(?P<atom>[AB]\.[xyz]\.(?:up|down))|(?P<op>[&^()]))", re.ASCII)
 # Parsing, printing and compiling all recurse once per level of nesting, so
 # the connectives and parentheses of one proposition are capped well below
@@ -304,11 +308,10 @@ MAX_OPERATORS = 100
 
 def parse_atom(text: str) -> Atom:
     """Parse one atom such as ``A.z.up``; only surrounding ASCII whitespace is stripped."""
-    s = text.strip(string.whitespace)
-    if not _ATOM_RE.fullmatch(s):
-        raise ParseError(f"not an atom (expected e.g. A.z.up): {text!r}")
-    particle, axis, direction = s.split(".")
-    return Atom(Particle(particle), Axis(axis), Direction(direction))
+    try:
+        return _ATOM_BY_TEXT[text.strip(string.whitespace)]
+    except KeyError:
+        raise ParseError(f"not an atom (expected e.g. A.z.up): {text!r}") from None
 
 
 def _tokenize(text: str) -> list[str]:

@@ -19,6 +19,7 @@ from .errors import ImpossibleOutcomeError, InvalidValueError, ShapeError
 from .linalg import Matrix, StateVector, inner, state_tensor, tensor_product
 from .projectors import Projector
 from .propositions import (
+    ATOMS,
     And,
     Atom,
     Axis,
@@ -113,27 +114,12 @@ def atom_projector(atom: Atom) -> Projector:
 
 @lru_cache(maxsize=None)
 def standard_context() -> Mapping[Atom, Projector]:
-    """Projectors for all twelve atoms of the pair space, as one shared read-only mapping."""
-    return MappingProxyType(
-        {
-            Atom(p, ax, d): atom_projector(Atom(p, ax, d))
-            for p in Particle
-            for ax in Axis
-            for d in Direction
-        }
-    )
+    """Projectors for the twelve ``ATOMS``, as one shared read-only mapping.
 
-
-@lru_cache(maxsize=None)
-def standard_projector(p: Proposition) -> Projector:
-    """The projector of a proposition in ``standard_context()``, compiled once.
-
-    Meant for the scenario's constant propositions (the atoms and the
-    Diff/Same/conjunction propositions of every run and of the fixture
-    audit); arbitrary user propositions go through ``compile_proposition``
-    so the memo stays bounded.
+    Compiling against it memoizes nothing; constant propositions are compiled
+    once because the run table and the fixture audit are each built once.
     """
-    return compile_proposition(p, standard_context())
+    return MappingProxyType({a: atom_projector(a) for a in ATOMS})
 
 
 def conjunction(axis: Axis, a_dir: Direction, b_dir: Direction) -> Proposition:
@@ -225,7 +211,7 @@ _Entry = tuple[str, Proposition, Projector]
 
 
 def _with_projectors(entries: Sequence[tuple[str, Proposition]]) -> tuple[_Entry, ...]:
-    return tuple((label, prop, standard_projector(prop)) for label, prop in entries)
+    return tuple((label, prop, compile_proposition(prop, standard_context())) for label, prop in entries)
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +233,7 @@ def _run_table() -> tuple[tuple[_Entry, ...], tuple[_Entry, ...]]:
         ):
             prop = conjunction(ax, a_dir, b_dir)
             pre.append((str(prop), prop))
-    atoms = [Atom(p, ax, d) for p in Particle for ax in Axis for d in Direction]
-    return _with_projectors(pre), _with_projectors([(str(a), a) for a in atoms])
+    return _with_projectors(pre), _with_projectors([(str(a), a) for a in ATOMS])
 
 
 def _valuation_records(state: StateVector, entries: Sequence[_Entry]) -> tuple[ValuationRecord, ...]:
@@ -261,12 +246,12 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     """One full run: prepare the singlet, verify spin-up for particle A, report.
 
     The report contrasts the two semantics on the queried atoms: the
-    supervaluational populations come from valuating the post-verification
-    state, the classical ones from the bivalent assignments that satisfy the
+    supervaluational populations are read off the post-verification rows,
+    the classical ones come from the bivalent assignments that satisfy the
     run's constraints. Only the verified axis's pairs are enumerated; every
     other queried pair is unconstrained and factors out as {0,1}. The 30
     constant valuation rows, with their projectors, are built once and
-    shared by every run.
+    shared by every run, and each run valuates each row once.
     """
     from .fixtures import audit_summary
 
@@ -275,10 +260,8 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     verified_atom = Atom(Particle.A, verify_axis, Direction.UP)
     post = verify(system, verified_atom)
     pre_entries, post_entries = _run_table()
-
-    super_sets = [
-        valuate(post.state, atom_projector(a)) for a in query
-    ]
+    post_valuations = _valuation_records(post.state, post_entries)
+    after = {r.proposition: r.value for r in post_valuations}
     labels = [str(a) for a in query]
     # The singlet justifies these along the verified axis; they name only its two pairs.
     constraints = [(different_spins(verify_axis), 1), (verified_atom, 1)]
@@ -290,9 +273,9 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
         prepared_state=system.state,
         post_state=post.state,
         pre_valuations=_valuation_records(system.state, pre_entries),
-        post_valuations=_valuation_records(post.state, post_entries),
+        post_valuations=post_valuations,
         classical_population=population(classical_value_sets(constraints, query), labels),
-        super_population=population(super_sets, labels),
+        super_population=population([after[a] for a in query], labels),
         fixture_summary=audit_summary(),
     )
 

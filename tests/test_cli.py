@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap.cli import main
+from qgap.cli import MAX_QUERY_ATOMS, main
 from qgap.propositions import MAX_OPERATORS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -78,6 +78,24 @@ class TestEprRun:
         code, out, err = run_cli(capsys, "epr-run", "--query", "B.z.sideways")
         assert code == 2
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    def test_query_longer_than_the_atom_count_is_usage_error(self, capsys, output):
+        assert MAX_QUERY_ATOMS == 12
+        query = ",".join(["B.x.up"] * 13)
+        code, out, err = run_cli(capsys, "epr-run", "--query", query, "--output", output)
+        assert (code, out) == (2, "")
+        assert err == "usage error: query has 13 atoms, more than 12\n"
+
+    def test_query_of_twelve_repeated_free_atoms_is_answered(self, capsys):
+        query = ",".join(["B.x.up"] * 12)
+        code, out, err = run_cli(
+            capsys, "epr-run", "--axis", "z", "--query", query,
+            "--semantics", "classical", "--output", "json",
+        )
+        assert (code, err) == (0, "")
+        tuples = json.loads(out)["populations"]["classical"]["tuples"]
+        assert len(tuples) == 4096 == len(set(map(tuple, tuples)))
 
     def test_empty_query_is_the_default(self, capsys):
         assert run_cli(capsys, "epr-run", "--query", "") == run_cli(capsys, "epr-run")

@@ -47,7 +47,7 @@ from qgap import (
     standard_context,
     valuate,
 )
-from qgap.propositions import MAX_OPERATORS
+from qgap.propositions import ATOMS, MAX_OPERATORS
 
 A_UP = Atom(Particle.A, Axis.Z, Direction.UP)
 A_DOWN = Atom(Particle.A, Axis.Z, Direction.DOWN)
@@ -424,6 +424,20 @@ class TestGrammar:
         for bad in ("", " ", "\xa0A.z.up", "A.z.up\u2003", "A.z. up"):
             with pytest.raises(ParseError, match="not an atom"):
                 parse_atom(bad)
+
+    def test_atom_table_is_every_atom_once_in_order(self):
+        assert list(ATOMS) == ALL_ATOMS
+
+    @pytest.mark.parametrize("atom", ATOMS, ids=str)
+    def test_every_atom_parses_to_its_table_entry(self, atom):
+        for text in (str(atom), f" \t{atom}\r\n", f"\x0b{atom}\x0c"):
+            assert parse_atom(text) is atom
+
+    @pytest.mark.parametrize("bad", ["A.z.UP", "C.z.up", "A.z.up.", "a.z.up", "A.zup", "A.z.up,B.z.up"])
+    def test_near_miss_atom_keeps_the_message(self, bad):
+        with pytest.raises(ParseError) as info:
+            parse_atom(bad)
+        assert str(info.value) == f"not an atom (expected e.g. A.z.up): {bad!r}"
 
     def test_precedence(self):
         got = parse_proposition("A.z.up & B.z.down ^ A.z.down & B.z.up")

@@ -20,6 +20,7 @@ from qgap import (
     eigencheck,
     pair_observable,
     pauli,
+    population,
     prepare_singlet,
     range_of,
     run_epr,
@@ -31,13 +32,13 @@ from qgap import (
     verify,
 )
 from qgap.fixtures import audit
-from qgap.scenario import standard_projector
 
 T = TruthValueSet.TRUE_ONLY
 F = TruthValueSet.FALSE_ONLY
 G = TruthValueSet.GAP
 
 A_Z_UP = Atom(Particle.A, Axis.Z, Direction.UP)
+ALL_ATOMS = [Atom(p, ax, d) for p in Particle for ax in Axis for d in Direction]
 
 
 class TestStandardContext:
@@ -270,13 +271,28 @@ class TestRunEpr:
         assert len(calls[0]) == 4
         assert set(calls[0]) == {Atom(p, axis, d) for p in Particle for d in Direction}
 
+    @pytest.mark.parametrize("axis", list(Axis))
+    @pytest.mark.parametrize("atom", ALL_ATOMS, ids=str)
+    def test_super_population_is_the_atom_valuated_in_the_post_state(self, axis, atom):
+        # Reference: the separate valuation of each queried atom that the post rows replaced.
+        post_state = verify(prepare_singlet(axis), Atom(Particle.A, axis, Direction.UP)).state
+        expected = population([valuate(post_state, atom_projector(atom))], [str(atom)])
+        assert run_epr(axis, [atom]).super_population == expected
+
+    @pytest.mark.parametrize("size", [0, 1, 6, 12])
+    def test_each_run_valuates_thirty_rows_whatever_the_query(self, monkeypatch, size):
+        calls = []
+        valuate_once = scenario.valuate
+        monkeypatch.setattr(scenario, "valuate", lambda s, p: calls.append(p) or valuate_once(s, p))
+        for axis in Axis:
+            calls.clear()
+            run_epr(axis, ALL_ATOMS[:size])
+            assert len(calls) == 30
+
     def test_fixture_summary_included(self):
         report = run_epr(Axis.Z, [])
         assert report.fixture_summary.total == 27
         assert report.fixture_summary.match_count == 21
-
-
-ALL_ATOMS = [Atom(p, ax, d) for p in Particle for ax in Axis for d in Direction]
 
 
 def _pre_verification_propositions():
@@ -288,12 +304,14 @@ def _pre_verification_propositions():
 class TestStandardProjector:
     def test_agrees_with_compile_proposition(self):
         ctx = standard_context()
-        for prop in _pre_verification_propositions() + ALL_ATOMS:
-            assert standard_projector(prop) == compile_proposition(prop, ctx)
+        pre, post = scenario._run_table()
+        assert [prop for _, prop, _ in pre] == _pre_verification_propositions()
+        assert [prop for _, prop, _ in post] == ALL_ATOMS
+        for _, prop, projector in pre + post:
+            assert projector == compile_proposition(prop, ctx)
 
     def test_repeated_call_returns_the_same_object(self):
-        for prop in _pre_verification_propositions() + ALL_ATOMS:
-            assert standard_projector(prop) is standard_projector(prop)
+        assert scenario._run_table() is scenario._run_table()
 
     def test_warm_runs_compile_nothing(self, monkeypatch):
         query = [Atom(Particle.B, Axis.Z, Direction.DOWN), Atom(Particle.B, Axis.X, Direction.UP)]
@@ -310,7 +328,6 @@ class TestStandardProjector:
         for axis in Axis:
             run_epr(axis, query)
         assert calls == []
-        standard_projector.cache_clear()
         scenario._run_table.cache_clear()
         run_epr(Axis.Z, query)
         assert len(calls) == 30
@@ -319,8 +336,10 @@ class TestStandardProjector:
         query = [Atom(Particle.B, Axis.Z, Direction.DOWN), Atom(Particle.B, Axis.X, Direction.UP)]
         first = run_epr(Axis.Z, query)
         calls = []
-        compiled = scenario.standard_projector
-        monkeypatch.setattr(scenario, "standard_projector", lambda p: calls.append(p) or compiled(p))
+        compiled = scenario.compile_proposition
+        monkeypatch.setattr(
+            scenario, "compile_proposition", lambda p, context: calls.append(p) or compiled(p, context)
+        )
         for axis in Axis:
             again = run_epr(axis, query)
             for old, new in zip(
@@ -333,7 +352,6 @@ class TestStandardProjector:
     @pytest.mark.parametrize("axis", list(Axis))
     def test_warm_and_cold_reports_are_equal(self, axis):
         query = [Atom(Particle.B, axis, Direction.DOWN), Atom(Particle.A, Axis.Y, Direction.UP)]
-        standard_projector.cache_clear()
         scenario._run_table.cache_clear()
         audit.cache_clear()
         cold = run_epr(axis, query)
