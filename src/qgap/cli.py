@@ -32,7 +32,15 @@ from .lattice import Subspace, parse_span
 from .linalg import StateVector
 from .propositions import parse_atom, parse_proposition, compile_proposition, valuate
 from .scalars import GaussianRational, parse_scalar
-from .scenario import Axis, render_report, report_to_dict, run_epr, singlet, standard_context
+from .scenario import (
+    MAX_QUERY_ATOMS,
+    Axis,
+    render_report,
+    report_to_dict,
+    run_epr,
+    singlet,
+    standard_context,
+)
 
 _SEMANTICS = ("super", "classical", "both")
 
@@ -49,11 +57,6 @@ def _check_dim(flag: str, dim: int, expected: int, against: str) -> None:
 def _parse_span(text: str) -> Subspace:
     """Span of the ';'-separated rows of ','-separated entries; a blank row is skipped."""
     return parse_span([chunk.split(",") for chunk in text.split(";") if chunk.strip(string.whitespace)])
-
-
-# A query's classical population doubles with every free atom, repeats
-# included, so a query holds at most as many atoms as the pair space has.
-MAX_QUERY_ATOMS = 12
 
 
 def _parse_query(text: str):

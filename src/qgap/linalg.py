@@ -5,18 +5,25 @@ fresh result and is referentially transparent. There is no floating point
 anywhere: elimination uses exact division, so reduced row-echelon forms
 are canonical rather than tolerance-dependent.
 
-Every sum of products goes through ``_dot`` and every elimination
-(the lattice operations, a solve on an augmented matrix) through
-``Matrix.rref``.
-Both kernels skip each term with an exact-zero factor: the spin projectors
-and states of the pair space are mostly zeros, and adding or subtracting an
-exact zero changes no canonical triple, so the results are the same values
-without those multiplies and adds.
+Every product (``@``, ``Matrix.apply``, ``inner``) runs over the nonzero
+entries only, and every elimination (the lattice operations, a solve on an
+augmented matrix) goes through ``Matrix.rref``, which skips each term with
+an exact-zero factor. The spin projectors and states of the pair space are
+mostly zeros, and adding or subtracting an exact zero changes no canonical
+triple, so the results are the same values without those multiplies and
+adds.
+
+A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
+of its nonzero entries, computed on first use. A product accumulates each
+output row over the left operand's pattern and the right operand's
+(row-wise sparse accumulation): each output entry gets its terms in
+ascending inner index, the first one stored and each later one added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidStateError, ShapeError
@@ -25,12 +32,6 @@ from .scalars import ONE, ZERO, GaussianRational, Scalarish, coerce_scalar
 
 def _coerce_entries(values: Iterable[Scalarish]) -> tuple[GaussianRational, ...]:
     return tuple(coerce_scalar(v) for v in values)
-
-
-def _dot(xs: Iterable[GaussianRational], ys: Iterable[GaussianRational]) -> GaussianRational:
-    """Sum of the pairwise products with no zero factor, from the first of them; ZERO if none."""
-    terms = (x * y for x, y in zip(xs, ys) if not (x.is_zero or y.is_zero))
-    return sum(terms, next(terms, ZERO))
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,15 @@ class Matrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, tuple(ZERO for _ in range(rows * cols)))
+
+    @cached_property
+    def _nonzeros(self) -> tuple[tuple[tuple[int, GaussianRational], ...], ...]:
+        """Per row, the (column, entry) pairs of its nonzero entries, in column order."""
+        c = self.cols
+        return tuple(
+            tuple((j, x) for j, x in enumerate(self.entries[i * c : (i + 1) * c]) if not x.is_zero)
+            for i in range(self.rows)
+        )
 
     def at(self, i: int, j: int) -> GaussianRational:
         return self.entries[i * self.cols + j]
@@ -102,15 +112,31 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = [other.col(j) for j in range(other.cols)]
-        entries = tuple(_dot(self.row(i), col) for i in range(self.rows) for col in cols)
-        return Matrix(self.rows, other.cols, entries)
+        b_rows, n = other._nonzeros, other.cols
+        entries: list[GaussianRational] = []
+        for a_row in self._nonzeros:
+            acc: list[GaussianRational | None] = [None] * n
+            for k, x in a_row:
+                for j, y in b_rows[k]:
+                    s = acc[j]
+                    acc[j] = x * y if s is None else s + x * y
+            entries.extend(ZERO if s is None else s for s in acc)
+        return Matrix(self.rows, n, tuple(entries))
 
     def apply(self, state: "StateVector") -> tuple[GaussianRational, ...]:
         """Matrix-vector product, returned raw so callers can see a zero image."""
         if self.cols != state.dim:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to dim-{state.dim} vector")
-        return tuple(_dot(self.row(i), state.entries) for i in range(self.rows))
+        v = state.entries
+        out: list[GaussianRational] = []
+        for row in self._nonzeros:
+            acc = None
+            for k, x in row:
+                y = v[k]
+                if not y.is_zero:
+                    acc = x * y if acc is None else acc + x * y
+            out.append(ZERO if acc is None else acc)
+        return tuple(out)
 
     def conjugate_transpose(self) -> "Matrix":
         return Matrix(
@@ -120,7 +146,11 @@ class Matrix:
         )
 
     def is_hermitian(self) -> bool:
-        return self.is_square and self == self.conjugate_transpose()
+        """Each entry on or above the diagonal equals the conjugate of its mirror image."""
+        if not self.is_square:
+            return False
+        e, n = self.entries, self.cols
+        return all(e[i * n + j] == e[j * n + i].conjugate() for i in range(n) for j in range(i, n))
 
     def rref(self) -> "Matrix":
         """Reduced row-echelon form.
@@ -192,7 +222,11 @@ def inner(u: StateVector, v: StateVector) -> GaussianRational:
     """Hermitian inner product, conjugate-linear in the first argument."""
     if u.dim != v.dim:
         raise ShapeError(f"inner product of dim {u.dim} with dim {v.dim}")
-    return _dot((a.conjugate() for a in u.entries), v.entries)
+    acc = None
+    for x, y in zip(u.entries, v.entries):
+        if not (x.is_zero or y.is_zero):
+            acc = x.conjugate() * y if acc is None else acc + x.conjugate() * y
+    return ZERO if acc is None else acc
 
 
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:

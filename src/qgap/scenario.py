@@ -209,6 +209,10 @@ _RUN_NOTE = (
 
 _Entry = tuple[str, Proposition, Projector]
 
+# A query's classical population doubles with every free atom, repeats
+# included, so a query holds at most as many atoms as the pair space has.
+MAX_QUERY_ATOMS = 12
+
 
 def _with_projectors(entries: Sequence[tuple[str, Proposition]]) -> tuple[_Entry, ...]:
     return tuple((label, prop, compile_proposition(prop, standard_context())) for label, prop in entries)
@@ -251,11 +255,14 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     run's constraints. Only the verified axis's pairs are enumerated; every
     other queried pair is unconstrained and factors out as {0,1}. The 30
     constant valuation rows, with their projectors, are built once and
-    shared by every run, and each run valuates each row once.
+    shared by every run, and each run valuates each row once. A query of
+    more than ``MAX_QUERY_ATOMS`` atoms raises ``InvalidValueError``.
     """
     from .fixtures import audit_summary
 
     query = tuple(joint_query)
+    if len(query) > MAX_QUERY_ATOMS:
+        raise InvalidValueError(f"query has {len(query)} atoms, more than {MAX_QUERY_ATOMS}")
     system = prepare_singlet(verify_axis)
     verified_atom = Atom(Particle.A, verify_axis, Direction.UP)
     post = verify(system, verified_atom)

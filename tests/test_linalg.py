@@ -1,3 +1,6 @@
+import copy
+import pickle
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,8 +13,10 @@ from helpers import (
     SINGLET,
     gr,
     matrices_st,
+    nonzero_scalars_st,
     scalar_pair,
     sparse_matrices_st,
+    sparse_scalars_st,
     sparse_states_st,
     vec,
 )
@@ -27,7 +32,7 @@ from qgap import (
     state_tensor,
     tensor_product,
 )
-from qgap.scalars import ZERO
+from qgap.scalars import ZERO, GaussianRational
 
 I = gr(0, 1)
 
@@ -125,6 +130,166 @@ class TestSparseProducts:
         assert zero.apply(StateVector.of(*([1] * cols))) == (ZERO,) * rows
         assert zero.rref() == zero
         assert Subspace.row_space(zero).is_zero
+
+
+@contextmanager
+def counted_arithmetic():
+    """Count GaussianRational multiplies and adds while the block runs."""
+    counts = {"mul": 0, "add": 0}
+    originals = {"mul": GaussianRational.__mul__, "add": GaussianRational.__add__}
+
+    def wrap(key):
+        fn = originals[key]
+
+        def counted(a, b):
+            counts[key] += 1
+            return fn(a, b)
+
+        return counted
+
+    GaussianRational.__mul__ = wrap("mul")
+    GaussianRational.__add__ = wrap("add")
+    try:
+        yield counts
+    finally:
+        GaussianRational.__mul__ = originals["mul"]
+        GaussianRational.__add__ = originals["add"]
+
+
+def expected_work(term_counts):
+    """(multiplies, adds) of entries with these term counts: the first term of each is stored."""
+    return sum(term_counts), sum(n - 1 for n in term_counts if n)
+
+
+def nonzero_at(entries):
+    return {k for k, e in enumerate(entries) if not e.is_zero}
+
+
+class TestSparseWork:
+    """Each output entry multiplies exactly its nonzero-by-nonzero terms and adds them once each."""
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_matmul(self, height, data):
+        rows, inner_dim, cols = data.draw(dims_st), data.draw(dims_st), data.draw(dims_st)
+        a = data.draw(sparse_matrices_st(rows, inner_dim, height))
+        b = data.draw(sparse_matrices_st(inner_dim, cols, height))
+        terms = [
+            len(nonzero_at(a.row(i)) & nonzero_at(b.col(j))) for i in range(rows) for j in range(cols)
+        ]
+        with counted_arithmetic() as counts:
+            a @ b
+        assert (counts["mul"], counts["add"]) == expected_work(terms)
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_apply(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        m = data.draw(sparse_matrices_st(rows, cols, height))
+        v = data.draw(sparse_states_st(cols, height))
+        terms = [len(nonzero_at(m.row(i)) & nonzero_at(v.entries)) for i in range(rows)]
+        with counted_arithmetic() as counts:
+            m.apply(v)
+        assert (counts["mul"], counts["add"]) == expected_work(terms)
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_inner(self, height, data):
+        dim = data.draw(dims_st)
+        u, v = data.draw(sparse_states_st(dim, height)), data.draw(sparse_states_st(dim, height))
+        terms = [len(nonzero_at(u.entries) & nonzero_at(v.entries))]
+        with counted_arithmetic() as counts:
+            inner(u, v)
+        assert (counts["mul"], counts["add"]) == expected_work(terms)
+
+
+class TestCachedPattern:
+    """The nonzero pattern kept for products changes no equality, hash, repr or copy."""
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_invisible_to_eq_hash_and_repr(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        m = data.draw(sparse_matrices_st(rows, cols, height))
+        fresh = Matrix(m.rows, m.cols, m.entries)
+        before = (hash(m), repr(m))
+        m @ Matrix.identity(cols)
+        assert m == m and m == fresh and fresh == m
+        assert (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
+
+    @pytest.mark.parametrize("used", [False, True], ids=["cold", "used"])
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+    )
+    def test_survives_copy_and_pickle(self, clone, used):
+        m = DIFF_X + P_Z_UD.scale(I)
+        if used:
+            m.apply(SINGLET)
+            m @ m
+        m2 = clone(m)
+        assert m2 == m and hash(m2) == hash(m) and repr(m2) == repr(m)
+        assert m2 @ m2 == m @ m
+        assert m2.apply(SINGLET) == m.apply(SINGLET)
+
+
+@st.composite
+def hermitian_st(draw, dim: int, height: int):
+    """A dim x dim Hermitian matrix of sparse scalars: real diagonal, mirrored conjugates."""
+    scalars = sparse_scalars_st(height)
+    entries = [[ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        entries[i][i] = gr(draw(scalars).re)
+        for j in range(i + 1, dim):
+            entries[i][j] = draw(scalars)
+            entries[j][i] = entries[i][j].conjugate()
+    return Matrix.from_rows(entries)
+
+
+def hermitian_by_definition(m):
+    return m.is_square and m == m.conjugate_transpose()
+
+
+class TestIsHermitian:
+    """The in-place test agrees with the definition, M square and M == M*."""
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_square_and_non_square(self, height, data):
+        rows = data.draw(dims_st)
+        cols = rows if data.draw(st.booleans()) else data.draw(dims_st)
+        m = data.draw(sparse_matrices_st(rows, cols, height))
+        assert m.is_hermitian() == hermitian_by_definition(m)
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_hermitian(self, height, data):
+        m = data.draw(hermitian_st(data.draw(dims_st), height))
+        assert m.is_hermitian() and hermitian_by_definition(m)
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_one_off_diagonal_entry_perturbed(self, height, data):
+        dim = data.draw(st.integers(2, 4))
+        m = data.draw(hermitian_st(dim, height))
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(dim) for j in range(dim) if i != j]))
+        rows = m.row_lists()
+        rows[i][j] = rows[i][j] + data.draw(nonzero_scalars_st(height))
+        perturbed = Matrix.from_rows(rows)
+        assert not perturbed.is_hermitian()
+        assert perturbed.is_hermitian() == hermitian_by_definition(perturbed)
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_diagonal_entry_with_imaginary_part(self, height, data):
+        dim = data.draw(dims_st)
+        m = data.draw(hermitian_st(dim, height))
+        i = data.draw(st.integers(0, dim - 1))
+        im = data.draw(st.integers(1, height) | st.integers(-height, -1))
+        rows = m.row_lists()
+        rows[i][i] = rows[i][i] + gr(0, Fraction(im, data.draw(st.integers(1, height))))
+        skewed = Matrix.from_rows(rows)
+        assert not skewed.is_hermitian()
+        assert skewed.is_hermitian() == hermitian_by_definition(skewed)
 
 
 class TestRank:

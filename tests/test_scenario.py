@@ -8,6 +8,7 @@ from qgap import (
     Axis,
     Direction,
     ImpossibleOutcomeError,
+    InvalidValueError,
     Matrix,
     Particle,
     QgapError,
@@ -288,6 +289,15 @@ class TestRunEpr:
             calls.clear()
             run_epr(axis, ALL_ATOMS[:size])
             assert len(calls) == 30
+
+    def test_query_longer_than_the_cap_raises(self):
+        assert scenario.MAX_QUERY_ATOMS == 12
+        with pytest.raises(InvalidValueError, match="^query has 13 atoms, more than 12$"):
+            run_epr(Axis.Z, [Atom(Particle.B, Axis.X, Direction.UP)] * 13)
+
+    def test_query_at_the_cap_is_answered(self):
+        report = run_epr(Axis.Z, [Atom(Particle.B, Axis.X, Direction.UP)] * 12)
+        assert len(report.classical_population.tuples) == 4096
 
     def test_fixture_summary_included(self):
         report = run_epr(Axis.Z, [])
