@@ -3,8 +3,9 @@
 Four subcommands: ``epr-run`` executes the full scenario and prints the
 contrast between the two semantics, ``valuate`` answers one proposition
 for one state, ``lattice`` exposes the subspace operations for ad-hoc
-queries, and ``paper-check`` prints the fixture audit. Output is
-deterministic: identical invocations produce byte-identical bytes.
+queries, and ``paper-check`` prints the fixture audit. Each command returns
+its JSON payload and its table text, and ``main`` alone writes one of
+them. Identical invocations produce byte-identical bytes.
 
 Exit codes: 0 success, 1 domain error (e.g. an impossible verification),
 2 usage error (bad flags or unparseable input). Inputs whose dimensions
@@ -67,10 +68,6 @@ def _parse_query(text: str):
     return tuple(parse_atom(part) for part in parts)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgap",
@@ -126,16 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_epr_run(args: argparse.Namespace) -> int:
+def _cmd_epr_run(args: argparse.Namespace) -> tuple[object, str]:
     report = run_epr(Axis(args.axis), _parse_query(args.query))
-    if args.output == "json":
-        _emit_json(report_to_dict(report, args.semantics))
-    else:
-        print(render_report(report, args.semantics), end="")
-    return 0
+    return report_to_dict(report, args.semantics), render_report(report, args.semantics)
 
 
-def _cmd_valuate(args: argparse.Namespace) -> int:
+def _cmd_valuate(args: argparse.Namespace) -> tuple[object, str]:
     prop = parse_proposition(args.prop)
     entries = None if args.state is None else _parse_entries(args.state)
     projector = compile_proposition(prop, standard_context())
@@ -145,20 +138,14 @@ def _cmd_valuate(args: argparse.Namespace) -> int:
         _check_dim("--state", len(entries), projector.dim, "the proposition")
         state = StateVector(entries)
     value = valuate(state, projector)
-    if args.output == "json":
-        _emit_json(
-            {
-                "proposition": str(prop),
-                "state": [str(e) for e in state.entries],
-                "valuation": value.value,
-            }
-        )
-    else:
-        print(value.value)
-    return 0
+    return {
+        "proposition": str(prop),
+        "state": [str(e) for e in state.entries],
+        "valuation": value.value,
+    }, f"{value.value}\n"
 
 
-def _cmd_lattice(args: argparse.Namespace) -> int:
+def _cmd_lattice(args: argparse.Namespace) -> tuple[object, str]:
     a = _parse_span(args.a)
     op = args.op
     if op in ("meet", "join", "sum", "leq") and args.b is None:
@@ -189,20 +176,12 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     else:
         text = str(result)
         payload = [[str(e) for e in v.entries] for v in result.basis]
-    if args.output == "json":
-        _emit_json({"op": op, "result": payload})
-    else:
-        print(text)
-    return 0
+    return {"op": op, "result": payload}, f"{text}\n"
 
 
-def _cmd_paper_check(args: argparse.Namespace) -> int:
+def _cmd_paper_check(args: argparse.Namespace) -> tuple[object, str]:
     results = audit()
-    if args.output == "json":
-        _emit_json({"fixtures": [r.to_dict() for r in results]})
-    else:
-        print(render_audit_table(results), end="")
-    return 0
+    return {"fixtures": [r.to_dict() for r in results]}, render_audit_table(results)
 
 
 _DISPATCH = {
@@ -217,13 +196,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        payload, text = _DISPATCH[args.command](args)
     except ParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except QgapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.output == "json" else text)
+    return 0
 
 
 if __name__ == "__main__":

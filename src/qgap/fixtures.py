@@ -207,7 +207,6 @@ def _check_fixture(entry: object, derivations: dict[str, object]) -> FixtureResu
     return FixtureResult(label, kind, MATCH if same else MISMATCH, printed_text, str(derived_value), note)
 
 
-@lru_cache(maxsize=1)
 def load_fixture_entries() -> tuple[dict, ...]:
     raw = resources.files("qgap").joinpath("data/source_displays.json").read_text("utf-8")
     return tuple(json.loads(raw)["fixtures"])
@@ -225,7 +224,7 @@ def audit_summary() -> AuditSummary:
 
 
 def render_audit_table(results: tuple[FixtureResult, ...]) -> str:
-    width = max(len(r.label) for r in results) + 2
+    width = max((len(r.label) for r in results), default=0) + 2
     lines = []
     for r in results:
         lines.append(f"{r.label.ljust(width)}{r.status.ljust(10)}{r.note}".rstrip())

@@ -24,14 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidStateError, ShapeError
 from .scalars import ONE, ZERO, GaussianRational, Scalarish, coerce_scalar
-
-
-def _coerce_entries(values: Iterable[Scalarish]) -> tuple[GaussianRational, ...]:
-    return tuple(coerce_scalar(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ class StateVector:
     entries: tuple[GaussianRational, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _coerce_entries(self.entries))
+        object.__setattr__(self, "entries", tuple(coerce_scalar(v) for v in self.entries))
         if not self.entries:
             raise InvalidStateError("state vector needs at least one entry")
         if all(e.is_zero for e in self.entries):
@@ -219,14 +215,10 @@ class StateVector:
 
 
 def inner(u: StateVector, v: StateVector) -> GaussianRational:
-    """Hermitian inner product, conjugate-linear in the first argument."""
+    """Hermitian inner product, conjugate-linear in u: the one-row matrix conj(u) applied to v."""
     if u.dim != v.dim:
         raise ShapeError(f"inner product of dim {u.dim} with dim {v.dim}")
-    acc = None
-    for x, y in zip(u.entries, v.entries):
-        if not (x.is_zero or y.is_zero):
-            acc = x.conjugate() * y if acc is None else acc + x.conjugate() * y
-    return ZERO if acc is None else acc
+    return Matrix(1, u.dim, tuple(x.conjugate() for x in u.entries)).apply(v)[0]
 
 
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:

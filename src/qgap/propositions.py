@@ -128,28 +128,26 @@ class TruthValueSet(Enum):
     @property
     def admissible_values(self) -> tuple[int, ...]:
         """Member values in descending order (1 before 0), empty for the gap."""
-        return {
-            TruthValueSet.TRUE_ONLY: (1,),
-            TruthValueSet.FALSE_ONLY: (0,),
-            TruthValueSet.INDETERMINATE: (1, 0),
-            TruthValueSet.GAP: (),
-        }[self]
+        return _ADMISSIBLE[self]
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "TruthValueSet":
-        s = frozenset(values)
-        if s == frozenset({1}):
-            return cls.TRUE_ONLY
-        if s == frozenset({0}):
-            return cls.FALSE_ONLY
-        if s == frozenset({0, 1}):
-            return cls.INDETERMINATE
-        if not s:
-            return cls.GAP
-        raise InvalidValueError(f"not a subset of {{0,1}}: {values!r}")
+        try:
+            return _BY_VALUES[frozenset(values)]
+        except KeyError:
+            raise InvalidValueError(f"not a subset of {{0,1}}: {values!r}") from None
 
     def __str__(self) -> str:
         return self.value
+
+
+_ADMISSIBLE = {
+    TruthValueSet.TRUE_ONLY: (1,),
+    TruthValueSet.FALSE_ONLY: (0,),
+    TruthValueSet.INDETERMINATE: (1, 0),
+    TruthValueSet.GAP: (),
+}
+_BY_VALUES = {frozenset(values): t for t, values in _ADMISSIBLE.items()}
 
 
 def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Projector:

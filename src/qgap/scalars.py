@@ -6,8 +6,10 @@ and a shared positive denominator ``d``, reduced so that
 ``gcd(a, b, d) == 1``. That form is unique for each value, so equality is
 equality of the triples. The field is closed under the four arithmetic
 operations, so no computation ever rounds; each operation is integer
-arithmetic followed by a single gcd. ``.re`` and ``.im`` give the parts as
-``fractions.Fraction`` values.
+arithmetic followed by a single gcd. Each part is an ``int`` or a
+``Fraction`` (anything else raises ``TypeError``), and ``.re`` and ``.im``
+give them back as ``Fraction`` values. Text becomes a scalar only through
+``parse_scalar``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ from .errors import InvalidValueError, ParseError
 Scalarish = Union["GaussianRational", int, Fraction]
 
 
-def _ratio(value) -> tuple[int, int]:
-    """Numerator and positive denominator of an int, Fraction or other rational input."""
-    if type(value) is int:
-        return value, 1
-    f = value if type(value) is Fraction else Fraction(value)
-    return f.numerator, f.denominator
+_RATIONAL = (int, Fraction)
 
 
 class GaussianRational:
@@ -37,9 +34,10 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
-        rn, rd = _ratio(re)
-        im_n, im_d = _ratio(im)
-        a, b, d = rn * im_d, im_n * rd, rd * im_d
+        if not (isinstance(re, _RATIONAL) and isinstance(im, _RATIONAL)):
+            raise TypeError(f"scalar parts must be int or Fraction, got {re!r} and {im!r}")
+        rd, im_d = re.denominator, im.denominator
+        a, b, d = re.numerator * im_d, im.numerator * rd, rd * im_d
         g = gcd(a, b, d)
         _set_a(self, a // g)
         _set_b(self, b // g)
@@ -189,9 +187,8 @@ I_UNIT = GaussianRational(0, 1)
 def coerce_scalar(value: Scalarish) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        n, d = _ratio(value)
-        return _make(n, 0, d)
+    if isinstance(value, _RATIONAL):
+        return _make(value.numerator, 0, value.denominator)
     raise TypeError(f"cannot treat {value!r} as a scalar")
 
 

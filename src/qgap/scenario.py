@@ -42,6 +42,7 @@ if TYPE_CHECKING:
 
 def pauli(axis: Axis) -> Matrix:
     """The 2x2 spin observable along an axis, entries in {0, +-1, +-i}."""
+    axis = Axis(axis)
     if axis is Axis.X:
         return Matrix.from_rows([[0, 1], [1, 0]])
     if axis is Axis.Y:
@@ -72,11 +73,12 @@ class SpinBasis:
             raise InvalidValueError(f"spin basis along {self.axis.value} is not orthogonal")
 
     def vector(self, direction: Direction) -> StateVector:
-        return self.up if direction is Direction.UP else self.down
+        return self.up if Direction(direction) is Direction.UP else self.down
 
 
 @lru_cache(maxsize=None)
 def spin_basis(axis: Axis) -> SpinBasis:
+    axis = Axis(axis)
     if axis is Axis.X:
         return SpinBasis(axis, StateVector.of(1, 1), StateVector.of(1, -1))
     if axis is Axis.Y:
@@ -107,7 +109,7 @@ def atom_projector(atom: Atom) -> Projector:
     v = spin_basis(atom.axis).vector(atom.direction)
     outer = (v.as_column() @ v.as_column().conjugate_transpose()).scale(ONE / inner(v, v))
     eye = Matrix.identity(2)
-    if atom.particle is Particle.A:
+    if Particle(atom.particle) is Particle.A:
         return Projector(tensor_product(outer, eye))
     return Projector(tensor_product(eye, outer))
 
@@ -211,7 +213,7 @@ _Entry = tuple[str, Proposition, Projector]
 
 # A query's classical population doubles with every free atom, repeats
 # included, so a query holds at most as many atoms as the pair space has.
-MAX_QUERY_ATOMS = 12
+MAX_QUERY_ATOMS = len(ATOMS)
 
 
 def _with_projectors(entries: Sequence[tuple[str, Proposition]]) -> tuple[_Entry, ...]:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgap import fixtures
 from qgap.cli import MAX_QUERY_ATOMS, main
+from qgap.fixtures import audit
 from qgap.propositions import MAX_OPERATORS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -463,6 +465,21 @@ class TestPaperCheck:
         _, first, _ = run_cli(capsys, "paper-check")
         _, second, _ = run_cli(capsys, "paper-check")
         assert first == second
+
+    def test_empty_audit_is_reported_in_both_modes(self, capsys, monkeypatch):
+        monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: ())
+        audit.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "paper-check")
+            assert code == 0 and err == ""
+            assert out.endswith("0 fixtures: 0 match, 0 mismatch\n")
+            code, out, err = run_cli(capsys, "paper-check", "--output", "json")
+            assert code == 0 and err == "" and out == '{\n  "fixtures": []\n}\n'
+            code, out, err = run_cli(capsys, "epr-run")
+            assert code == 0 and err == ""
+            assert "fixture audit: 0/0 transcribed displays match" in out
+        finally:
+            audit.cache_clear()
 
 
 # Pieces of the CLI grammar, put together into valid input, near misses and

@@ -21,6 +21,7 @@ from qgap import (
     Axis,
     Direction,
     IncompleteAssignmentError,
+    InvalidValueError,
     Matrix,
     ParseError,
     Particle,
@@ -79,6 +80,12 @@ class TestTruthValueSet:
         assert TruthValueSet.from_values([]) is G
         with pytest.raises(ValueError):
             TruthValueSet.from_values([2])
+        for t in TruthValueSet:
+            assert TruthValueSet.from_values(t.admissible_values) is t
+        for values, text in (({2}, "{2}"), ({0, 2}, "{0, 2}"), ({-1}, "{-1}")):
+            with pytest.raises(InvalidValueError) as info:
+                TruthValueSet.from_values(values)
+            assert str(info.value) == f"not a subset of {{0,1}}: {text}"
 
     def test_from_values_rejection_is_a_package_error(self):
         with pytest.raises(QgapError):

@@ -2,6 +2,7 @@ import copy
 import operator
 import pickle
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -198,6 +199,13 @@ def test_constructor_takes_int_or_fraction_by_position_or_keyword():
     assert GaussianRational(3) == GaussianRational(re=Fraction(3)) == gr(3)
     assert GaussianRational(im=Fraction(2, 4)) == GaussianRational(0, Fraction(1, 2))
     assert type(GaussianRational(3).re) is Fraction and type(GaussianRational(3).im) is Fraction
+    assert GaussianRational(Fraction(-6, 4), 5) == parse_scalar("-3/2+5*i")
+    assert GaussianRational(im=-2) == parse_scalar("-2*i")
+    # Text is read only by parse_scalar, and inexact numbers have no exact reading.
+    for part in (0.1, 0.5, "1/2", "\u0661/2", "1e-2", "0.5", Decimal("0.5"), 1j, None):
+        for args in ((part,), (0, part), (Fraction(1, 2), part), (part, 1)):
+            with pytest.raises(TypeError):
+                GaussianRational(*args)
 
 
 @pytest.mark.parametrize("name", ["re", "im", "_a", "_b", "_d", "other"])

@@ -2,11 +2,12 @@ import pytest
 
 import qgap.propositions as propositions
 import qgap.scenario as scenario
-from helpers import SINGLET, E2, gr, vec
+from helpers import SINGLET, E2, SpinOracle, gr, vec
 from qgap import (
     Atom,
     Axis,
     Direction,
+    GaussianRational,
     ImpossibleOutcomeError,
     InvalidValueError,
     Matrix,
@@ -112,6 +113,36 @@ class TestAtomProjector:
     @pytest.mark.parametrize("direction", list(Direction))
     def test_rank_two(self, particle, axis, direction):
         assert range_of(atom_projector(Atom(particle, axis, direction))).dim == 2
+
+
+class TestMemberDispatch:
+    """A plain string equal to a member's value means that member, whatever is asked first."""
+
+    def test_string_fields_give_the_members_projector(self):
+        oracle = SpinOracle()
+        scenario.atom_projector.cache_clear()
+        try:
+            for atom in ALL_ATOMS:
+                plain = Atom(atom.particle.value, atom.axis.value, atom.direction.value)
+                rows = oracle.atom_projector(atom)
+                expected = Matrix(4, 4, tuple(GaussianRational(re, im) for row in rows for re, im in row))
+                assert atom_projector(plain).matrix == expected, str(atom)
+                assert atom_projector(atom).matrix == expected, str(atom)
+        finally:
+            scenario.atom_projector.cache_clear()
+
+    def test_string_axis_and_direction_mean_the_member(self):
+        for axis in Axis:
+            assert pauli(axis.value) == pauli(axis)
+            basis = spin_basis(axis.value)
+            assert basis.axis is axis and basis == spin_basis(axis)
+            for direction in Direction:
+                assert basis.vector(direction.value) == basis.vector(direction)
+
+    @pytest.mark.parametrize("build", [pauli, spin_basis])
+    def test_unknown_axis_raises(self, build):
+        with pytest.raises(ValueError):
+            build("w")
 
 
 class TestSinglet:
