@@ -52,13 +52,11 @@ from .scalars import GaussianRational, parse_scalar
 from .scenario import (
     ScenarioReport,
     SpinBasis,
-    TwoParticleSystem,
     atom_projector,
     different_spins,
     eigencheck,
     pair_observable,
     pauli,
-    prepare_singlet,
     run_epr,
     same_spins,
     singlet,

@@ -35,6 +35,7 @@ from .propositions import parse_atom, parse_proposition, compile_proposition, va
 from .scalars import GaussianRational, parse_scalar
 from .scenario import (
     MAX_QUERY_ATOMS,
+    SEMANTICS,
     Axis,
     render_report,
     report_to_dict,
@@ -42,9 +43,6 @@ from .scenario import (
     singlet,
     standard_context,
 )
-
-_SEMANTICS = ("super", "classical", "both")
-
 
 def _parse_entries(text: str) -> tuple[GaussianRational, ...]:
     return tuple(parse_scalar(p) for p in text.split(","))
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help=f"comma-separated atoms, at most {MAX_QUERY_ATOMS}, e.g. B.z.down,B.x.up",
     )
-    run.add_argument("--semantics", choices=_SEMANTICS, default="both")
+    run.add_argument("--semantics", choices=tuple(SEMANTICS), default="both")
     run.add_argument("--output", choices=("table", "json"), default="table")
 
     val = sub.add_parser("valuate", help="valuate one proposition in a state (default: the singlet)")

@@ -2,8 +2,9 @@
 
 ``data/source_displays.json`` holds verbatim transcriptions of the printed
 matrices, vectors and subspace families this engine reconstructs, keyed by
-display label. The audit recomputes every object from definitions (spin
-eigenvectors, outer products, tensor products, operator sums) and reports
+display label. The audit derives every object from definitions (spin
+eigenvectors, tensor products) or reads it off the rows of the run table
+that ``scenario.run_epr`` valuates (compiled projectors), and reports
 MATCH or MISMATCH per fixture, with both values attached. A MISMATCH is a
 finding about the transcribed text, never an assertion failure: a handful
 of the printed displays carry typographical slips, and pinning those down
@@ -26,15 +27,15 @@ from .errors import InvalidValueError, ParseError, QgapError
 from .lattice import Subspace, parse_span
 from .linalg import Matrix, StateVector, state_tensor
 from .projectors import range_of
-from .propositions import Axis, Direction, compile_proposition
+from .propositions import Axis, Direction
 from .scalars import parse_scalar
 from .scenario import (
+    _run_table,
     conjunction,
     different_spins,
     pair_observable,
     singlet,
     spin_basis,
-    standard_context,
 )
 
 MATCH = "MATCH"
@@ -75,13 +76,13 @@ class AuditSummary:
 
 
 def _derivations() -> dict[str, object]:
-    context = standard_context()
+    compiled = {prop: projector for _, prop, projector in _run_table()[0]}
     table: dict[str, object] = {}
     for ax in Axis:
         j = ax.value
-        up_down = compile_proposition(conjunction(ax, Direction.UP, Direction.DOWN), context)
-        down_up = compile_proposition(conjunction(ax, Direction.DOWN, Direction.UP), context)
-        diff = compile_proposition(different_spins(ax), context)
+        up_down = compiled[conjunction(ax, Direction.UP, Direction.DOWN)]
+        down_up = compiled[conjunction(ax, Direction.DOWN, Direction.UP)]
+        diff = compiled[different_spins(ax)]
         table[f"sigma_{j}{j}"] = pair_observable(ax)
         table[f"proj_{j}_up_down"] = up_down.matrix
         table[f"proj_{j}_down_up"] = down_up.matrix

@@ -207,9 +207,6 @@ class StateVector:
             raise InvalidStateError("cannot scale a state by zero")
         return StateVector(tuple(f * e for e in self.entries))
 
-    def as_column(self) -> Matrix:
-        return Matrix(self.dim, 1, self.entries)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
 

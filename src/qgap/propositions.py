@@ -37,29 +37,48 @@ from .linalg import StateVector
 from .projectors import Projector
 
 
-class Particle(str, Enum):
+class _Choice(str, Enum):
+    """A closed set of names: a plain string equal to a member's value means that member."""
+
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise InvalidValueError(f"{value!r} is not a valid {cls.__name__}")
+
+
+class Particle(_Choice):
     A = "A"
     B = "B"
 
 
-class Axis(str, Enum):
+class Axis(_Choice):
     X = "x"
     Y = "y"
     Z = "z"
 
 
-class Direction(str, Enum):
+class Direction(_Choice):
     UP = "up"
     DOWN = "down"
 
 
 @dataclass(frozen=True)
 class Atom:
-    """One particle's spin pointing up or down along one axis."""
+    """One particle's spin pointing up or down along one axis; plain strings become members."""
 
     particle: Particle
     axis: Axis
     direction: Direction
+
+    def __post_init__(self) -> None:
+        # One combined test: atoms are built per run, and members pass it without a lookup.
+        if (
+            type(self.particle) is not Particle
+            or type(self.axis) is not Axis
+            or type(self.direction) is not Direction
+        ):
+            object.__setattr__(self, "particle", Particle(self.particle))
+            object.__setattr__(self, "axis", Axis(self.axis))
+            object.__setattr__(self, "direction", Direction(self.direction))
 
     def __str__(self) -> str:
         return f"{self.particle.value}.{self.axis.value}.{self.direction.value}"

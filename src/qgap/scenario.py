@@ -5,7 +5,9 @@ pair space. Spin eigenvectors are fixed unnormalized representatives (phase
 conventions matter only for golden-output determinism, never for any
 predicate), the singlet is built directly from them, and a verification is
 an unnormalized projection of the state, which reproduces the separable
-post-state without ever introducing irrational normalizers.
+post-state without ever introducing irrational normalizers. The pair
+space's constant projectors are built here only: the fixture audit reads
+them off the run table's rows.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ class SpinBasis:
     down: StateVector
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "axis", Axis(self.axis))
         sigma = pauli(self.axis)
         if not eigencheck(sigma, self.up, 1):
             raise InvalidValueError(f"up vector is not a +1 eigenvector along {self.axis.value}")
@@ -107,9 +110,10 @@ def atom_projector(atom: Atom) -> Projector:
     the four-dimensional pair space.
     """
     v = spin_basis(atom.axis).vector(atom.direction)
-    outer = (v.as_column() @ v.as_column().conjugate_transpose()).scale(ONE / inner(v, v))
+    unnormalized = Matrix(2, 2, tuple(x * y.conjugate() for x in v.entries for y in v.entries))
+    outer = unnormalized.scale(ONE / inner(v, v))
     eye = Matrix.identity(2)
-    if Particle(atom.particle) is Particle.A:
+    if atom.particle is Particle.A:
         return Projector(tensor_product(outer, eye))
     return Projector(tensor_product(eye, outer))
 
@@ -119,7 +123,7 @@ def standard_context() -> Mapping[Atom, Projector]:
     """Projectors for the twelve ``ATOMS``, as one shared read-only mapping.
 
     Compiling against it memoizes nothing; constant propositions are compiled
-    once because the run table and the fixture audit are each built once.
+    once because the run table is built once and the fixture audit reads its rows.
     """
     return MappingProxyType({a: atom_projector(a) for a in ATOMS})
 
@@ -156,28 +160,17 @@ def eigencheck(observable: Matrix, candidate: StateVector, eigenvalue: Scalarish
     return observable.apply(candidate) == tuple(lam * e for e in candidate.entries)
 
 
-@dataclass(frozen=True)
-class TwoParticleSystem:
-    """A pair state."""
-
-    state: StateVector
-
-
-def prepare_singlet(axis: Axis = Axis.Z) -> TwoParticleSystem:
-    return TwoParticleSystem(singlet(axis))
-
-
-def verify(system: TwoParticleSystem, atom: Atom) -> TwoParticleSystem:
+def verify(state: StateVector, atom: Atom) -> StateVector:
     """Verification as an unnormalized projection of the state.
 
-    The post-state is the image of the current state under the atom's
-    projector; a zero image means the outcome contradicts the state, which
-    is an error rather than a state.
+    The post-state is the image of the state under the atom's projector; a
+    zero image means the outcome contradicts the state, which is an error
+    rather than a state.
     """
-    image = atom_projector(atom).matrix.apply(system.state)
+    image = atom_projector(atom).matrix.apply(state)
     if all(e.is_zero for e in image):
-        raise ImpossibleOutcomeError(f"verifying {atom} is impossible in state {system.state}")
-    return TwoParticleSystem(StateVector(image))
+        raise ImpossibleOutcomeError(f"verifying {atom} is impossible in state {state}")
+    return StateVector(image)
 
 
 @dataclass(frozen=True)
@@ -262,14 +255,15 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     """
     from .fixtures import audit_summary
 
+    verify_axis = Axis(verify_axis)
     query = tuple(joint_query)
     if len(query) > MAX_QUERY_ATOMS:
         raise InvalidValueError(f"query has {len(query)} atoms, more than {MAX_QUERY_ATOMS}")
-    system = prepare_singlet(verify_axis)
+    prepared = singlet(verify_axis)
     verified_atom = Atom(Particle.A, verify_axis, Direction.UP)
-    post = verify(system, verified_atom)
+    post = verify(prepared, verified_atom)
     pre_entries, post_entries = _run_table()
-    post_valuations = _valuation_records(post.state, post_entries)
+    post_valuations = _valuation_records(post, post_entries)
     after = {r.proposition: r.value for r in post_valuations}
     labels = [str(a) for a in query]
     # The singlet justifies these along the verified axis; they name only its two pairs.
@@ -279,14 +273,29 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
         verify_axis=verify_axis,
         verified_atom=verified_atom,
         query=query,
-        prepared_state=system.state,
-        post_state=post.state,
-        pre_valuations=_valuation_records(system.state, pre_entries),
+        prepared_state=prepared,
+        post_state=post,
+        pre_valuations=_valuation_records(prepared, pre_entries),
         post_valuations=post_valuations,
         classical_population=population(classical_value_sets(constraints, query), labels),
         super_population=population([after[a] for a in query], labels),
         fixture_summary=audit_summary(),
     )
+
+
+# Each semantics a report can show, with the names of its populations in display order.
+SEMANTICS = {
+    "super": ("supervaluational",),
+    "classical": ("classical",),
+    "both": ("classical", "supervaluational"),
+}
+
+
+def _populations(report: ScenarioReport, semantics: str) -> dict[str, Population]:
+    if semantics not in SEMANTICS:
+        raise InvalidValueError(f"unknown semantics {semantics!r}; expected one of {', '.join(SEMANTICS)}")
+    every = {"classical": report.classical_population, "supervaluational": report.super_population}
+    return {name: every[name] for name in SEMANTICS[semantics]}
 
 
 def _population_dict(pop: Population) -> dict:
@@ -295,11 +304,7 @@ def _population_dict(pop: Population) -> dict:
 
 def report_to_dict(report: ScenarioReport, semantics: str = "both") -> dict:
     """Plain JSON-ready dictionary; key order is fixed for byte-stable output."""
-    populations = {}
-    if semantics in ("classical", "both"):
-        populations["classical"] = _population_dict(report.classical_population)
-    if semantics in ("super", "both"):
-        populations["supervaluational"] = _population_dict(report.super_population)
+    populations = {name: _population_dict(pop) for name, pop in _populations(report, semantics).items()}
     return {
         "axis": report.verify_axis.value,
         "verified": str(report.verified_atom),
@@ -337,10 +342,8 @@ def render_report(report: ScenarioReport, semantics: str = "both") -> str:
     lines.append("")
     query_text = ", ".join(str(a) for a in report.query)
     lines.append(f"populations for query ({query_text})")
-    if semantics in ("classical", "both"):
-        lines.append(f"  {'classical'.ljust(width)}{report.classical_population}")
-    if semantics in ("super", "both"):
-        lines.append(f"  {'supervaluational'.ljust(width)}{report.super_population}")
+    for name, pop in _populations(report, semantics).items():
+        lines.append(f"  {name.ljust(width)}{pop}")
     summary = report.fixture_summary
     lines.append("")
     lines.append(

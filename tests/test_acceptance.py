@@ -22,7 +22,6 @@ from qgap import (
     different_spins,
     eigencheck,
     pair_observable,
-    prepare_singlet,
     projector_join,
     projector_onto,
     run_epr,
@@ -94,9 +93,9 @@ def test_criterion_03_pre_verification_valuations(capsys):
 
 
 def test_criterion_04_collapse(capsys):
-    post = verify(prepare_singlet(Axis.Z), Atom(Particle.A, Axis.Z, Direction.UP))
-    scale = post.state.entries[1]
-    ok = not scale.is_zero and post.state.entries == tuple(
+    post = verify(singlet(Axis.Z), Atom(Particle.A, Axis.Z, Direction.UP))
+    scale = post.entries[1]
+    ok = not scale.is_zero and post.entries == tuple(
         scale * e for e in (gr(0), gr(1), gr(0), gr(0))
     )
     values = {
@@ -106,7 +105,7 @@ def test_criterion_04_collapse(capsys):
         (Particle.B, Axis.X, Direction.DOWN): G,
     }
     for key, expected in values.items():
-        ok = ok and valuate(post.state, atom_projector(Atom(*key))) is expected
+        ok = ok and valuate(post, atom_projector(Atom(*key))) is expected
     with capsys.disabled():
         check(4, "verify(singlet, A.z.up) collapses to e2 and fixes Bob's z spin only", ok)
 

@@ -25,7 +25,7 @@ from qgap import (
     Particle,
     UnsupportedConnectiveError,
     compile_proposition,
-    prepare_singlet,
+    singlet,
     standard_context,
     valuate,
     verify,
@@ -52,12 +52,12 @@ def refusal_message(node) -> str:
 
 def state_pairs(oracle: SpinOracle):
     """(qgap state, oracle vector) for the singlet and its six post-verification states."""
-    pairs = [(prepare_singlet().state, SINGLET_PAIRS)]
+    pairs = [(singlet(Axis.Z), SINGLET_PAIRS)]
     for ax in Axis:
         for d in Direction:
             atom = Atom(Particle.A, ax, d)
-            post = verify(prepare_singlet(ax), atom)
-            pairs.append((post.state, oracle.apply(oracle.atom_projector(atom), SINGLET_PAIRS)))
+            post = verify(singlet(ax), atom)
+            pairs.append((post, oracle.apply(oracle.atom_projector(atom), SINGLET_PAIRS)))
     return pairs
 
 

@@ -6,15 +6,20 @@ value sets that ``epr_mix`` builds its expected reports from. Both are read
 here, never written.
 """
 
+import dataclasses
+import importlib
 import itertools
 import subprocess
 import sys
 
 import pytest
 
+import tracer
 import workloads
-from qgap import Axis, parse_atom, run_epr
+import qgap
+from qgap import Axis, GaussianRational, parse_atom, run_epr
 from qgap.cli import main
+from qgap.scenario import ScenarioReport
 
 CATALOG = workloads.load_reference("cli.json")["catalog"]
 EPR_REFERENCE = workloads.load_reference("epr.json")
@@ -59,3 +64,26 @@ def test_benchmark_queries_match_the_reference():
     for axis, query in itertools.islice(workloads.inputs("epr_mix", 1), 3 * len(workloads.EPR_SIZES)):
         assert _judge_epr(axis, query), (axis, query)
 
+
+# Named by the tracer for code that no longer exists; no span can carry them.
+STALE_TRACED_NAMES = {"linalg.Matrix.kernel_basis", "linalg.Matrix.inverse"}
+
+
+def _defined_at(name):
+    """Whether a traced name resolves to code whose module and qualname are that name."""
+    layer, *path = name.split(".")
+    obj = importlib.import_module(f"qgap.{layer}")
+    for attr in path:
+        obj = getattr(obj, attr, None)
+        if obj is None:
+            return False
+    return obj.__module__ == f"qgap.{layer}" and obj.__qualname__ == ".".join(path)
+
+
+def test_the_names_the_benchmark_reads_resolve_where_the_tracer_looks():
+    traced = {n for names in tracer.SPAN_GROUPS.values() for n in names} | tracer.COUNTED_FUNCTIONS
+    assert {n for n in traced if not _defined_at(n)} == STALE_TRACED_NAMES
+    assert set(tracer.SCALAR_COUNTS) <= set(GaussianRational.__dict__)
+    assert callable(qgap.scenario.atom_projector.cache_info)
+    assert "fixture_summary" in {f.name for f in dataclasses.fields(ScenarioReport)}
+    assert callable(qgap.scenario.render_report) and callable(qgap.audit)

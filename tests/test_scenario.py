@@ -1,5 +1,6 @@
 import pytest
 
+import qgap.fixtures as fixtures
 import qgap.propositions as propositions
 import qgap.scenario as scenario
 from helpers import SINGLET, E2, SpinOracle, gr, vec
@@ -15,6 +16,7 @@ from qgap import (
     QgapError,
     ShapeError,
     SpinBasis,
+    StateVector,
     TruthValueSet,
     atom_projector,
     compile_proposition,
@@ -23,7 +25,6 @@ from qgap import (
     pair_observable,
     pauli,
     population,
-    prepare_singlet,
     range_of,
     run_epr,
     same_spins,
@@ -34,6 +35,7 @@ from qgap import (
     verify,
 )
 from qgap.fixtures import audit
+from qgap.scenario import render_report, report_to_dict
 
 T = TruthValueSet.TRUE_ONLY
 F = TruthValueSet.FALSE_ONLY
@@ -141,8 +143,33 @@ class TestMemberDispatch:
 
     @pytest.mark.parametrize("build", [pauli, spin_basis])
     def test_unknown_axis_raises(self, build):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValueError):
             build("w")
+
+    def test_string_built_atom_holds_members(self):
+        for atom in ALL_ATOMS:
+            plain = Atom(atom.particle.value, atom.axis.value, atom.direction.value)
+            assert plain == atom and str(plain) == str(atom)
+            assert type(plain.particle) is Particle
+            assert type(plain.axis) is Axis
+            assert type(plain.direction) is Direction
+
+    @pytest.mark.parametrize("fields", [("C", "x", "up"), ("A", "w", "up"), ("A", "x", "sideways")])
+    def test_unknown_atom_field_raises(self, fields):
+        with pytest.raises(InvalidValueError):
+            Atom(*fields)
+
+    def test_string_axis_gives_the_members_run(self):
+        query = [Atom(Particle.B, Axis.Z, Direction.DOWN), Atom(Particle.B, Axis.X, Direction.UP)]
+        for axis in Axis:
+            plain, member = run_epr(axis.value, query), run_epr(axis, query)
+            assert plain.verify_axis is axis
+            assert render_report(plain) == render_report(member)
+            assert report_to_dict(plain) == report_to_dict(member)
+
+    def test_string_axis_spin_basis_reports_its_invalid_vector(self):
+        with pytest.raises(InvalidValueError, match="^up vector is not a \\+1 eigenvector along z$"):
+            SpinBasis("z", StateVector.of(1, 1), StateVector.of(0, 1))
 
 
 class TestSinglet:
@@ -186,27 +213,20 @@ class TestEigencheck:
 
 class TestVerify:
     def test_collapse_from_singlet(self):
-        post = verify(prepare_singlet(Axis.Z), A_Z_UP)
-        assert post.state == vec(0, 1, 0, 0)
+        assert verify(singlet(Axis.Z), A_Z_UP) == vec(0, 1, 0, 0)
 
     def test_verifying_inside_range_keeps_the_state(self):
-        from qgap import TwoParticleSystem
-
-        system = TwoParticleSystem(E2)
-        assert verify(system, A_Z_UP).state == E2
+        assert verify(E2, A_Z_UP) == E2
 
     def test_impossible_outcome(self):
-        from qgap import TwoParticleSystem
-
-        system = TwoParticleSystem(E2)
         with pytest.raises(ImpossibleOutcomeError):
-            verify(system, Atom(Particle.A, Axis.Z, Direction.DOWN))
+            verify(E2, Atom(Particle.A, Axis.Z, Direction.DOWN))
 
     def test_post_state_stays_in_diff_range(self):
-        post = verify(prepare_singlet(Axis.Z), A_Z_UP)
+        post = verify(singlet(Axis.Z), A_Z_UP)
         ctx = standard_context()
-        assert range_of(atom_projector(A_Z_UP)).contains(post.state)
-        assert range_of(compile_proposition(different_spins(Axis.Z), ctx)).contains(post.state)
+        assert range_of(atom_projector(A_Z_UP)).contains(post)
+        assert range_of(compile_proposition(different_spins(Axis.Z), ctx)).contains(post)
 
 
 class TestPreVerificationProfile:
@@ -307,7 +327,7 @@ class TestRunEpr:
     @pytest.mark.parametrize("atom", ALL_ATOMS, ids=str)
     def test_super_population_is_the_atom_valuated_in_the_post_state(self, axis, atom):
         # Reference: the separate valuation of each queried atom that the post rows replaced.
-        post_state = verify(prepare_singlet(axis), Atom(Particle.A, axis, Direction.UP)).state
+        post_state = verify(singlet(axis), Atom(Particle.A, axis, Direction.UP))
         expected = population([valuate(post_state, atom_projector(atom))], [str(atom)])
         assert run_epr(axis, [atom]).super_population == expected
 
@@ -354,6 +374,34 @@ class TestStandardProjector:
     def test_repeated_call_returns_the_same_object(self):
         assert scenario._run_table() is scenario._run_table()
 
+    def test_a_cold_run_and_its_audit_compile_each_constant_once(self, monkeypatch):
+        original = propositions.compile_proposition
+        outermost = []
+        depth = [0]
+
+        def counted(p, context):
+            if depth[0] == 0:
+                outermost.append(p)
+            depth[0] += 1
+            try:
+                return original(p, context)
+            finally:
+                depth[0] -= 1
+
+        for module in (propositions, scenario, fixtures):
+            if getattr(module, "compile_proposition", None) is original:
+                monkeypatch.setattr(module, "compile_proposition", counted)
+        scenario._run_table.cache_clear()
+        audit.cache_clear()
+        run_epr(Axis.Z, [])
+        assert len(outermost) == 30
+        assert len(set(outermost)) == 30
+
+    def test_audit_reads_the_run_tables_projectors(self):
+        pre, _ = scenario._run_table()
+        row = next(projector for label, _, projector in pre if label == "A.z.up & B.z.down")
+        assert fixtures._derivations()["proj_z_up_down"] is row.matrix
+
     def test_warm_runs_compile_nothing(self, monkeypatch):
         query = [Atom(Particle.B, Axis.Z, Direction.DOWN), Atom(Particle.B, Axis.X, Direction.UP)]
         for axis in Axis:
@@ -398,3 +446,12 @@ class TestStandardProjector:
         cold = run_epr(axis, query)
         warm = run_epr(axis, query)
         assert warm == cold
+
+
+class TestSemantics:
+    @pytest.mark.parametrize("render", [render_report, report_to_dict])
+    @pytest.mark.parametrize("semantics", ["clasical", "Both"])
+    def test_misspelt_semantics_raises(self, render, semantics):
+        report = run_epr(Axis.Z, [Atom(Particle.B, Axis.Z, Direction.DOWN)])
+        with pytest.raises(InvalidValueError, match=f"^unknown semantics '{semantics}'"):
+            render(report, semantics)
