@@ -16,7 +16,7 @@ from .errors import (
     ShapeError,
     UnsupportedConnectiveError,
 )
-from .fixtures import AuditSummary, FixtureResult, audit, audit_summary
+from .fixtures import AuditSummary, FixtureResult
 from .lattice import Subspace, parse_span
 from .linalg import Matrix, StateVector, inner, state_tensor, tensor_product
 from .projectors import (
@@ -53,6 +53,8 @@ from .scenario import (
     ScenarioReport,
     SpinBasis,
     atom_projector,
+    audit,
+    audit_summary,
     different_spins,
     eigencheck,
     pair_observable,

@@ -28,7 +28,7 @@ import sys
 from typing import Sequence
 
 from .errors import ParseError, QgapError
-from .fixtures import audit, render_audit_table
+from .fixtures import render_audit_table
 from .lattice import Subspace, parse_span
 from .linalg import StateVector
 from .propositions import parse_atom, parse_proposition, compile_proposition, valuate
@@ -37,6 +37,7 @@ from .scenario import (
     MAX_QUERY_ATOMS,
     SEMANTICS,
     Axis,
+    audit,
     render_report,
     report_to_dict,
     run_epr,

@@ -1,14 +1,14 @@
-"""Audit of the transcribed source displays against derived values.
+"""Comparison of the transcribed source displays with derived values.
 
 ``data/source_displays.json`` holds verbatim transcriptions of the printed
 matrices, vectors and subspace families this engine reconstructs, keyed by
-display label. The audit derives every object from definitions (spin
-eigenvectors, tensor products) or reads it off the rows of the run table
-that ``scenario.run_epr`` valuates (compiled projectors), and reports
-MATCH or MISMATCH per fixture, with both values attached. A MISMATCH is a
-finding about the transcribed text, never an assertion failure: a handful
-of the printed displays carry typographical slips, and pinning those down
-is exactly what the audit is for.
+display label; each entry names the derived value it is compared with.
+``check_fixtures`` reads the file and compares every entry with a table of
+derived values that it is given (``scenario`` builds the pair space's
+table), and reports MATCH or MISMATCH per fixture, with both values
+attached. A MISMATCH is a finding about the transcribed text, never an
+assertion failure: a handful of the printed displays carry typographical
+slips, and pinning those down is exactly what the audit is for.
 
 Printed text is read, compared and shown through the library's own values:
 a vector or ray is a ``StateVector``, a matrix a ``Matrix``, and a range or
@@ -19,24 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from importlib import resources
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidValueError, ParseError, QgapError
 from .lattice import Subspace, parse_span
-from .linalg import Matrix, StateVector, state_tensor
-from .projectors import range_of
-from .propositions import Axis, Direction
+from .linalg import Matrix, StateVector
 from .scalars import parse_scalar
-from .scenario import (
-    _run_table,
-    conjunction,
-    different_spins,
-    pair_observable,
-    singlet,
-    spin_basis,
-)
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -75,27 +64,6 @@ class AuditSummary:
         }
 
 
-def _derivations() -> dict[str, object]:
-    compiled = {prop: projector for _, prop, projector in _run_table()[0]}
-    table: dict[str, object] = {}
-    for ax in Axis:
-        j = ax.value
-        up_down = compiled[conjunction(ax, Direction.UP, Direction.DOWN)]
-        down_up = compiled[conjunction(ax, Direction.DOWN, Direction.UP)]
-        diff = compiled[different_spins(ax)]
-        table[f"sigma_{j}{j}"] = pair_observable(ax)
-        table[f"proj_{j}_up_down"] = up_down.matrix
-        table[f"proj_{j}_down_up"] = down_up.matrix
-        table[f"diff_{j}_matrix"] = diff.matrix
-        table[f"range_diff_{j}"] = range_of(diff)
-        table[f"range_{j}_up_down"] = range_of(up_down)
-        table[f"range_{j}_down_up"] = range_of(down_up)
-        table[f"vector_{j}_up_down"] = state_tensor(spin_basis(ax).up, spin_basis(ax).down)
-        table[f"vector_{j}_down_up"] = state_tensor(spin_basis(ax).down, spin_basis(ax).up)
-        table[f"singlet_{j}"] = singlet(ax)
-    return table
-
-
 def _bool_word(value: bool) -> str:
     return "true" if value else "false"
 
@@ -113,7 +81,7 @@ class _Uncheckable(Exception):
     """An entry the audit cannot compare; the message becomes its note."""
 
 
-def _derived_values(entry: dict, derivations: dict[str, object]) -> list[object]:
+def _derived_values(entry: dict, derivations: Mapping[str, object]) -> list[object]:
     missing = [key for key in ("label", "kind", "derived", "printed") if key not in entry]
     if missing:
         raise _Uncheckable(f"missing {' and '.join(missing)} value")
@@ -169,7 +137,7 @@ def _printed_value(entry: dict) -> object:
         raise _Uncheckable(f"unparseable printed {kind}: {exc}") from None
 
 
-def _check_fixture(entry: object, derivations: dict[str, object]) -> FixtureResult:
+def _check_fixture(entry: object, derivations: Mapping[str, object]) -> FixtureResult:
     if not isinstance(entry, dict):
         return FixtureResult("", "", MISMATCH, "", "", f"entry is not an object: {entry!r}")
     label, kind = (v if isinstance(v, str) else "" for v in (entry.get("label"), entry.get("kind")))
@@ -183,7 +151,7 @@ def _check_fixture(entry: object, derivations: dict[str, object]) -> FixtureResu
     if kind == "chain":
         printed_holds = [printed[i] <= printed[i + 1] for i in range(2)]
         derived_holds = [derived[i] <= derived[i + 1] for i in range(2)]
-        in_all = all(s.contains(singlet(Axis.Z)) for s in derived)
+        in_all = all(s.contains(derivations["singlet_z"]) for s in derived)
         status = MATCH if all(printed_holds) and all(derived_holds) else MISMATCH
         printed_text = (
             f"z<=x: {_bool_word(printed_holds[0])}, x<=y: {_bool_word(printed_holds[1])}"
@@ -213,15 +181,13 @@ def load_fixture_entries() -> tuple[dict, ...]:
     return tuple(json.loads(raw)["fixtures"])
 
 
-@lru_cache(maxsize=1)
-def audit() -> tuple[FixtureResult, ...]:
-    """Recompute every fixture and report MATCH or MISMATCH; never raises."""
-    derivations = _derivations()
+def check_fixtures(derivations: Mapping[str, object]) -> tuple[FixtureResult, ...]:
+    """Compare every transcribed fixture with its named derived value.
+
+    A malformed entry is a MISMATCH, never an exception. A chain entry also
+    reads the singlet as ``derivations["singlet_z"]``.
+    """
     return tuple(_check_fixture(entry, derivations) for entry in load_fixture_entries())
-
-
-def audit_summary() -> AuditSummary:
-    return AuditSummary.of(audit())
 
 
 def render_audit_table(results: tuple[FixtureResult, ...]) -> str:

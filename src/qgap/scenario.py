@@ -5,9 +5,10 @@ pair space. Spin eigenvectors are fixed unnormalized representatives (phase
 conventions matter only for golden-output determinism, never for any
 predicate), the singlet is built directly from them, and a verification is
 an unnormalized projection of the state, which reproduces the separable
-post-state without ever introducing irrational normalizers. The pair
-space's constant projectors are built here only: the fixture audit reads
-them off the run table's rows.
+post-state without ever introducing irrational normalizers. Every value
+derived from the pair space is built here only: the fixture audit
+compares the transcribed displays with a table of them, whose projectors
+it reads off the run table's rows.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ImpossibleOutcomeError, InvalidValueError, ShapeError
+from .fixtures import AuditSummary, FixtureResult, check_fixtures
 from .linalg import Matrix, StateVector, inner, state_tensor, tensor_product
-from .projectors import Projector
+from .projectors import Projector, range_of
 from .propositions import (
     ATOMS,
     And,
@@ -37,9 +39,6 @@ from .propositions import (
     valuate,
 )
 from .scalars import I_UNIT, ONE, Scalarish, coerce_scalar
-
-if TYPE_CHECKING:
-    from .fixtures import AuditSummary
 
 
 def pauli(axis: Axis) -> Matrix:
@@ -193,7 +192,7 @@ class ScenarioReport:
     post_valuations: tuple[ValuationRecord, ...]
     classical_population: Population
     super_population: Population
-    fixture_summary: "AuditSummary"
+    fixture_summary: AuditSummary
 
 
 _RUN_NOTE = (
@@ -210,7 +209,8 @@ MAX_QUERY_ATOMS = len(ATOMS)
 
 
 def _with_projectors(entries: Sequence[tuple[str, Proposition]]) -> tuple[_Entry, ...]:
-    return tuple((label, prop, compile_proposition(prop, standard_context())) for label, prop in entries)
+    context = standard_context()
+    return tuple((label, prop, compile_proposition(prop, context)) for label, prop in entries)
 
 
 @lru_cache(maxsize=None)
@@ -235,6 +235,37 @@ def _run_table() -> tuple[tuple[_Entry, ...], tuple[_Entry, ...]]:
     return _with_projectors(pre), _with_projectors([(str(a), a) for a in ATOMS])
 
 
+def _derivations() -> dict[str, object]:
+    compiled = {prop: projector for _, prop, projector in _run_table()[0]}
+    table: dict[str, object] = {}
+    for ax in Axis:
+        j = ax.value
+        up_down = compiled[conjunction(ax, Direction.UP, Direction.DOWN)]
+        down_up = compiled[conjunction(ax, Direction.DOWN, Direction.UP)]
+        diff = compiled[different_spins(ax)]
+        table[f"sigma_{j}{j}"] = pair_observable(ax)
+        table[f"proj_{j}_up_down"] = up_down.matrix
+        table[f"proj_{j}_down_up"] = down_up.matrix
+        table[f"diff_{j}_matrix"] = diff.matrix
+        table[f"range_diff_{j}"] = range_of(diff)
+        table[f"range_{j}_up_down"] = range_of(up_down)
+        table[f"range_{j}_down_up"] = range_of(down_up)
+        table[f"vector_{j}_up_down"] = state_tensor(spin_basis(ax).up, spin_basis(ax).down)
+        table[f"vector_{j}_down_up"] = state_tensor(spin_basis(ax).down, spin_basis(ax).up)
+        table[f"singlet_{j}"] = singlet(ax)
+    return table
+
+
+@lru_cache(maxsize=1)
+def audit() -> tuple[FixtureResult, ...]:
+    """Recompute every fixture and report MATCH or MISMATCH; never raises."""
+    return check_fixtures(_derivations())
+
+
+def audit_summary() -> AuditSummary:
+    return AuditSummary.of(audit())
+
+
 def _valuation_records(state: StateVector, entries: Sequence[_Entry]) -> tuple[ValuationRecord, ...]:
     return tuple(
         ValuationRecord(label, prop, valuate(state, projector)) for label, prop, projector in entries
@@ -251,14 +282,16 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     other queried pair is unconstrained and factors out as {0,1}. The 30
     constant valuation rows, with their projectors, are built once and
     shared by every run, and each run valuates each row once. A query of
-    more than ``MAX_QUERY_ATOMS`` atoms raises ``InvalidValueError``.
+    more than ``MAX_QUERY_ATOMS`` atoms, or of anything but ``Atom``s, raises
+    ``InvalidValueError``.
     """
-    from .fixtures import audit_summary
-
     verify_axis = Axis(verify_axis)
     query = tuple(joint_query)
     if len(query) > MAX_QUERY_ATOMS:
         raise InvalidValueError(f"query has {len(query)} atoms, more than {MAX_QUERY_ATOMS}")
+    for element in query:
+        if not isinstance(element, Atom):
+            raise InvalidValueError(f"query element {element!r} is not an Atom")
     prepared = singlet(verify_axis)
     verified_atom = Atom(Particle.A, verify_axis, Direction.UP)
     post = verify(prepared, verified_atom)

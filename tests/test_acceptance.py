@@ -32,9 +32,9 @@ from qgap import (
     verify,
 )
 from qgap.cli import main
-from qgap.fixtures import MATCH, MISMATCH, audit
+from qgap.fixtures import MATCH, MISMATCH
 from qgap.propositions import And, Xor
-from qgap.scenario import conjunction
+from qgap.scenario import audit, conjunction
 
 T = TruthValueSet.TRUE_ONLY
 F = TruthValueSet.FALSE_ONLY

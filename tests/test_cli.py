@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qgap import fixtures
 from qgap.cli import MAX_QUERY_ATOMS, main
-from qgap.fixtures import audit
+from qgap.scenario import audit
 from qgap.propositions import MAX_OPERATORS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

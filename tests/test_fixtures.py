@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from qgap import fixtures
-from qgap.fixtures import MATCH, MISMATCH, AuditSummary, audit, audit_summary, render_audit_table
+from qgap import Matrix, StateVector, Subspace, fixtures
+from qgap.fixtures import MATCH, MISMATCH, AuditSummary, check_fixtures, render_audit_table
+from qgap.scenario import audit, audit_summary
 
 EXPECTED_STATUS = {
     "eq22_sigma_zz": MATCH,
@@ -262,3 +263,43 @@ def test_numeral_or_range_past_the_decimal_limit_is_a_mismatch(monkeypatch, fres
         "unprintable printed range: scalar too long to print: more digits than the int-string limit"
     )
     assert all(r.printed == r.derived == "" for r in results[:2])
+
+
+def test_check_fixtures_compares_with_the_table_it_is_given(monkeypatch):
+    line = Subspace.from_vectors(2, [StateVector.of(1, 1)])
+    derivations = {
+        "identity": Matrix.identity(2),
+        "e1": StateVector.of(1, 0),
+        "line": line,
+        "plane": Subspace.from_vectors(2, [StateVector.of(1, 0), StateVector.of(0, 1)]),
+        "singlet_z": StateVector.of(1, 1),
+    }
+    entries = (
+        {"label": "eye", "kind": "matrix", "derived": "identity", "printed": [["1", "0"], ["0", "1"]]},
+        {"label": "e1_ray", "kind": "ray", "derived": "e1", "printed": ["3", "0"]},
+        {"label": "e1_vector", "kind": "vector", "derived": "e1", "printed": ["3", "0"]},
+        {"label": "line", "kind": "range", "derived": "line", "printed": [["2", "2"]]},
+        {
+            "label": "chain",
+            "kind": "chain",
+            "derived": ["line", "line", "plane"],
+            "printed": [[["1", "1"]], [["2", "2"]], [["1", "0"], ["0", "1"]]],
+        },
+        {"label": "not_given", "kind": "matrix", "derived": "sigma_zz", "printed": [["1"]]},
+    )
+    monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
+    results = check_fixtures(derivations)
+    assert [(r.label, r.status) for r in results] == [
+        ("eye", MATCH),
+        ("e1_ray", MATCH),
+        ("e1_vector", MISMATCH),
+        ("line", MATCH),
+        ("chain", MATCH),
+        ("not_given", MISMATCH),
+    ]
+    assert results[0].derived == str(Matrix.identity(2))
+    assert results[3].derived == str(line)
+    assert results[4].derived == (
+        "z<=x: true, x<=y: true (derived ranges); singlet in all three: true"
+    )
+    assert results[5].note == "unknown derived value 'sigma_zz'"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import qgap.fixtures as fixtures
@@ -34,8 +36,7 @@ from qgap import (
     valuate,
     verify,
 )
-from qgap.fixtures import audit
-from qgap.scenario import render_report, report_to_dict
+from qgap.scenario import audit, render_report, report_to_dict
 
 T = TruthValueSet.TRUE_ONLY
 F = TruthValueSet.FALSE_ONLY
@@ -346,6 +347,11 @@ class TestRunEpr:
         with pytest.raises(InvalidValueError, match="^query has 13 atoms, more than 12$"):
             run_epr(Axis.Z, [Atom(Particle.B, Axis.X, Direction.UP)] * 13)
 
+    @pytest.mark.parametrize("element", ["B.z.down", 1], ids=repr)
+    def test_query_element_that_is_not_an_atom_raises(self, element):
+        with pytest.raises(InvalidValueError, match=f"^query element {re.escape(repr(element))} is not an Atom$"):
+            run_epr(Axis.Z, [Atom(Particle.B, Axis.X, Direction.UP), element])
+
     def test_query_at_the_cap_is_answered(self):
         report = run_epr(Axis.Z, [Atom(Particle.B, Axis.X, Direction.UP)] * 12)
         assert len(report.classical_population.tuples) == 4096
@@ -400,7 +406,7 @@ class TestStandardProjector:
     def test_audit_reads_the_run_tables_projectors(self):
         pre, _ = scenario._run_table()
         row = next(projector for label, _, projector in pre if label == "A.z.up & B.z.down")
-        assert fixtures._derivations()["proj_z_up_down"] is row.matrix
+        assert scenario._derivations()["proj_z_up_down"] is row.matrix
 
     def test_warm_runs_compile_nothing(self, monkeypatch):
         query = [Atom(Particle.B, Axis.Z, Direction.DOWN), Atom(Particle.B, Axis.X, Direction.UP)]
