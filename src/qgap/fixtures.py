@@ -93,7 +93,9 @@ def _derived_values(entry: dict, derivations: Mapping[str, object]) -> list[obje
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         expected = "a list of names" if kind == "chain" else "a name"
         raise _Uncheckable(f"derived value is not {expected}: {derived!r}")
-    unknown = [name for name in names if name not in derivations]
+    # A chain also tests the singlet against its ranges, so it needs that value too.
+    needed = names + ["singlet_z"] if kind == "chain" else names
+    unknown = [name for name in needed if name not in derivations]
     if unknown:
         raise _Uncheckable(f"unknown derived value {', '.join(map(repr, unknown))}")
     if not isinstance(kind, str) or kind not in _KIND_TYPES:

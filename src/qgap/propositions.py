@@ -316,7 +316,11 @@ def population(components: Sequence[TruthValueSet], labels: Sequence[str]) -> Po
     return Population(tuple(labels), tuples)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>[AB]\.[xyz]\.(?:up|down))|(?P<op>[&^()]))", re.ASCII)
+# Every match is \s* then a token or a non-space, so finditer runs contiguously and can
+# skip only trailing ASCII whitespace; ``rest`` is the text from the first non-token.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<atom>[AB]\.[xyz]\.(?:up|down))|(?P<op>[&^()])|(?P<rest>\S.*))", re.ASCII | re.DOTALL
+)
 # Parsing, printing and compiling all recurse once per level of nesting, so
 # the connectives and parentheses of one proposition are capped well below
 # the interpreter's recursion limit.
@@ -333,16 +337,10 @@ def parse_atom(text: str) -> Atom:
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip(string.whitespace)
-            if rest:
-                raise ParseError(f"unexpected input at {rest!r}")
-            break
-        tokens.append(m.group("atom") or m.group("op"))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m["rest"]:
+            raise ParseError(f"unexpected input at {m['rest'].strip(string.whitespace)!r}")
+        tokens.append(m["atom"] or m["op"])
     return tokens
 
 

@@ -9,7 +9,7 @@ operations, so no computation ever rounds; each operation is integer
 arithmetic followed by a single gcd. Each part is an ``int`` or a
 ``Fraction`` (anything else raises ``TypeError``), and ``.re`` and ``.im``
 give them back as ``Fraction`` values. Text becomes a scalar only through
-``parse_scalar``.
+``parse_scalar``; it is read and printed on the integer triple.
 """
 
 from __future__ import annotations
@@ -149,15 +149,12 @@ class GaussianRational:
         An integer with more digits than the interpreter's int-string limit
         has no decimal text; printing one raises ``InvalidValueError``.
         """
-        re_part, im_part = self.re, self.im
+        a, b, d = self._a, self._b, self._d
         try:
-            if im_part == 0:
-                return str(re_part)
-            imag = f"{im_part}*i" if im_part > 0 else f"-{-im_part}*i"
-            if re_part == 0:
-                return imag
-            sign = "+" if im_part > 0 else "-"
-            return f"{re_part}{sign}{abs(im_part)}*i"
+            if not b:
+                return _ratio_text(a, d)
+            imag = f"{_ratio_text(b, d)}*i"  # a negative part carries its own sign
+            return f"{_ratio_text(a, d)}{'+' if b > 0 else ''}{imag}" if a else imag
         except ValueError:
             raise InvalidValueError(
                 "scalar too long to print: more digits than the int-string limit"
@@ -168,6 +165,12 @@ _new = object.__new__
 _set_a = GaussianRational._a.__set__
 _set_b = GaussianRational._b.__set__
 _set_d = GaussianRational._d.__set__
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``n/d`` in lowest terms, or the integer alone when ``d`` divides ``n``."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:
@@ -193,23 +196,24 @@ def coerce_scalar(value: Scalarish) -> GaussianRational:
 
 
 # ASCII digits only: without re.ASCII, \d also matches other scripts'
-# decimal digits, which Fraction would then read as their values.
-_FRACTION = r"[+-]?\d+(?:/\d+)?"
-_REAL_RE = re.compile(rf"^({_FRACTION})$", re.ASCII)
-_IMAG_RE = re.compile(rf"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
-_FULL_RE = re.compile(rf"^({_FRACTION})([+-])(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
+# decimal digits, which int() would then read as their values. A real part
+# must end the text or meet the imaginary part's sign.
+_SCALAR_RE = re.compile(
+    r"(?:([+-]?\d+)(?:/(\d+))?(?=[+-]|\Z))?(?:([+-]?)(?:(\d+)(?:/(\d+))?\*)?i)?", re.ASCII
+)
 
 
-def _fraction(digits: str, text: str) -> Fraction:
+def _ratio(numerator: str, denominator: str | None, text: str) -> tuple[int, int]:
     try:
-        return Fraction(digits)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in scalar: {text!r}") from None
+        n, d = int(numerator), int(denominator or 1)
     except ValueError:  # a numeral past the interpreter's int-string limit
         raise ParseError(
             f"numeral too long in scalar of {len(text)} characters: "
             "more digits than the int-string limit"
         ) from None
+    if not d:
+        raise ParseError(f"zero denominator in scalar: {text!r}")
+    return n, d
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -222,19 +226,13 @@ def parse_scalar(text: str) -> GaussianRational:
     int-string limit, is malformed input and raises ``ParseError`` too.
     """
     s = text.strip(string.whitespace)
-    m = _REAL_RE.match(s)
-    if m:
-        return GaussianRational(_fraction(m.group(1), text))
-    m = _IMAG_RE.match(s)
-    if m:
-        coeff = _fraction(m.group(2), text) if m.group(2) else Fraction(1)
-        if m.group(1) == "-":
-            coeff = -coeff
-        return GaussianRational(Fraction(0), coeff)
-    m = _FULL_RE.match(s)
-    if m:
-        coeff = _fraction(m.group(3), text) if m.group(3) else Fraction(1)
-        if m.group(2) == "-":
-            coeff = -coeff
-        return GaussianRational(_fraction(m.group(1), text), coeff)
-    raise ParseError(f"not a Gaussian rational: {text!r}")
+    m = _SCALAR_RE.fullmatch(s)
+    if not s or m is None:
+        raise ParseError(f"not a Gaussian rational: {text!r}")
+    re_num, re_den, im_sign, im_num, im_den = m.groups()
+    # The imaginary part is read first, so its fault wins when both parts have one.
+    b, bd = (0, 1) if im_sign is None else _ratio(im_sign + (im_num or "1"), im_den, text)
+    a, ad = (0, 1) if re_num is None else _ratio(re_num, re_den, text)
+    a, b, d = a * bd, b * ad, ad * bd
+    g = gcd(a, b, d)
+    return _make(a // g, b // g, d // g)

@@ -303,3 +303,19 @@ def test_check_fixtures_compares_with_the_table_it_is_given(monkeypatch):
         "z<=x: true, x<=y: true (derived ranges); singlet in all three: true"
     )
     assert results[5].note == "unknown derived value 'sigma_zz'"
+
+
+def test_a_chain_without_the_singlet_in_the_table_is_a_mismatch(monkeypatch):
+    plane = Subspace.from_vectors(2, [StateVector.of(1, 0), StateVector.of(0, 1)])
+    entries = (
+        {
+            "label": "chain",
+            "kind": "chain",
+            "derived": ["plane", "plane", "plane"],
+            "printed": [[["1", "0"], ["0", "1"]]] * 3,
+        },
+    )
+    monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
+    (result,) = check_fixtures({"plane": plane})
+    assert result.status == MISMATCH
+    assert result.note == "unknown derived value 'singlet_z'"

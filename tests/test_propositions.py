@@ -478,6 +478,20 @@ class TestGrammar:
             parse_proposition(bad)
 
     @pytest.mark.parametrize(
+        "bad,rest",
+        [
+            ("A.z.up\xa0& B.z.down", "\xa0& B.z.down"),
+            ("A.z.up & B.z.down\u2003", "\u2003"),
+            ("A.z.upx", "x"),
+            ("A.z.up & ?\n\t B.z.up  ", "?\n\t B.z.up"),
+        ],
+    )
+    def test_unexpected_input_is_quoted_from_its_first_character(self, bad, rest):
+        with pytest.raises(ParseError) as exc:
+            parse_proposition(bad)
+        assert str(exc.value) == f"unexpected input at {rest!r}"
+
+    @pytest.mark.parametrize(
         "text",
         [
             " & ".join(["A.z.up"] * (MAX_OPERATORS + 1)),

@@ -104,6 +104,20 @@ def test_parse_rejects_a_numeral_past_the_int_string_limit(template):
         parse_scalar(template.format("1" * (DIGIT_LIMIT + 1)))
 
 
+# The imaginary part is read first, so its fault is the one reported.
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1/0+" + "1" * (DIGIT_LIMIT + 1) + "*i", "numeral too long"),
+        ("1" * (DIGIT_LIMIT + 1) + "+1/0*i", "zero denominator"),
+    ],
+    ids=["long-imaginary", "zero-imaginary-denominator"],
+)
+def test_parse_reports_the_imaginary_fault_when_both_parts_are_malformed(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_scalar(text)
+
+
 def test_str_of_a_scalar_past_the_int_string_limit_is_an_invalid_value():
     big = 10**DIGIT_LIMIT
     for value in (GaussianRational(big), GaussianRational(1, Fraction(1, big)), GaussianRational(1, big)):
@@ -128,7 +142,10 @@ def test_field_laws(a, b, c):
 @settings(max_examples=200)
 @given(st.one_of(scalars_st, wide_scalars_st))
 def test_str_parse_round_trip_random(a):
-    assert parse_scalar(str(a)) == a
+    # exact.to_text prints plain Fraction pairs and loads no qgap module.
+    text = exact.to_text((a.re, a.im))
+    assert str(a) == text
+    assert parse_scalar(text) == a
 
 
 # --- differential tests of the integer-triple kernel against Fraction pairs ---

@@ -2,7 +2,6 @@ import re
 
 import pytest
 
-import qgap.fixtures as fixtures
 import qgap.propositions as propositions
 import qgap.scenario as scenario
 from helpers import SINGLET, E2, SpinOracle, gr, vec
@@ -394,7 +393,7 @@ class TestStandardProjector:
             finally:
                 depth[0] -= 1
 
-        for module in (propositions, scenario, fixtures):
+        for module in (propositions, scenario):
             if getattr(module, "compile_proposition", None) is original:
                 monkeypatch.setattr(module, "compile_proposition", counted)
         scenario._run_table.cache_clear()
