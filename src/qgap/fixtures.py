@@ -13,42 +13,74 @@ slips, and pinning those down is exactly what the audit is for.
 Printed text is read, compared and shown through the library's own values:
 a vector or ray is a ``StateVector``, a matrix a ``Matrix``, and a range or
 each span of a chain goes through ``parse_span``, the CLI's span reader.
+Each result is a ``FixtureResult``, an immutable value (``scalars.Frozen``)
+whose ``to_dict`` lists its six fields in order for the JSON output.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from importlib import resources
+import pkgutil
 from typing import Mapping, Sequence
 
 from .errors import InvalidValueError, ParseError, QgapError
 from .lattice import Subspace, parse_span
 from .linalg import Matrix, StateVector
-from .scalars import parse_scalar
+from .scalars import Frozen, parse_scalar
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
 
 
-@dataclass(frozen=True)
-class FixtureResult:
-    label: str
-    kind: str
-    status: str
-    printed: str
-    derived: str
-    note: str = ""
+class FixtureResult(Frozen):
+    _fields = ("label", "kind", "status", "printed", "derived", "note")
+
+    def __init__(self, label: str, kind: str, status: str, printed: str, derived: str, note: str = "") -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "printed", printed)
+        object.__setattr__(self, "derived", derived)
+        object.__setattr__(self, "note", note)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.label, self.kind, self.status, self.printed, self.derived, self.note) == (
+                other.label, other.kind, other.status, other.printed, other.derived, other.note
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.kind, self.status, self.printed, self.derived, self.note))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "label": self.label,
+            "kind": self.kind,
+            "status": self.status,
+            "printed": self.printed,
+            "derived": self.derived,
+            "note": self.note,
+        }
 
 
-@dataclass(frozen=True)
-class AuditSummary:
-    total: int
-    match_count: int
-    mismatched: tuple[str, ...]
+class AuditSummary(Frozen):
+    _fields = ("total", "match_count", "mismatched")
+
+    def __init__(self, total: int, match_count: int, mismatched: tuple[str, ...]) -> None:
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "match_count", match_count)
+        object.__setattr__(self, "mismatched", mismatched)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.total, self.match_count, self.mismatched) == (
+                other.total, other.match_count, other.mismatched
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.total, self.match_count, self.mismatched))
 
     @classmethod
     def of(cls, results: Sequence[FixtureResult]) -> "AuditSummary":
@@ -107,6 +139,15 @@ def _derived_values(entry: dict, derivations: Mapping[str, object]) -> list[obje
         if not isinstance(value, _KIND_TYPES[kind]):
             expected = _KIND_TYPES[kind].__name__
             raise _Uncheckable(f"derived value {name!r} is a {type(value).__name__}, not a {expected}")
+    if kind == "chain":
+        dims = sorted({span.ambient_dim for span in values})
+        if len(dims) != 1:
+            raise _Uncheckable(f"derived spans differ in dimension: {dims}")
+        singlet = derivations["singlet_z"]
+        if not isinstance(singlet, StateVector):
+            raise _Uncheckable(f"derived value 'singlet_z' is a {type(singlet).__name__}, not a StateVector")
+        if singlet.dim != dims[0]:
+            raise _Uncheckable(f"derived value 'singlet_z' has dimension {singlet.dim}, not the spans' {dims[0]}")
     return values
 
 
@@ -179,8 +220,8 @@ def _check_fixture(entry: object, derivations: Mapping[str, object]) -> FixtureR
 
 
 def load_fixture_entries() -> tuple[dict, ...]:
-    raw = resources.files("qgap").joinpath("data/source_displays.json").read_text("utf-8")
-    return tuple(json.loads(raw)["fixtures"])
+    raw = pkgutil.get_data(__package__, "data/source_displays.json")
+    return tuple(json.loads(raw.decode("utf-8"))["fixtures"])
 
 
 def check_fixtures(derivations: Mapping[str, object]) -> tuple[FixtureResult, ...]:

@@ -15,12 +15,11 @@ of the CLI and the fixture audit) all call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ShapeError
 from .linalg import Matrix, StateVector
-from .scalars import ONE, ZERO, parse_scalar
+from .scalars import ONE, ZERO, Frozen, parse_scalar
 
 
 def _lead(vec: StateVector) -> int | None:
@@ -45,10 +44,21 @@ def _is_canonical(ambient_dim: int, basis: tuple[StateVector, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Subspace:
-    ambient_dim: int
-    basis: tuple[StateVector, ...] = ()
+class Subspace(Frozen):
+    _fields = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: tuple[StateVector, ...] = ()) -> None:
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
 
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:

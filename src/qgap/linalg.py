@@ -1,9 +1,10 @@
 """Dense exact linear algebra over the Gaussian rationals.
 
-Matrices and state vectors are immutable values; every operation returns a
-fresh result and is referentially transparent. There is no floating point
-anywhere: elimination uses exact division, so reduced row-echelon forms
-are canonical rather than tolerance-dependent.
+Matrices and state vectors are immutable values (``scalars.Frozen``), equal
+and hashed by their fields; every operation returns a fresh result and is
+referentially transparent. There is no floating point anywhere:
+elimination uses exact division, so reduced row-echelon forms are
+canonical rather than tolerance-dependent.
 
 Every product (``@``, ``Matrix.apply``, ``inner``) runs over the nonzero
 entries only, and every elimination (the lattice operations, a solve on an
@@ -22,19 +23,29 @@ ascending inner index, the first one stored and each later one added.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidStateError, ShapeError
-from .scalars import ONE, ZERO, GaussianRational, Scalarish, coerce_scalar
+from .scalars import ONE, ZERO, Frozen, GaussianRational, Scalarish, coerce_scalar
 
 
-@dataclass(frozen=True)
-class Matrix:
-    rows: int
-    cols: int
-    entries: tuple[GaussianRational, ...]
+class Matrix(Frozen):
+    _fields = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[GaussianRational, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -180,18 +191,26 @@ class Matrix:
         return "[" + ",".join("[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)) + "]"
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Frozen):
     """An unnormalized ray representative; the zero vector is rejected."""
 
-    entries: tuple[GaussianRational, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(coerce_scalar(v) for v in self.entries))
-        if not self.entries:
+    def __init__(self, entries: Sequence[Scalarish]) -> None:
+        entries = tuple(coerce_scalar(v) for v in entries)
+        if not entries:
             raise InvalidStateError("state vector needs at least one entry")
-        if all(e.is_zero for e in self.entries):
+        if all(e.is_zero for e in entries):
             raise InvalidStateError("the zero vector is not a state")
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @classmethod
     def of(cls, *values: Scalarish) -> "StateVector":

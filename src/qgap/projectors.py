@@ -12,12 +12,12 @@ I - P, which holds exactly for every orthogonal projector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidValueError, ShapeError
 from .lattice import Subspace
 from .linalg import Matrix, StateVector
+from .scalars import Frozen
 
 __all__ = [
     "Projector",
@@ -30,9 +30,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Projector:
-    matrix: Matrix
+class Projector(Frozen):
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: Matrix) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.matrix == other.matrix
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.matrix,))
 
     def __post_init__(self) -> None:
         m = self.matrix

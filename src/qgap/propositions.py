@@ -15,6 +15,10 @@ and exclusive-or (``^``) only. A proposition can be evaluated two ways:
 Statistical populations are cross products of the per-component admissible
 value sets, so a single gapped component empties the whole population
 while an indeterminate one doubles it.
+
+Atoms, connectives and populations are immutable values (``scalars.Frozen``)
+compared and hashed by their fields, so a proposition can key a dict; an
+``And`` never equals an ``Xor`` of the same operands.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import itertools
 import re
 import string
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -35,6 +38,7 @@ from .errors import (
 )
 from .linalg import StateVector
 from .projectors import Projector
+from .scalars import Frozen
 
 
 class _Choice(str, Enum):
@@ -61,24 +65,26 @@ class Direction(_Choice):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Frozen):
     """One particle's spin pointing up or down along one axis; plain strings become members."""
 
-    particle: Particle
-    axis: Axis
-    direction: Direction
+    _fields = ("particle", "axis", "direction")
 
-    def __post_init__(self) -> None:
+    def __init__(self, particle: Particle, axis: Axis, direction: Direction) -> None:
         # One combined test: atoms are built per run, and members pass it without a lookup.
-        if (
-            type(self.particle) is not Particle
-            or type(self.axis) is not Axis
-            or type(self.direction) is not Direction
-        ):
-            object.__setattr__(self, "particle", Particle(self.particle))
-            object.__setattr__(self, "axis", Axis(self.axis))
-            object.__setattr__(self, "direction", Direction(self.direction))
+        if type(particle) is not Particle or type(axis) is not Axis or type(direction) is not Direction:
+            particle, axis, direction = Particle(particle), Axis(axis), Direction(direction)
+        object.__setattr__(self, "particle", particle)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "direction", direction)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.particle, self.axis, self.direction) == (other.particle, other.axis, other.direction)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.particle, self.axis, self.direction))
 
     def __str__(self) -> str:
         return f"{self.particle.value}.{self.axis.value}.{self.direction.value}"
@@ -89,20 +95,30 @@ ATOMS = tuple(Atom(p, ax, d) for p in Particle for ax in Axis for d in Direction
 _ATOM_BY_TEXT = {str(a): a for a in ATOMS}
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Proposition"
-    right: "Proposition"
+class _Connective(Frozen):
+    """A binary compound; equal only to a compound of its own class with equal operands."""
 
+    _fields = ("left", "right")
+
+    def __init__(self, left: "Proposition", right: "Proposition") -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+class And(_Connective):
     def __str__(self) -> str:
         return f"{_wrap_for_and(self.left)} & {_wrap_for_and(self.right)}"
 
 
-@dataclass(frozen=True)
-class Xor:
-    left: "Proposition"
-    right: "Proposition"
-
+class Xor(_Connective):
     def __str__(self) -> str:
         return f"{self.left} ^ {self.right}"
 
@@ -289,8 +305,7 @@ def classical_value_sets(
     ]
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(Frozen):
     """The statistical population of a tuple of propositions.
 
     The cross product of the admissible value sets of the components,
@@ -298,8 +313,19 @@ class Population:
     gapped component makes the whole population empty.
     """
 
-    labels: tuple[str, ...]
-    tuples: tuple[tuple[int, ...], ...]
+    _fields = ("labels", "tuples")
+
+    def __init__(self, labels: tuple[str, ...], tuples: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "tuples", tuples)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.labels, self.tuples) == (other.labels, other.tuples)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.tuples))
 
     @property
     def is_empty(self) -> bool:

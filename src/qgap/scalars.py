@@ -10,6 +10,12 @@ arithmetic followed by a single gcd. Each part is an ``int`` or a
 ``Fraction`` (anything else raises ``TypeError``), and ``.re`` and ``.im``
 give them back as ``Fraction`` values. Text becomes a scalar only through
 ``parse_scalar``; it is read and printed on the integer triple.
+
+``Frozen`` is the base of every value class in the package: it refuses
+assignment and deletion of attributes and prints a value as
+``Name(field=value, ...)``. Each class writes its own ``__init__``,
+``__eq__`` and ``__hash__`` over its field tuple, so importing the package
+runs no class generator.
 """
 
 from __future__ import annotations
@@ -28,10 +34,34 @@ Scalarish = Union["GaussianRational", int, Fraction]
 _RATIONAL = (int, Fraction)
 
 
-class GaussianRational:
+class Frozen:
+    """Base of the package's immutable values: no attribute is assigned or deleted.
+
+    A subclass's ``__init__`` stores its fields past this rule, with
+    ``object.__setattr__`` (or, for ``GaussianRational``, its slots'
+    setters), and ``_fields`` names what ``repr`` shows, in order. Each
+    subclass writes its own ``__eq__`` and ``__hash__`` over its fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GaussianRational(Frozen):
     """Immutable (a + b*i)/d with d > 0 and gcd(a, b, d) == 1."""
 
     __slots__ = ("_a", "_b", "_d")
+    _fields = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
         if not (isinstance(re, _RATIONAL) and isinstance(im, _RATIONAL)):
@@ -42,12 +72,6 @@ class GaussianRational:
         _set_a(self, a // g)
         _set_b(self, b // g)
         _set_d(self, d // g)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return GaussianRational, (self.re, self.im)
@@ -78,9 +102,6 @@ class GaussianRational:
 
     def __hash__(self) -> int:
         return hash((self._a, self._b, self._d))
-
-    def __repr__(self) -> str:
-        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: Scalarish) -> "GaussianRational":
         o = other if type(other) is GaussianRational else coerce_scalar(other)

@@ -8,12 +8,12 @@ an unnormalized projection of the state, which reproduces the separable
 post-state without ever introducing irrational normalizers. Every value
 derived from the pair space is built here only: the fixture audit
 compares the transcribed displays with a table of them, whose projectors
-it reads off the run table's rows.
+it reads off the run table's rows. A spin basis, a valuation row and a run's
+report are immutable values (``scalars.Frozen``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -38,7 +38,7 @@ from .propositions import (
     population,
     valuate,
 )
-from .scalars import I_UNIT, ONE, Scalarish, coerce_scalar
+from .scalars import I_UNIT, ONE, Frozen, Scalarish, coerce_scalar
 
 
 def pauli(axis: Axis) -> Matrix:
@@ -56,23 +56,31 @@ def pair_observable(axis: Axis) -> Matrix:
     return tensor_product(pauli(axis), pauli(axis))
 
 
-@dataclass(frozen=True)
-class SpinBasis:
+class SpinBasis(Frozen):
     """Unnormalized +1/-1 eigenvectors of the axis observable, validated on construction."""
 
-    axis: Axis
-    up: StateVector
-    down: StateVector
+    _fields = ("axis", "up", "down")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", Axis(self.axis))
-        sigma = pauli(self.axis)
-        if not eigencheck(sigma, self.up, 1):
-            raise InvalidValueError(f"up vector is not a +1 eigenvector along {self.axis.value}")
-        if not eigencheck(sigma, self.down, -1):
-            raise InvalidValueError(f"down vector is not a -1 eigenvector along {self.axis.value}")
-        if not inner(self.up, self.down).is_zero:
-            raise InvalidValueError(f"spin basis along {self.axis.value} is not orthogonal")
+    def __init__(self, axis: Axis, up: StateVector, down: StateVector) -> None:
+        axis = Axis(axis)
+        sigma = pauli(axis)
+        if not eigencheck(sigma, up, 1):
+            raise InvalidValueError(f"up vector is not a +1 eigenvector along {axis.value}")
+        if not eigencheck(sigma, down, -1):
+            raise InvalidValueError(f"down vector is not a -1 eigenvector along {axis.value}")
+        if not inner(up, down).is_zero:
+            raise InvalidValueError(f"spin basis along {axis.value} is not orthogonal")
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.axis, self.up, self.down) == (other.axis, other.up, other.down)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.axis, self.up, self.down))
 
     def vector(self, direction: Direction) -> StateVector:
         return self.up if Direction(direction) is Direction.UP else self.down
@@ -172,27 +180,69 @@ def verify(state: StateVector, atom: Atom) -> StateVector:
     return StateVector(image)
 
 
-@dataclass(frozen=True)
-class ValuationRecord:
-    label: str
-    proposition: Proposition
-    value: TruthValueSet
+class ValuationRecord(Frozen):
+    _fields = ("label", "proposition", "value")
+
+    def __init__(self, label: str, proposition: Proposition, value: TruthValueSet) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "proposition", proposition)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.label, self.proposition, self.value) == (
+                other.label, other.proposition, other.value
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.proposition, self.value))
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Frozen):
     """Everything one run produces, reproducible from the recorded states."""
 
-    verify_axis: Axis
-    verified_atom: Atom
-    query: tuple[Atom, ...]
-    prepared_state: StateVector
-    post_state: StateVector
-    pre_valuations: tuple[ValuationRecord, ...]
-    post_valuations: tuple[ValuationRecord, ...]
-    classical_population: Population
-    super_population: Population
-    fixture_summary: AuditSummary
+    _fields = (
+        "verify_axis", "verified_atom", "query", "prepared_state", "post_state",
+        "pre_valuations", "post_valuations", "classical_population", "super_population",
+        "fixture_summary",
+    )
+
+    def __init__(
+        self,
+        verify_axis: Axis,
+        verified_atom: Atom,
+        query: tuple[Atom, ...],
+        prepared_state: StateVector,
+        post_state: StateVector,
+        pre_valuations: tuple[ValuationRecord, ...],
+        post_valuations: tuple[ValuationRecord, ...],
+        classical_population: Population,
+        super_population: Population,
+        fixture_summary: AuditSummary,
+    ) -> None:
+        object.__setattr__(self, "verify_axis", verify_axis)
+        object.__setattr__(self, "verified_atom", verified_atom)
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "prepared_state", prepared_state)
+        object.__setattr__(self, "post_state", post_state)
+        object.__setattr__(self, "pre_valuations", pre_valuations)
+        object.__setattr__(self, "post_valuations", post_valuations)
+        object.__setattr__(self, "classical_population", classical_population)
+        object.__setattr__(self, "super_population", super_population)
+        object.__setattr__(self, "fixture_summary", fixture_summary)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        """The field tuple, read through ``_fields``: reports are compared rarely, never per row."""
+        return tuple(getattr(self, name) for name in self._fields)
 
 
 _RUN_NOTE = (

@@ -305,17 +305,37 @@ def test_check_fixtures_compares_with_the_table_it_is_given(monkeypatch):
     assert results[5].note == "unknown derived value 'sigma_zz'"
 
 
-def test_a_chain_without_the_singlet_in_the_table_is_a_mismatch(monkeypatch):
-    plane = Subspace.from_vectors(2, [StateVector.of(1, 0), StateVector.of(0, 1)])
+PLANE = Subspace.from_vectors(2, [StateVector.of(1, 0), StateVector.of(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "table, note",
+    [
+        ({"plane": PLANE}, "unknown derived value 'singlet_z'"),
+        (
+            {"plane": PLANE, "singlet_z": Matrix.identity(2)},
+            "derived value 'singlet_z' is a Matrix, not a StateVector",
+        ),
+        (
+            {"plane": PLANE, "singlet_z": StateVector.of(0, 1, -1, 0)},
+            "derived value 'singlet_z' has dimension 4, not the spans' 2",
+        ),
+        (
+            {"plane": Subspace(4), "singlet_z": StateVector.of(1, 0)},
+            "derived spans differ in dimension: [2, 4]",
+        ),
+    ],
+    ids=["missing", "matrix", "other-dimension", "spans-of-two-dimensions"],
+)
+def test_a_chain_without_a_singlet_that_its_spans_can_hold_is_a_mismatch(monkeypatch, table, note):
     entries = (
         {
             "label": "chain",
             "kind": "chain",
-            "derived": ["plane", "plane", "plane"],
+            "derived": ["plane", "plane", "line"],
             "printed": [[["1", "0"], ["0", "1"]]] * 3,
         },
     )
     monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
-    (result,) = check_fixtures({"plane": plane})
-    assert result.status == MISMATCH
-    assert result.note == "unknown derived value 'singlet_z'"
+    (result,) = check_fixtures({"line": PLANE, **table})
+    assert (result.status, result.note) == (MISMATCH, note)

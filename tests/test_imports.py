@@ -2,10 +2,15 @@
 
 ``fixtures`` reads and compares the transcription file only; every value it
 is compared with is built in ``scenario``, so it imports none of the
-modules that build pair-space values.
+modules that build pair-space values. A cold CLI process pays for every
+module it imports, so ``qgap.cli`` keeps ``dataclasses`` and ``inspect``
+(with its ``ast``, ``dis`` and ``tokenize``) out of the process.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -67,3 +72,13 @@ def test_the_module_graph_is_acyclic():
 
 def test_fixtures_imports_no_module_that_builds_pair_space_values():
     assert _graph()["fixtures"] == {"errors", "lattice", "linalg", "scalars"}
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # -S skips site, which on some machines imports packages of its own.
+    probe = "import sys, qgap.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")

@@ -6,7 +6,6 @@ value sets that ``epr_mix`` builds its expected reports from. Both are read
 here, never written.
 """
 
-import dataclasses
 import importlib
 import itertools
 import subprocess
@@ -19,7 +18,6 @@ import workloads
 import qgap
 from qgap import Axis, GaussianRational, parse_atom, run_epr
 from qgap.cli import main
-from qgap.scenario import ScenarioReport
 
 CATALOG = workloads.load_reference("cli.json")["catalog"]
 EPR_REFERENCE = workloads.load_reference("epr.json")
@@ -85,5 +83,5 @@ def test_the_names_the_benchmark_reads_resolve_where_the_tracer_looks():
     assert {n for n in traced if not _defined_at(n)} == STALE_TRACED_NAMES
     assert set(tracer.SCALAR_COUNTS) <= set(GaussianRational.__dict__)
     assert callable(qgap.scenario.atom_projector.cache_info)
-    assert "fixture_summary" in {f.name for f in dataclasses.fields(ScenarioReport)}
+    assert run_epr(Axis.Z, []).fixture_summary == qgap.audit_summary()
     assert callable(qgap.scenario.render_report) and callable(qgap.audit)
