@@ -14,7 +14,8 @@ Printed text is read, compared and shown through the library's own values:
 a vector or ray is a ``StateVector``, a matrix a ``Matrix``, and a range or
 each span of a chain goes through ``parse_span``, the CLI's span reader.
 Each result is a ``FixtureResult``, an immutable value (``scalars.Frozen``)
-whose ``to_dict`` lists its six fields in order for the JSON output.
+equal and hashed by its field tuple, whose ``to_dict`` lists its six fields
+in order for the JSON output.
 """
 
 from __future__ import annotations
@@ -43,16 +44,6 @@ class FixtureResult(Frozen):
         object.__setattr__(self, "derived", derived)
         object.__setattr__(self, "note", note)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.label, self.kind, self.status, self.printed, self.derived, self.note) == (
-                other.label, other.kind, other.status, other.printed, other.derived, other.note
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.kind, self.status, self.printed, self.derived, self.note))
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,
@@ -71,16 +62,6 @@ class AuditSummary(Frozen):
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "match_count", match_count)
         object.__setattr__(self, "mismatched", mismatched)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.total, self.match_count, self.mismatched) == (
-                other.total, other.match_count, other.mismatched
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.total, self.match_count, self.mismatched))
 
     @classmethod
     def of(cls, results: Sequence[FixtureResult]) -> "AuditSummary":

@@ -47,18 +47,10 @@ def _is_canonical(ambient_dim: int, basis: tuple[StateVector, ...]) -> bool:
 class Subspace(Frozen):
     _fields = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: tuple[StateVector, ...] = ()) -> None:
+    def __init__(self, ambient_dim: int, basis: Sequence[StateVector] = ()) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(basis))
         self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
 
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:

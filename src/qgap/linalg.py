@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the Gaussian rationals.
 
 Matrices and state vectors are immutable values (``scalars.Frozen``), equal
-and hashed by their fields; every operation returns a fresh result and is
+and hashed by their field tuples; a matrix stores its entries as a tuple
+whatever sequence it is given. Every operation returns a fresh result and is
 referentially transparent. There is no floating point anywhere:
 elimination uses exact division, so reduced row-echelon forms are
 canonical rather than tolerance-dependent.
@@ -33,19 +34,11 @@ from .scalars import ONE, ZERO, Frozen, GaussianRational, Scalarish, coerce_scal
 class Matrix(Frozen):
     _fields = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[GaussianRational, ...]) -> None:
+    def __init__(self, rows: int, cols: int, entries: Sequence[GaussianRational]) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(entries))
         self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -203,14 +196,6 @@ class StateVector(Frozen):
         if all(e.is_zero for e in entries):
             raise InvalidStateError("the zero vector is not a state")
         object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
 
     @classmethod
     def of(cls, *values: Scalarish) -> "StateVector":

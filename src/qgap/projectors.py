@@ -37,14 +37,6 @@ class Projector(Frozen):
         object.__setattr__(self, "matrix", matrix)
         self.__post_init__()
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.matrix == other.matrix
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.matrix,))
-
     def __post_init__(self) -> None:
         m = self.matrix
         if not m.is_square:

@@ -12,10 +12,9 @@ give them back as ``Fraction`` values. Text becomes a scalar only through
 ``parse_scalar``; it is read and printed on the integer triple.
 
 ``Frozen`` is the base of every value class in the package: it refuses
-assignment and deletion of attributes and prints a value as
-``Name(field=value, ...)``. Each class writes its own ``__init__``,
-``__eq__`` and ``__hash__`` over its field tuple, so importing the package
-runs no class generator.
+assignment and deletion of attributes, compares and hashes a value by its
+field tuple and prints it as ``Name(field=value, ...)``. Each class writes
+its own ``__init__``, so importing the package runs no class generator.
 """
 
 from __future__ import annotations
@@ -39,8 +38,9 @@ class Frozen:
 
     A subclass's ``__init__`` stores its fields past this rule, with
     ``object.__setattr__`` (or, for ``GaussianRational``, its slots'
-    setters), and ``_fields`` names what ``repr`` shows, in order. Each
-    subclass writes its own ``__eq__`` and ``__hash__`` over its fields.
+    setters), and ``_fields`` names them in order. Two values are equal
+    when they are of the same class and their field tuples are equal; the
+    hash is the hash of the field tuple, and ``repr`` shows every field.
     """
 
     __slots__ = ()
@@ -51,6 +51,17 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -95,6 +106,7 @@ class GaussianRational(Frozen):
     def conjugate(self) -> "GaussianRational":
         return _make(self._a, -self._b, self._d)
 
+    # Not Frozen's rule: reading re and im builds two Fractions, so == took ~9 us against ~0.3 us on the triple.
     def __eq__(self, other: object) -> bool:
         if type(other) is not GaussianRational:
             return NotImplemented

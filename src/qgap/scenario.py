@@ -9,7 +9,8 @@ post-state without ever introducing irrational normalizers. Every value
 derived from the pair space is built here only: the fixture audit
 compares the transcribed displays with a table of them, whose projectors
 it reads off the run table's rows. A spin basis, a valuation row and a run's
-report are immutable values (``scalars.Frozen``).
+report are immutable values (``scalars.Frozen``), equal when their field
+tuples are.
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ class SpinBasis(Frozen):
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.axis, self.up, self.down) == (other.axis, other.up, other.down)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.axis, self.up, self.down))
 
     def vector(self, direction: Direction) -> StateVector:
         return self.up if Direction(direction) is Direction.UP else self.down
@@ -188,16 +181,6 @@ class ValuationRecord(Frozen):
         object.__setattr__(self, "proposition", proposition)
         object.__setattr__(self, "value", value)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.label, self.proposition, self.value) == (
-                other.label, other.proposition, other.value
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.proposition, self.value))
-
 
 class ScenarioReport(Frozen):
     """Everything one run produces, reproducible from the recorded states."""
@@ -231,18 +214,6 @@ class ScenarioReport(Frozen):
         object.__setattr__(self, "classical_population", classical_population)
         object.__setattr__(self, "super_population", super_population)
         object.__setattr__(self, "fixture_summary", fixture_summary)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def _values(self) -> tuple:
-        """The field tuple, read through ``_fields``: reports are compared rarely, never per row."""
-        return tuple(getattr(self, name) for name in self._fields)
 
 
 _RUN_NOTE = (

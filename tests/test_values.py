@@ -2,8 +2,13 @@
 
 Each class compares and hashes by its field tuple, prints as
 ``Name(field=value, ...)``, refuses assignment and deletion of attributes,
-and is built from its fields by position or keyword.
+survives copying and pickling, and is built from its fields by position or
+keyword. The rule lives once, in ``Frozen``; only ``GaussianRational`` and
+``Atom`` write it out.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -25,7 +30,7 @@ from qgap import (
     TruthValueSet,
     Xor,
 )
-from qgap.scalars import ONE, ZERO
+from qgap.scalars import ONE, ZERO, Frozen, GaussianRational
 from qgap.scenario import ValuationRecord
 
 G1 = "GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1))"
@@ -145,6 +150,41 @@ def test_equal_and_hashed_by_the_field_tuple(case):
 def test_repr_names_every_field(case):
     cls, fields, expected = case
     assert repr(cls(**fields)) == expected
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_survives_copy_and_pickle(case, clone):
+    cls, fields, expected = case
+    x = cls(**fields)
+    y = clone(x)
+    assert type(y) is cls and y == x and x == y
+    assert hash(y) == hash(x) and repr(y) == expected
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_class_but_gaussian_rational_and_atom_inherits_the_one_rule():
+    classes = set(_subclasses(Frozen))
+    assert {cls for cls, _, _ in CASES} | {GaussianRational} <= classes
+    for cls in classes - {GaussianRational, Atom}:
+        assert cls.__eq__ is Frozen.__eq__ and cls.__hash__ is Frozen.__hash__, cls
+
+
+@pytest.mark.parametrize(
+    "from_list, from_tuple",
+    [(Matrix(1, 2, [ONE, ZERO]), Matrix(1, 2, (ONE, ZERO))), (Subspace(2, [UP]), Subspace(2, (UP,)))],
+    ids=["Matrix", "Subspace"],
+)
+def test_a_list_of_entries_or_basis_vectors_is_stored_as_a_tuple(from_list, from_tuple):
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
 
 
 @pytest.mark.parametrize("name", ["field", "other"])
