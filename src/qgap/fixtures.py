@@ -45,23 +45,16 @@ class FixtureResult(Frozen):
         object.__setattr__(self, "note", note)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "status": self.status,
-            "printed": self.printed,
-            "derived": self.derived,
-            "note": self.note,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 class AuditSummary(Frozen):
     _fields = ("total", "match_count", "mismatched")
 
-    def __init__(self, total: int, match_count: int, mismatched: tuple[str, ...]) -> None:
+    def __init__(self, total: int, match_count: int, mismatched: Sequence[str]) -> None:
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "match_count", match_count)
-        object.__setattr__(self, "mismatched", mismatched)
+        object.__setattr__(self, "mismatched", tuple(mismatched))
 
     @classmethod
     def of(cls, results: Sequence[FixtureResult]) -> "AuditSummary":

@@ -48,15 +48,13 @@ class Subspace(Frozen):
     _fields = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis: Sequence[StateVector] = ()) -> None:
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(basis))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
+        basis = tuple(basis)
+        if ambient_dim < 1:
             raise ShapeError("ambient dimension must be positive")
-        if len(self.basis) > self.ambient_dim or not _is_canonical(self.ambient_dim, self.basis):
+        if len(basis) > ambient_dim or not _is_canonical(ambient_dim, basis):
             raise ShapeError("basis is not a canonical RREF basis for this ambient dimension")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def row_space(cls, m: Matrix) -> "Subspace":

@@ -1,9 +1,8 @@
 """Dense exact linear algebra over the Gaussian rationals.
 
 Matrices and state vectors are immutable values (``scalars.Frozen``), equal
-and hashed by their field tuples; a matrix stores its entries as a tuple
-whatever sequence it is given. Every operation returns a fresh result and is
-referentially transparent. There is no floating point anywhere:
+and hashed by their field tuples. Every operation returns a fresh result and
+is referentially transparent. There is no floating point anywhere:
 elimination uses exact division, so reduced row-echelon forms are
 canonical rather than tolerance-dependent.
 
@@ -35,19 +34,14 @@ class Matrix(Frozen):
     _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[GaussianRational]) -> None:
+        entries = tuple(entries)
+        if rows < 1 or cols < 1:
+            raise ShapeError(f"matrix must be at least 1x1, got {rows}x{cols}")
+        if len(entries) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ShapeError(f"matrix must be at least 1x1, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
-            )
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalarish]]) -> "Matrix":

@@ -19,22 +19,12 @@ from .lattice import Subspace
 from .linalg import Matrix, StateVector
 from .scalars import Frozen
 
-__all__ = [
-    "Projector",
-    "projector_from_span",
-    "projector_onto",
-    "range_of",
-    "kernel_of",
-    "projector_meet",
-    "projector_join",
-]
-
-
 class Projector(Frozen):
     _fields = ("matrix",)
 
     def __init__(self, matrix: Matrix) -> None:
         object.__setattr__(self, "matrix", matrix)
+        # Kept apart from __init__: perfbench's tracer times this check as projectors.Projector.__post_init__.
         self.__post_init__()
 
     def __post_init__(self) -> None:

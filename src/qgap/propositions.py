@@ -309,9 +309,9 @@ class Population(Frozen):
 
     _fields = ("labels", "tuples")
 
-    def __init__(self, labels: tuple[str, ...], tuples: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "tuples", tuples)
+    def __init__(self, labels: Iterable[str], tuples: Iterable[Iterable[int]]) -> None:
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "tuples", tuple(map(tuple, tuples)))
 
     @property
     def is_empty(self) -> bool:
@@ -324,8 +324,7 @@ class Population(Frozen):
 def population(components: Sequence[TruthValueSet], labels: Sequence[str]) -> Population:
     if len(components) != len(labels):
         raise ShapeError(f"{len(components)} components but {len(labels)} labels")
-    tuples = tuple(itertools.product(*(c.admissible_values for c in components)))
-    return Population(tuple(labels), tuples)
+    return Population(labels, itertools.product(*(c.admissible_values for c in components)))
 
 
 # Every match is \s* then a token or a non-space, so finditer runs contiguously and can

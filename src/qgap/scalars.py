@@ -14,7 +14,10 @@ give them back as ``Fraction`` values. Text becomes a scalar only through
 ``Frozen`` is the base of every value class in the package: it refuses
 assignment and deletion of attributes, compares and hashes a value by its
 field tuple and prints it as ``Name(field=value, ...)``. Each class writes
-its own ``__init__``, so importing the package runs no class generator.
+its own ``__init__``, so importing the package runs no class generator, and
+each ``__init__`` converts its arguments, checks them and stores them, in
+that order. A sequence field is stored as a tuple, so a value built from
+lists equals and hashes like one built from tuples.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ _RATIONAL = (int, Fraction)
 class Frozen:
     """Base of the package's immutable values: no attribute is assigned or deleted.
 
-    A subclass's ``__init__`` stores its fields past this rule, with
+    A subclass's ``__init__`` converts and checks its arguments, turning
+    each sequence into a tuple, then stores its fields past this rule, with
     ``object.__setattr__`` (or, for ``GaussianRational``, its slots'
     setters), and ``_fields`` names them in order. Two values are equal
     when they are of the same class and their field tuples are equal; the

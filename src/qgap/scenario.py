@@ -195,22 +195,22 @@ class ScenarioReport(Frozen):
         self,
         verify_axis: Axis,
         verified_atom: Atom,
-        query: tuple[Atom, ...],
+        query: Sequence[Atom],
         prepared_state: StateVector,
         post_state: StateVector,
-        pre_valuations: tuple[ValuationRecord, ...],
-        post_valuations: tuple[ValuationRecord, ...],
+        pre_valuations: Sequence[ValuationRecord],
+        post_valuations: Sequence[ValuationRecord],
         classical_population: Population,
         super_population: Population,
         fixture_summary: AuditSummary,
     ) -> None:
         object.__setattr__(self, "verify_axis", verify_axis)
         object.__setattr__(self, "verified_atom", verified_atom)
-        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "query", tuple(query))
         object.__setattr__(self, "prepared_state", prepared_state)
         object.__setattr__(self, "post_state", post_state)
-        object.__setattr__(self, "pre_valuations", pre_valuations)
-        object.__setattr__(self, "post_valuations", post_valuations)
+        object.__setattr__(self, "pre_valuations", tuple(pre_valuations))
+        object.__setattr__(self, "post_valuations", tuple(post_valuations))
         object.__setattr__(self, "classical_population", classical_population)
         object.__setattr__(self, "super_population", super_population)
         object.__setattr__(self, "fixture_summary", fixture_summary)
@@ -386,7 +386,7 @@ def render_report(report: ScenarioReport, semantics: str = "both") -> str:
         "",
         "valuations before verification (prepared state)",
     ]
-    width = max(len(r.label) for r in report.pre_valuations + report.post_valuations) + 2
+    width = max((len(r.label) for r in report.pre_valuations + report.post_valuations), default=0) + 2
     for r in report.pre_valuations:
         lines.append(f"  {r.label.ljust(width)}{r.value}")
     lines.append("")

@@ -3,8 +3,8 @@
 Each class compares and hashes by its field tuple, prints as
 ``Name(field=value, ...)``, refuses assignment and deletion of attributes,
 survives copying and pickling, and is built from its fields by position or
-keyword. The rule lives once, in ``Frozen``; only ``GaussianRational`` and
-``Atom`` write it out.
+keyword, every sequence field stored as a tuple. The rule lives once, in
+``Frozen``; only ``GaussianRational`` and ``Atom`` write it out.
 """
 
 import copy
@@ -31,7 +31,7 @@ from qgap import (
     Xor,
 )
 from qgap.scalars import ONE, ZERO, Frozen, GaussianRational
-from qgap.scenario import ValuationRecord
+from qgap.scenario import ValuationRecord, render_report
 
 G1 = "GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1))"
 G0 = "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))"
@@ -118,6 +118,7 @@ CASES = [
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
+REPORT_FIELDS = CASES[-1][1]
 
 
 @pytest.fixture(params=CASES, ids=IDS)
@@ -178,10 +179,24 @@ def test_every_class_but_gaussian_rational_and_atom_inherits_the_one_rule():
         assert cls.__eq__ is Frozen.__eq__ and cls.__hash__ is Frozen.__hash__, cls
 
 
+def test_every_class_but_projector_checks_its_arguments_in_init():
+    assert {cls for cls in _subclasses(Frozen) if "__post_init__" in vars(cls)} == {Projector}
+
+
 @pytest.mark.parametrize(
     "from_list, from_tuple",
-    [(Matrix(1, 2, [ONE, ZERO]), Matrix(1, 2, (ONE, ZERO))), (Subspace(2, [UP]), Subspace(2, (UP,)))],
-    ids=["Matrix", "Subspace"],
+    [
+        (Matrix(1, 2, [ONE, ZERO]), Matrix(1, 2, (ONE, ZERO))),
+        (Subspace(2, [UP]), Subspace(2, (UP,))),
+        (Population(["A.z.up"], [(1,)]), Population(("A.z.up",), ((1,),))),
+        (Population(("A.z.up",), [[1], [0]]), Population(("A.z.up",), ((1,), (0,)))),
+        (AuditSummary(1, 0, ["eq"]), AuditSummary(1, 0, ("eq",))),
+        (
+            ScenarioReport(**{**REPORT_FIELDS, "query": [A_Z_UP], "pre_valuations": [], "post_valuations": []}),
+            ScenarioReport(**REPORT_FIELDS),
+        ),
+    ],
+    ids=["Matrix", "Subspace", "Population", "Population-rows", "AuditSummary", "ScenarioReport"],
 )
 def test_a_list_of_entries_or_basis_vectors_is_stored_as_a_tuple(from_list, from_tuple):
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
@@ -218,6 +233,19 @@ def test_connectives_with_the_same_operands_differ():
     assert And(A_Z_UP, B_Z_DOWN) != Xor(A_Z_UP, B_Z_DOWN)
     assert Xor(A_Z_UP, B_Z_DOWN) != And(A_Z_UP, B_Z_DOWN)
     assert len({And(A_Z_UP, B_Z_DOWN), Xor(A_Z_UP, B_Z_DOWN)}) == 2
+
+
+def test_a_report_without_valuation_rows_renders():
+    lines = render_report(ScenarioReport(**REPORT_FIELDS)).splitlines()
+    start = lines.index("valuations before verification (prepared state)")
+    assert lines[start : start + 5] == [
+        "valuations before verification (prepared state)",
+        "",
+        "valuations after verification (post state)",
+        "",
+        "populations for query (A.z.up)",
+    ]
+    assert [line.endswith("{(1)}") for line in lines[start + 5 : start + 7]] == [True, True]
 
 
 def test_fixture_result_dict_lists_its_fields_in_order():
