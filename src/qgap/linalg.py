@@ -7,12 +7,12 @@ elimination uses exact division, so reduced row-echelon forms are
 canonical rather than tolerance-dependent.
 
 Every product (``@``, ``Matrix.apply``, ``inner``) runs over the nonzero
-entries only, and every elimination (the lattice operations, a solve on an
-augmented matrix) goes through ``Matrix.rref``, which skips each term with
-an exact-zero factor. The spin projectors and states of the pair space are
-mostly zeros, and adding or subtracting an exact zero changes no canonical
-triple, so the results are the same values without those multiplies and
-adds.
+entries only, a sum adds only where both entries are nonzero, and every
+elimination (the lattice operations, a solve on an augmented matrix) goes
+through ``Matrix.rref``, which skips each term with an exact-zero factor.
+The spin projectors and states of the pair space are mostly zeros, and
+adding or subtracting an exact zero changes no canonical triple, so the
+results are the same values without those multiplies and adds.
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -92,7 +92,11 @@ class Matrix(Frozen):
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix(
+            self.rows,
+            self.cols,
+            tuple(b if a.is_zero else a if b.is_zero else a + b for a, b in zip(self.entries, other.entries)),
+        )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)

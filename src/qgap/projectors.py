@@ -2,9 +2,11 @@
 
 A ``Projector`` wraps a square matrix that is exactly Hermitian and
 idempotent, so a Projector in hand is always a legal quantum-logic
-proposition carrier. ``Projector(m)`` checks both properties.
-``Projector.product(p, q)``, the conjunction's closed form, checks only that
-PQ is Hermitian, which already implies that it is idempotent. The operator
+proposition carrier. ``Projector(m)`` checks both properties. The two
+connectives' closed forms skip that check, since a cheaper test implies it:
+``Projector.product(p, q)`` checks only that PQ is Hermitian, which already
+makes it idempotent, and ``Projector.sum(p, q)`` checks only that
+tr(PQ) = 0, which makes PQ = 0 and so P + Q a projector. The operator
 lattice (meet, join) is computed through the subspace lattice of ranges,
 which also covers non-commuting pairs. The kernel of P is the range of
 I - P, which holds exactly for every orthogonal projector.
@@ -17,7 +19,7 @@ from typing import Sequence
 from .errors import InvalidValueError, ShapeError
 from .lattice import Subspace
 from .linalg import Matrix, StateVector
-from .scalars import Frozen
+from .scalars import ZERO, Frozen, GaussianRational
 
 class Projector(Frozen):
     _fields = ("matrix",)
@@ -42,14 +44,31 @@ class Projector(Frozen):
 
         Raises ``InvalidValueError`` unless PQ is Hermitian. That one test
         decides it: (PQ)* = Q*P* = QP, so PQ is Hermitian exactly when P and
-        Q commute, and then PQPQ = PPQQ = PQ. This is the one constructor
-        that therefore skips the square of the idempotence check.
+        Q commute, and then PQPQ = PPQQ = PQ, so the square of the
+        idempotence check is skipped.
         """
         m = p.matrix @ q.matrix
         if not m.is_hermitian():
             raise InvalidValueError("projector matrix is not Hermitian")
         result = object.__new__(cls)
         object.__setattr__(result, "matrix", m)
+        return result
+
+    @classmethod
+    def sum(cls, p: "Projector", q: "Projector") -> "Projector":
+        """The projector P + Q of two orthogonal projectors, the join of their ranges.
+
+        Raises ``InvalidValueError`` unless tr(PQ) = 0. That one sum decides
+        it without forming PQ: tr(PQ) = tr(PPQQ) = tr((PQ)*(PQ)) is the sum
+        of the squared moduli of PQ's entries, so it is zero exactly when
+        PQ = 0. Then QP = (PQ)* = 0 too, and P + Q is Hermitian and
+        idempotent.
+        """
+        p._check_dim(q)
+        if not _trace_of_product(p, q).is_zero:
+            raise InvalidValueError("projectors are not orthogonal: tr(PQ) is not zero")
+        result = object.__new__(cls)
+        object.__setattr__(result, "matrix", p.matrix + q.matrix)
         return result
 
     @classmethod
@@ -82,6 +101,18 @@ class Projector(Frozen):
 
     def __str__(self) -> str:
         return str(self.matrix)
+
+
+def _trace_of_product(p: Projector, q: Projector) -> GaussianRational:
+    """tr(PQ), the sum of P[i,k] * Q[k,i] over P's nonzero entries, without forming PQ."""
+    b, n = q.matrix.entries, q.dim
+    trace = ZERO
+    for i, row in enumerate(p.matrix._nonzeros):
+        for k, x in row:
+            y = b[k * n + i]
+            if not y.is_zero:
+                trace = trace + x * y
+    return trace
 
 
 def projector_onto(subspace: Subspace) -> Projector:
@@ -137,8 +168,8 @@ def projector_join(a: Projector, b: Projector) -> Projector:
     """Projector onto the span of the union of the two ranges, for any pair.
 
     Goes through the subspace lattice. For orthogonal operands it equals
-    the sum of the two matrices, which is how ``compile_proposition``
-    computes exclusive-or without calling this.
+    ``Projector.sum``, which is how ``compile_proposition`` computes
+    exclusive-or without calling this.
     """
     a._check_dim(b)
     return projector_onto(range_of(a).join(range_of(b)))

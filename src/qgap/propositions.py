@@ -186,14 +186,16 @@ def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Pr
     only for orthogonal ones; outside those domains the connective is not
     the one this language means, so compilation refuses. Each domain is
     exactly where the connective's closed form is a projector, so the
-    ``Projector`` check of that form is the domain check:
+    constructor that builds that form checks the domain:
 
     * PQ is a projector exactly when P and Q commute, since (PQ)* = QP;
       it is then their meet. ``Projector.product`` decides this by the
       Hermitian test alone, since a Hermitian PQ is already idempotent.
-    * P + Q is idempotent exactly when PQ + QP = 0, which for projectors
-      forces PQ = 0, so it is a projector exactly when P and Q are
-      orthogonal; it is then their join.
+    * P + Q is a projector exactly when PQ = 0, that is when P and Q are
+      orthogonal; it is then their join. ``Projector.sum`` decides this by
+      tr(PQ) = 0 without forming PQ, since tr(PQ) is the squared norm of PQ.
+
+    Neither runs the generic ``Projector`` check.
     """
     if isinstance(p, Atom):
         try:
@@ -205,7 +207,7 @@ def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Pr
     try:
         if isinstance(p, And):
             return Projector.product(left, right)
-        return Projector(left.matrix + right.matrix)
+        return Projector.sum(left, right)
     except InvalidValueError:
         if isinstance(p, And):
             refusal = "conjunction of non-commuting propositions: {} & {}"

@@ -386,7 +386,9 @@ def render_report(report: ScenarioReport, semantics: str = "both") -> str:
         "",
         "valuations before verification (prepared state)",
     ]
-    width = max((len(r.label) for r in report.pre_valuations + report.post_valuations), default=0) + 2
+    populations = _populations(report, semantics)
+    labels = [r.label for r in report.pre_valuations + report.post_valuations] + list(populations)
+    width = max(map(len, labels)) + 2
     for r in report.pre_valuations:
         lines.append(f"  {r.label.ljust(width)}{r.value}")
     lines.append("")
@@ -396,7 +398,7 @@ def render_report(report: ScenarioReport, semantics: str = "both") -> str:
     lines.append("")
     query_text = ", ".join(str(a) for a in report.query)
     lines.append(f"populations for query ({query_text})")
-    for name, pop in _populations(report, semantics).items():
+    for name, pop in populations.items():
         lines.append(f"  {name.ljust(width)}{pop}")
     summary = report.fixture_summary
     lines.append("")

@@ -95,7 +95,7 @@ def pair_rows(m):
 
 
 class TestSparseProducts:
-    """Products skip exact-zero terms; a dense Fraction-pair reference decides."""
+    """Products and sums skip exact-zero terms; a dense Fraction-pair reference decides."""
 
     @pytest.mark.parametrize("height", HEIGHTS)
     @given(data=st.data())
@@ -120,6 +120,14 @@ class TestSparseProducts:
         dim = data.draw(dims_st)
         u, v = data.draw(sparse_states_st(dim, height)), data.draw(sparse_states_st(dim, height))
         assert scalar_pair(inner(u, v)) == exact.dot(pairs(u.entries), pairs(v.entries))
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_add(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        a = data.draw(sparse_matrices_st(rows, cols, height))
+        b = data.draw(sparse_matrices_st(rows, cols, height))
+        assert pairs((a + b).entries) == [exact.add(x, y) for x, y in zip(pairs(a.entries), pairs(b.entries))]
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 8)])
     def test_zero_matrix(self, shape):
@@ -201,6 +209,16 @@ class TestSparseWork:
         with counted_arithmetic() as counts:
             inner(u, v)
         assert (counts["mul"], counts["add"]) == expected_work(terms)
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_add(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        a = data.draw(sparse_matrices_st(rows, cols, height))
+        b = data.draw(sparse_matrices_st(rows, cols, height))
+        with counted_arithmetic() as counts:
+            a + b
+        assert (counts["mul"], counts["add"]) == (0, len(nonzero_at(a.entries) & nonzero_at(b.entries)))
 
 
 class TestCachedPattern:

@@ -19,7 +19,11 @@ from qgap import (
     projector_meet,
     projector_onto,
     range_of,
+    standard_context,
 )
+from qgap.projectors import _trace_of_product
+from qgap.scalars import ZERO
+from qgap.scenario import _run_table
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -97,6 +101,50 @@ class TestProduct:
             assert got == _built_or_refused(lambda x, y: Projector(x.matrix @ y.matrix), left, right)
             if got is not None:
                 assert Projector(got.matrix) == got
+
+
+def _check_sum(p, q):
+    """Projector.sum against the independent orthogonality test, the checked constructor and PQ."""
+    pq = p.matrix @ q.matrix
+    assert _trace_of_product(p, q) == sum((e * e.conjugate() for e in pq.entries), ZERO)
+    got = _built_or_refused(Projector.sum, p, q)
+    assert (got is not None) == p.orthogonal_to(q) == pq.is_zero()
+    if got is not None:
+        assert got == Projector(p.matrix + q.matrix)
+
+
+class TestSum:
+    def test_orthogonal_pair(self):
+        assert Projector.sum(P_Z_UD, P_Z_DU) == DIFF_Z
+
+    def test_non_orthogonal_pair_is_refused(self):
+        with pytest.raises(InvalidValueError, match="^projectors are not orthogonal"):
+            Projector.sum(DIFF_Z, DIFF_X)
+
+    @pytest.mark.parametrize("dims", [(4, 2), (2, 4)])
+    def test_dimension_mismatch(self, dims):
+        with pytest.raises(ShapeError):
+            Projector.sum(Projector.zero(dims[0]), Projector.zero(dims[1]))
+
+    def test_every_ordered_pair_of_atoms_and_run_table_rows(self):
+        # The 12 atom projectors and the 18 projectors valuated before verification.
+        projectors = list(standard_context().values()) + [proj for _, _, proj in _run_table()[0]]
+        assert len(projectors) == 30
+        for p in projectors:
+            for q in projectors:
+                _check_sum(p, q)
+
+    @given(st.integers(0, 10_000), st.sampled_from([2, 1000]))
+    def test_matches_the_checked_constructor(self, seed, height):
+        # Random span pairs are rarely orthogonal; P with I - P always is, and so
+        # is P with the part of the join orthogonal to its range.
+        a, b = rand_span_pair(Random(seed), height)
+        p, q = projector_onto(a), projector_onto(b)
+        complement = Projector(Matrix.identity(4) - p.matrix)
+        rest = projector_onto(a.join(b).meet(a.orthocomplement()))
+        for left, right in ((p, q), (p, complement), (p, rest), (rest, q)):
+            _check_sum(left, right)
+            _check_sum(right, left)
 
 
 class TestFromSpan:

@@ -134,12 +134,12 @@ class TestCompile:
     @pytest.mark.parametrize(
         "prop, refusal, products",
         [
-            # P + Q, then the validation's square: no PQ of its own.
-            (Xor(A_UP, A_DOWN), None, 1),
+            # tr(PQ) = 0 decides orthogonality without a product; P + Q is then stored.
+            (Xor(A_UP, A_DOWN), None, 0),
             # PQ is Hermitian, so it is already idempotent: no square.
             (And(A_UP, B_DOWN), None, 1),
-            # P + Q is Hermitian, so the validation squares it and refuses.
-            (Xor(A_UP, B_UP), "exclusive-or of non-orthogonal propositions: A.z.up ^ B.z.up", 1),
+            # tr(PQ) is not zero, so the sum refuses without a product.
+            (Xor(A_UP, B_UP), "exclusive-or of non-orthogonal propositions: A.z.up ^ B.z.up", 0),
             # PQ is not Hermitian, so the product refuses it.
             (
                 And(A_UP, Atom(Particle.A, Axis.X, Direction.UP)),
@@ -151,6 +151,7 @@ class TestCompile:
     def test_a_connective_is_one_closed_form_validated_once(self, monkeypatch, prop, refusal, products):
         ctx = standard_context()  # built first: only compilation's own products count
         calls = []
+        validated = []
         matmul = Matrix.__matmul__
 
         def counted(self, other):
@@ -158,6 +159,7 @@ class TestCompile:
             return matmul(self, other)
 
         monkeypatch.setattr(Matrix, "__matmul__", counted)
+        monkeypatch.setattr(Projector, "__post_init__", lambda self: validated.append(self))
         if refusal is None:
             compile_proposition(prop, ctx)
         else:
@@ -165,6 +167,7 @@ class TestCompile:
                 compile_proposition(prop, ctx)
             assert str(exc.value) == refusal
         assert len(calls) == products
+        assert validated == []
 
     def test_direct_connectives_match_lattice_route(self):
         # Both orders of every pair of the 12 atoms and the six Diff/Same
