@@ -7,12 +7,18 @@ elimination uses exact division, so reduced row-echelon forms are
 canonical rather than tolerance-dependent.
 
 Every product (``@``, ``Matrix.apply``, ``inner``) runs over the nonzero
-entries only, a sum adds only where both entries are nonzero, and every
-elimination (the lattice operations, a solve on an augmented matrix) goes
-through ``Matrix.rref``, which skips each term with an exact-zero factor.
-The spin projectors and states of the pair space are mostly zeros, and
-adding or subtracting an exact zero changes no canonical triple, so the
-results are the same values without those multiplies and adds.
+entries only, and a sum or difference combines only where both entries are
+nonzero. The spin projectors and states of the pair space are mostly
+zeros, and adding or subtracting an exact zero changes no canonical triple,
+so the results are the same values without those multiplies and adds.
+
+Elimination runs on Gaussian integers. ``Matrix.rref`` (behind every
+lattice operation) scales each row by the lcm of its denominators and
+reduces the integer rows with one fraction-free Gauss-Jordan kernel,
+``_eliminate``, which ``projectors.projector_onto`` also uses for its
+Gram solve; each cleared row loses its integer content. Only the result is
+built as ``GaussianRational`` values: each pivot row is divided by its
+pivot, one canonical triple per entry. The public API is unchanged.
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -24,10 +30,11 @@ ascending inner index, the first one stored and each later one added.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from .errors import InvalidStateError, ShapeError
-from .scalars import ONE, ZERO, Frozen, GaussianRational, Scalarish, coerce_scalar
+from .scalars import ONE, ZERO, Frozen, GaussianRational, Scalarish, _make, coerce_scalar
 
 
 class Matrix(Frozen):
@@ -99,11 +106,17 @@ class Matrix(Frozen):
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
+        return Matrix(
+            self.rows,
+            self.cols,
+            tuple(a if b.is_zero else -b if a.is_zero else a - b for a, b in zip(self.entries, other.entries)),
+        )
 
     def scale(self, factor: Scalarish) -> "Matrix":
         f = coerce_scalar(factor)
-        return Matrix(self.rows, self.cols, tuple(f * e for e in self.entries))
+        return Matrix(self.rows, self.cols, tuple(e if e.is_zero else f * e for e in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -156,30 +169,101 @@ class Matrix(Frozen):
         Pivot choice is the first nonzero entry in column order (exact
         arithmetic needs no magnitude pivoting), pivots are normalized to 1,
         pivot columns are cleared above and below, zero rows sink to the
-        bottom. The result is the canonical representative of the row space.
+        bottom. The result is the canonical representative of the row space,
+        so the elimination runs on each row scaled to Gaussian integers and
+        divides each pivot row by its pivot only when building the result.
         """
-        rows = self.row_lists()
-        pivot_row = 0
-        for col in range(self.cols):
-            src = next((r for r in range(pivot_row, self.rows) if not rows[r][col].is_zero), None)
-            if src is None:
-                continue
-            rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-            pivot = rows[pivot_row][col]
-            rows[pivot_row] = [x if x.is_zero else x / pivot for x in rows[pivot_row]]
-            for r in range(self.rows):
-                if r != pivot_row and not rows[r][col].is_zero:
-                    factor = rows[r][col]
-                    rows[r] = [
-                        x if y.is_zero else x - factor * y for x, y in zip(rows[r], rows[pivot_row])
-                    ]
-            pivot_row += 1
-            if pivot_row == self.rows:
-                break
-        return Matrix.from_rows(rows)
+        re, im = _integer_rows([self.row(i) for i in range(self.rows)])
+        pivots = _eliminate(re, im, self.cols)
+        entries: list[GaussianRational] = []
+        for r, col in enumerate(pivots):
+            p, q = re[r][col], im[r][col]
+            # x / p = x * conj(p) / |p|^2; a real p only lends its sign.
+            d = p * p + q * q if q else abs(p)
+            for a, b in zip(re[r], im[r]):
+                if not a and not b:
+                    entries.append(ZERO)
+                    continue
+                if q:
+                    a, b = a * p + b * q, b * p - a * q
+                elif p < 0:
+                    a, b = -a, -b
+                g = gcd(a, b, d)
+                entries.append(_make(a // g, b // g, d // g))
+        entries.extend([ZERO] * ((self.rows - len(pivots)) * self.cols))
+        return Matrix(self.rows, self.cols, tuple(entries))
 
     def __str__(self) -> str:
         return "[" + ",".join("[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)) + "]"
+
+
+def _integer_rows(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Each row times the lcm of its denominators: per row its real and its imaginary numerators.
+
+    The loops are written out: on rows this short they beat comprehensions.
+    """
+    re: list[list[int]] = []
+    im: list[list[int]] = []
+    for row in rows:
+        scale = lcm(*[x._d for x in row])
+        xr: list[int] = []
+        xi: list[int] = []
+        for x in row:
+            k = scale // x._d
+            xr.append(x._a * k)
+            xi.append(x._b * k)
+        re.append(xr)
+        im.append(xi)
+    return re, im
+
+
+def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on Gaussian-integer rows, in place; returns the pivot columns.
+
+    Row k of the result has its pivot at the k-th returned column, and every
+    other row is zero there. The pivot is the first nonzero entry in column
+    order among the rows not yet used, as in ``Matrix.rref``. Each row x
+    with a nonzero entry f in the pivot column becomes p*x - f*y, for y the
+    pivot row and p its pivot, and then loses its integer content, the gcd
+    of all its parts; a row with a zero there is left alone. Only the first
+    ``cols`` columns are searched for pivots; later ones ride along.
+    """
+    n = len(re)
+    pivots: list[int] = []
+    for col in range(cols):
+        r = len(pivots)
+        for src in range(r, n):
+            if re[src][col] or im[src][col]:
+                break
+        else:
+            continue
+        re[r], re[src], im[r], im[src] = re[src], re[r], im[src], im[r]
+        yr, yi = re[r], im[r]
+        pr, pi = yr[col], yi[col]
+        for i in range(n):
+            fr, fi = re[i][col], im[i][col]
+            if i == r or not fr and not fi:
+                continue
+            nr: list[int] = []
+            ni: list[int] = []
+            if pi or fi:
+                for a, b, c, d in zip(re[i], im[i], yr, yi):
+                    nr.append(pr * a - pi * b - fr * c + fi * d)
+                    ni.append(pr * b + pi * a - fr * d - fi * c)
+            else:  # a real pivot and factor: half the multiplies
+                for a, b, c, d in zip(re[i], im[i], yr, yi):
+                    nr.append(pr * a - fr * c)
+                    ni.append(pr * b - fr * d)
+            g = gcd(*nr, *ni)
+            if g > 1:
+                for j in range(len(nr)):
+                    nr[j] //= g
+                    ni[j] //= g
+            re[i], im[i] = nr, ni
+        pivots.append(col)
+        if len(pivots) == n:
+            break
+    return pivots
 
 
 class StateVector(Frozen):

@@ -176,6 +176,24 @@ def meet_oracle(a: Subspace, b: Subspace) -> Subspace:
     return sympy_span(a.ambient_dim, [combo[: len(a.basis), :].T * rows_a for combo in combos])
 
 
+def gram_projector(s: Subspace) -> Matrix:
+    """The projector onto s by the Gram formula M* (M M*)^-1 M, on ``Matrix`` ``@`` and ``rref``.
+
+    M is the conjugated canonical basis stacked as rows; the reduced form of
+    [M M* | M] is [I | (M M*)^-1 M]. This is how ``projector_onto`` computed
+    the matrix before its elimination moved to Gaussian integers.
+    """
+    n = s.ambient_dim
+    if s.is_zero:
+        return Matrix.zero(n, n)
+    m = Matrix.from_rows([[e.conjugate() for e in v.entries] for v in s.basis])
+    m_star = m.conjugate_transpose()
+    gram = m @ m_star
+    k = gram.rows
+    solved = Matrix.from_rows([gram.row(i) + m.row(i) for i in range(k)]).rref()
+    return m_star @ Matrix.from_rows([solved.row(i)[k:] for i in range(k)])
+
+
 def partner(a: Atom) -> Atom:
     """The atom of the same particle and axis pointing the other way."""
     flipped = Direction.DOWN if a.direction is Direction.UP else Direction.UP

@@ -129,6 +129,22 @@ class TestSparseProducts:
         b = data.draw(sparse_matrices_st(rows, cols, height))
         assert pairs((a + b).entries) == [exact.add(x, y) for x, y in zip(pairs(a.entries), pairs(b.entries))]
 
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_sub(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        a = data.draw(sparse_matrices_st(rows, cols, height))
+        b = data.draw(sparse_matrices_st(rows, cols, height))
+        assert pairs((a - b).entries) == [exact.sub(x, y) for x, y in zip(pairs(a.entries), pairs(b.entries))]
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_scale(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        m = data.draw(sparse_matrices_st(rows, cols, height))
+        f = data.draw(sparse_scalars_st(height))
+        assert pairs(m.scale(f).entries) == [exact.mul(scalar_pair(f), x) for x in pairs(m.entries)]
+
     @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 8)])
     def test_zero_matrix(self, shape):
         rows, cols = shape
@@ -140,28 +156,31 @@ class TestSparseProducts:
         assert Subspace.row_space(zero).is_zero
 
 
+_COUNTED = {"mul": "__mul__", "add": "__add__", "sub": "__sub__", "neg": "__neg__"}
+
+
 @contextmanager
 def counted_arithmetic():
-    """Count GaussianRational multiplies and adds while the block runs."""
-    counts = {"mul": 0, "add": 0}
-    originals = {"mul": GaussianRational.__mul__, "add": GaussianRational.__add__}
+    """Count GaussianRational multiplies, adds, subtractions and negations while the block runs."""
+    counts = dict.fromkeys(_COUNTED, 0)
+    originals = {key: getattr(GaussianRational, name) for key, name in _COUNTED.items()}
 
     def wrap(key):
         fn = originals[key]
 
-        def counted(a, b):
+        def counted(*args):
             counts[key] += 1
-            return fn(a, b)
+            return fn(*args)
 
         return counted
 
-    GaussianRational.__mul__ = wrap("mul")
-    GaussianRational.__add__ = wrap("add")
+    for key, name in _COUNTED.items():
+        setattr(GaussianRational, name, wrap(key))
     try:
         yield counts
     finally:
-        GaussianRational.__mul__ = originals["mul"]
-        GaussianRational.__add__ = originals["add"]
+        for key, name in _COUNTED.items():
+            setattr(GaussianRational, name, originals[key])
 
 
 def expected_work(term_counts):
@@ -219,6 +238,38 @@ class TestSparseWork:
         with counted_arithmetic() as counts:
             a + b
         assert (counts["mul"], counts["add"]) == (0, len(nonzero_at(a.entries) & nonzero_at(b.entries)))
+
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_sub(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        a = data.draw(sparse_matrices_st(rows, cols, height))
+        b = data.draw(sparse_matrices_st(rows, cols, height))
+        with counted_arithmetic() as counts:
+            a - b
+        assert counts == {
+            "mul": 0,
+            "add": 0,
+            "sub": len(nonzero_at(a.entries) & nonzero_at(b.entries)),
+            "neg": len(nonzero_at(b.entries) - nonzero_at(a.entries)),
+        }
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_scale(self, height, data):
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        m = data.draw(sparse_matrices_st(rows, cols, height))
+        with counted_arithmetic() as counts:
+            m.scale(-1)
+        assert (counts["mul"], counts["add"]) == (len(nonzero_at(m.entries)), 0)
+
+    def test_kernel_of_a_projector_multiplies_nothing(self):
+        p = Projector(DIFF_X)
+        with counted_arithmetic() as counts:
+            kernel = kernel_of(p)
+        assert kernel == Subspace.from_vectors(4, [vec(1, 0, 0, 1), vec(0, 1, 1, 0)])
+        assert counts["mul"] == 0
 
 
 class TestCachedPattern:

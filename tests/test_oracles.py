@@ -7,6 +7,7 @@ null-space routines cannot hide behind itself.
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -23,7 +24,16 @@ from helpers import (
     sympy_span,
     to_sympy,
 )
-from qgap import Matrix, Subspace, kernel_of, projector_from_span, projector_onto, range_of, tensor_product
+from qgap import (
+    GaussianRational,
+    Matrix,
+    Subspace,
+    kernel_of,
+    projector_from_span,
+    projector_onto,
+    range_of,
+    tensor_product,
+)
 
 
 def rand_matrix(rng: Random, rows: int, cols: int) -> Matrix:
@@ -47,13 +57,39 @@ def test_rref_and_rank_agree_with_sympy():
 @settings(max_examples=60)
 @given(data=st.data())
 def test_sparse_rref_agrees_with_sympy(height, data):
-    # Mostly zero entries, forced zero rows and columns, up to the 4x8 width
-    # of an augmented [G | M] solve.
-    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    # Mostly zero entries, forced zero rows and columns, up to the 6x8 of a
+    # meet's Zassenhaus block (a join stacks up to 6x4).
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
     m = data.draw(sparse_matrices_st(rows, cols, height))
     reduced, pivots = to_sympy(m).rref()
     assert to_sympy(m.rref()) == reduced
     assert Subspace.row_space(m) == sympy_span(cols, [reduced.row(i) for i in range(len(pivots))])
+
+
+I = GaussianRational(0, 1)
+BIG = GaussianRational(Fraction(-997, 991), Fraction(983, 977))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param([[I, 1, 0], [2, I, 1 + I]], id="pivot-i"),
+        pytest.param([[1 + I, 2, -I], [1, 1 - I, 3]], id="pivot-1+i"),
+        pytest.param([[0, 0, 1 + I], [0, 2 * I, 1], [3, 1, 0]], id="row-swaps"),
+        pytest.param([[Fraction(1, 2), Fraction(1, 3), 1], [Fraction(2, 5), I / 7, Fraction(1, 6)]], id="denominators"),
+        pytest.param([[1, I, 0, 2], [0, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1 - I, 0]], id="zero-rows-between"),
+        pytest.param([[BIG, BIG * BIG, 1], [BIG * I, 1, BIG], [1, BIG + I, BIG * BIG * BIG]], id="height-1000"),
+        pytest.param(
+            [[BIG, 0, 1, 0, BIG, 0, 1, 0], [0, 1, BIG * I, 0, 0, 1, BIG * I, 0], [1 + I, BIG, 0, 1, 0, 0, 0, 0]],
+            id="zassenhaus-height-1000",
+        ),
+    ],
+)
+def test_explicit_rref_agrees_with_sympy(rows):
+    m = Matrix.from_rows(rows)
+    reduced, pivots = to_sympy(m).rref()
+    assert to_sympy(m.rref()) == reduced
+    assert Subspace.row_space(m).dim == len(pivots)
 
 
 def test_kernel_agrees_with_sympy():

@@ -1,11 +1,23 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SINGLET, E2, gr, rand_span_pair, rand_state, span, states_st, vec
+from helpers import (
+    SINGLET,
+    E2,
+    gr,
+    gram_projector,
+    rand_span_pair,
+    rand_state,
+    sparse_matrices_st,
+    span,
+    states_st,
+    vec,
+)
 from qgap import (
     InvalidValueError,
     Matrix,
@@ -21,8 +33,8 @@ from qgap import (
     range_of,
     standard_context,
 )
-from qgap.projectors import _trace_of_product
-from qgap.scalars import ZERO
+from qgap.projectors import _is_idempotent, _trace_of_product
+from qgap.scalars import ZERO, GaussianRational
 from qgap.scenario import _run_table
 
 H = Fraction(1, 2)
@@ -254,3 +266,91 @@ def test_projector_onto_round_trip():
     for _ in range(20):
         s = Subspace.from_vectors(4, [rand_state(rng) for _ in range(rng.randint(0, 4))])
         assert range_of(projector_onto(s)) == s
+
+
+def _subspace_of_dim(rng: Random, n: int, k: int, height: int) -> Subspace:
+    """A random k-dimensional subspace of C^n, from dense or half-zero vectors."""
+    sparse = rng.random() < 0.5
+    while True:
+        s = Subspace.from_vectors(n, [rand_state(rng, n, height, sparse) for _ in range(k)])
+        if s.dim == k:
+            return s
+
+
+class TestOntoAgainstGramFormula:
+    """``projector_onto``'s Gaussian-integer solve equals M* (M M*)^-1 M built from ``Matrix`` ``@`` and ``rref``."""
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_dimension(self, n, height):
+        rng = Random(100 * n + height)
+        for k in range(n + 1):
+            for _ in range(3):
+                s = _subspace_of_dim(rng, n, k, height)
+                assert projector_onto(s).matrix == gram_projector(s)
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_scaled_and_permuted_spanning_vectors(self, height):
+        # The range alone decides the projector, whatever rows span it.
+        rng = Random(height)
+        for _ in range(10):
+            vectors = [rand_state(rng, 4, height) for _ in range(rng.randint(1, 3))]
+            scaled = [v.scale(gr(rng.randint(1, 9), rng.randint(-9, 9))) for v in reversed(vectors)]
+            assert projector_from_span(vectors) == projector_from_span(scaled)
+            assert projector_from_span(vectors).matrix == gram_projector(Subspace.from_vectors(4, vectors))
+
+
+def _lcm_of_denominators(m: Matrix) -> int:
+    return lcm(*[lcm(e.re.denominator, e.im.denominator) for e in m.entries])
+
+
+@st.composite
+def _oblique_idempotents_st(draw, height: int):
+    """S D S^-1 for an invertible S and a 0/1 diagonal D: idempotent, and Hermitian only by chance."""
+    n = draw(st.integers(1, 4))
+    s = draw(sparse_matrices_st(n, n, height).filter(lambda m: Subspace.row_space(m).dim == n))
+    solved = Matrix.from_rows([s.row(i) + Matrix.identity(n).row(i) for i in range(n)]).rref()
+    s_inv = Matrix.from_rows([solved.row(i)[n:] for i in range(n)])
+    d = Matrix.from_rows([[draw(st.sampled_from((0, 1))) if i == j else 0 for j in range(n)] for i in range(n)])
+    return s @ d @ s_inv
+
+
+class TestIdempotenceOnIntegers:
+    """``Projector`` decides idempotence as A A == L A on the integer form A / L; ``m @ m == m`` decides."""
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @given(data=st.data())
+    def test_agrees_with_the_product_on_drawn_matrices(self, height, data):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(sparse_matrices_st(n, n, height))
+        assert _is_idempotent(m) == (m @ m == m)
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @given(data=st.data())
+    def test_agrees_with_the_product_on_idempotents(self, height, data):
+        m = data.draw(_oblique_idempotents_st(height))
+        assert m @ m == m and _is_idempotent(m)
+        i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.rows - 1))
+        scale = _lcm_of_denominators(m)
+        entries = list(m.entries)
+        entries[i * m.cols + j] += GaussianRational(Fraction(1, scale * scale))
+        off = Matrix(m.rows, m.cols, entries)
+        assert _is_idempotent(off) == (off @ off == off)
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_rejects_a_projector_off_by_one_over_l_squared(self, height):
+        rng = Random(height)
+        for n in (2, 4):
+            for k in range(1, n):
+                p = projector_onto(_subspace_of_dim(rng, n, k, height)).matrix
+                scale = _lcm_of_denominators(p)
+                delta = GaussianRational(Fraction(1, scale * scale))
+                for i, j, d in ((0, 0, delta), (0, n - 1, delta * gr(0, 1))):
+                    entries = list(p.entries)
+                    entries[i * n + j] += d
+                    if i != j:
+                        entries[j * n + i] += d.conjugate()
+                    off = Matrix(n, n, entries)
+                    assert off.is_hermitian() and off @ off != off
+                    with pytest.raises(InvalidValueError, match="^projector matrix is not idempotent$"):
+                        Projector(off)
