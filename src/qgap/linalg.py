@@ -12,13 +12,17 @@ nonzero. The spin projectors and states of the pair space are mostly
 zeros, and adding or subtracting an exact zero changes no canonical triple,
 so the results are the same values without those multiplies and adds.
 
-Elimination runs on Gaussian integers. ``Matrix.rref`` (behind every
-lattice operation) scales each row by the lcm of its denominators and
-reduces the integer rows with one fraction-free Gauss-Jordan kernel,
-``_eliminate``, which ``projectors.projector_onto`` also uses for its
-Gram solve; each cleared row loses its integer content. Only the result is
-built as ``GaussianRational`` values: each pivot row is divided by its
-pivot, one canonical triple per entry. The public API is unchanged.
+Elimination runs on Gaussian integers. ``_integer_rows`` scales each row
+by the lcm of its denominators and keeps its real and imaginary numerators
+as two ``int`` lists; ``_eliminate`` reduces such rows by fraction-free
+Gauss-Jordan, and each cleared row loses its integer content. Three
+private kernels use that form and build ``GaussianRational`` values only
+for their result: ``Matrix.rref`` (behind every lattice operation) divides
+each pivot row by its pivot, one canonical triple per entry;
+``_projection`` solves the Gram system behind
+``projectors.projector_onto``; ``_is_idempotent`` decides the
+idempotence check of ``projectors.Projector``. The public API is
+unchanged.
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -34,7 +38,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidStateError, ShapeError
-from .scalars import ONE, ZERO, Frozen, GaussianRational, Scalarish, _make, coerce_scalar
+from .scalars import ONE, ZERO, Frozen, GaussianRational, Scalarish, _reduce, coerce_scalar
 
 
 class Matrix(Frozen):
@@ -173,23 +177,15 @@ class Matrix(Frozen):
         so the elimination runs on each row scaled to Gaussian integers and
         divides each pivot row by its pivot only when building the result.
         """
-        re, im = _integer_rows([self.row(i) for i in range(self.rows)])
+        _, re, im = _integer_rows([self.row(i) for i in range(self.rows)])
         pivots = _eliminate(re, im, self.cols)
         entries: list[GaussianRational] = []
         for r, col in enumerate(pivots):
             p, q = re[r][col], im[r][col]
-            # x / p = x * conj(p) / |p|^2; a real p only lends its sign.
-            d = p * p + q * q if q else abs(p)
+            d = p * p + q * q
+            # x / p = x * conj(p) / |p|^2
             for a, b in zip(re[r], im[r]):
-                if not a and not b:
-                    entries.append(ZERO)
-                    continue
-                if q:
-                    a, b = a * p + b * q, b * p - a * q
-                elif p < 0:
-                    a, b = -a, -b
-                g = gcd(a, b, d)
-                entries.append(_make(a // g, b // g, d // g))
+                entries.append(_reduce(a * p + b * q, b * p - a * q, d) if a or b else ZERO)
         entries.extend([ZERO] * ((self.rows - len(pivots)) * self.cols))
         return Matrix(self.rows, self.cols, tuple(entries))
 
@@ -197,11 +193,14 @@ class Matrix(Frozen):
         return "[" + ",".join("[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)) + "]"
 
 
-def _integer_rows(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Each row times the lcm of its denominators: per row its real and its imaginary numerators.
+def _integer_rows(
+    rows: Iterable[Sequence[GaussianRational]],
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Each row times the lcm of its denominators: the lcms, and per row its real and its imaginary numerators.
 
     The loops are written out: on rows this short they beat comprehensions.
     """
+    scales: list[int] = []
     re: list[list[int]] = []
     im: list[list[int]] = []
     for row in rows:
@@ -212,9 +211,10 @@ def _integer_rows(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[list
             k = scale // x._d
             xr.append(x._a * k)
             xi.append(x._b * k)
+        scales.append(scale)
         re.append(xr)
         im.append(xi)
-    return re, im
+    return scales, re, im
 
 
 def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]:
@@ -246,14 +246,9 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]
                 continue
             nr: list[int] = []
             ni: list[int] = []
-            if pi or fi:
-                for a, b, c, d in zip(re[i], im[i], yr, yi):
-                    nr.append(pr * a - pi * b - fr * c + fi * d)
-                    ni.append(pr * b + pi * a - fr * d - fi * c)
-            else:  # a real pivot and factor: half the multiplies
-                for a, b, c, d in zip(re[i], im[i], yr, yi):
-                    nr.append(pr * a - fr * c)
-                    ni.append(pr * b - fr * d)
+            for a, b, c, d in zip(re[i], im[i], yr, yi):
+                nr.append(pr * a - pi * b - fr * c + fi * d)
+                ni.append(pr * b + pi * a - fr * d - fi * c)
             g = gcd(*nr, *ni)
             if g > 1:
                 for j in range(len(nr)):
@@ -264,6 +259,80 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]
         if len(pivots) == n:
             break
     return pivots
+
+
+def _is_idempotent(m: Matrix) -> bool:
+    """Whether the square matrix m has m @ m == m, decided on its integer form as A A == L A.
+
+    m = A / L for L the lcm of all its denominators: ``_integer_rows`` on
+    the entries taken as one row gives L and A's real and imaginary parts
+    as two flat lists. Each row of A A sums over the nonzero entries of that
+    row and of the rows they select.
+    """
+    n = m.cols
+    (scale,), (ar,), (ai,) = _integer_rows([m.entries])
+    nonzero = [[j for j in range(n) if ar[i * n + j] or ai[i * n + j]] for i in range(n)]
+    for i in range(n):
+        sr, si = [0] * n, [0] * n
+        for k in nonzero[i]:
+            a, b = ar[i * n + k], ai[i * n + k]
+            for j in nonzero[k]:
+                c, d = ar[k * n + j], ai[k * n + j]
+                sr[j] += a * c - b * d
+                si[j] += a * d + b * c
+        row = range(i * n, (i + 1) * n)
+        if sr != [scale * ar[j] for j in row] or si != [scale * ai[j] for j in row]:
+            return False
+    return True
+
+
+def _projection(rows: Sequence[Sequence[GaussianRational]]) -> Matrix:
+    """The orthogonal projector onto the span of linearly independent rows, read as column vectors.
+
+    For M the rows conjugated and stacked, the projector is M* G^-1 M with
+    Gram matrix G = M M*, invertible because the rows are independent. N is
+    M with each row scaled by the lcm of its denominators, which leaves
+    M* G^-1 M unchanged, and one ``_eliminate`` pass over the integer rows
+    [N N* | N] leaves row i as [g_i e_i | Y_i], so (N N*)^-1 N has rows
+    Y_i / g_i. N N* is Hermitian positive definite, so each g_i is a
+    positive integer, met in order on the diagonal. With L the lcm of the
+    g_i, the projector is N* Z / L for Z_i = Y_i * L / g_i, one canonical
+    scalar per entry; it is Hermitian, so only its upper triangle is summed.
+    """
+    _, nr, ni = _integer_rows(rows)
+    ni = [[-b for b in row] for row in ni]  # conjugated
+    k, n = len(nr), len(nr[0])
+    # Augmented rows [G_i | N_i], G[i][j] = sum over l of N[i][l] * conj(N[j][l]).
+    re = [[0] * k + nr[i] for i in range(k)]
+    im = [[0] * k + ni[i] for i in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gr = gi = 0
+            for a, b, c, d in zip(nr[i], ni[i], nr[j], ni[j]):
+                if (a or b) and (c or d):
+                    gr += a * c + b * d
+                    gi += b * c - a * d
+            re[i][j], im[i][j] = gr, gi
+            re[j][i], im[j][i] = gr, -gi
+    _eliminate(re, im, k)
+    scale = lcm(*[re[i][i] for i in range(k)])
+    zr = [[a * (scale // re[i][i]) for a in re[i][k:]] for i in range(k)]
+    zi = [[b * (scale // re[i][i]) for b in im[i][k:]] for i in range(k)]
+    # P[s][t] = sum over i of conj(N[i][s]) * Z[i][t] / L; the lower triangle
+    # is the conjugate of the upper one.
+    entries: list[GaussianRational] = [ZERO] * (n * n)
+    for s in range(n):
+        for t in range(s, n):
+            pr = pi = 0
+            for i in range(k):
+                a, b, c, d = nr[i][s], ni[i][s], zr[i][t], zi[i][t]
+                if (a or b) and (c or d):
+                    pr += a * c + b * d
+                    pi += a * d - b * c
+            if pr or pi:
+                entries[s * n + t] = x = _reduce(pr, pi, scale)
+                entries[t * n + s] = x.conjugate()
+    return Matrix(n, n, entries)
 
 
 class StateVector(Frozen):

@@ -11,22 +11,20 @@ lattice (meet, join) is computed through the subspace lattice of ranges,
 which also covers non-commuting pairs. The kernel of P is the range of
 I - P, which holds exactly for every orthogonal projector.
 
-``projector_onto`` and the idempotence check run on Gaussian integers, not
-on ``GaussianRational`` values: the Gram solve is one fraction-free
-elimination of integer rows with ``linalg``'s kernel, and a matrix A / L
-(L the lcm of its denominators) is idempotent exactly when A A == L A.
-``GaussianRational`` values are built only for the resulting matrix.
+``projector_onto`` and the idempotence check call ``linalg``'s private
+Gaussian-integer kernels (``_projection``, ``_is_idempotent``), which
+build ``GaussianRational`` values only for the resulting matrix.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InvalidValueError, ShapeError
 from .lattice import Subspace
-from .linalg import Matrix, StateVector, _eliminate, _integer_rows
-from .scalars import ZERO, Frozen, GaussianRational, _make
+from .linalg import Matrix, StateVector, _is_idempotent, _projection
+from .scalars import ZERO, Frozen, GaussianRational
+
 
 class Projector(Frozen):
     _fields = ("matrix",)
@@ -110,32 +108,6 @@ class Projector(Frozen):
         return str(self.matrix)
 
 
-def _is_idempotent(m: Matrix) -> bool:
-    """Whether m @ m == m, decided on the integer form m = A / L as A A == L A.
-
-    L is the lcm of the entries' denominators and A holds the Gaussian-integer
-    numerators, real and imaginary parts in two flat lists. Each row of A A
-    sums over the nonzero entries of that row and of the rows they select.
-    """
-    n = m.cols
-    scale = lcm(*[x._d for x in m.entries])
-    ar = [x._a * (scale // x._d) for x in m.entries]
-    ai = [x._b * (scale // x._d) for x in m.entries]
-    nonzero = [[j for j in range(n) if ar[i * n + j] or ai[i * n + j]] for i in range(n)]
-    for i in range(n):
-        sr, si = [0] * n, [0] * n
-        for k in nonzero[i]:
-            a, b = ar[i * n + k], ai[i * n + k]
-            for j in nonzero[k]:
-                c, d = ar[k * n + j], ai[k * n + j]
-                sr[j] += a * c - b * d
-                si[j] += a * d + b * c
-        row = range(i * n, (i + 1) * n)
-        if sr != [scale * ar[j] for j in row] or si != [scale * ai[j] for j in row]:
-            return False
-    return True
-
-
 def _trace_of_product(p: Projector, q: Projector) -> GaussianRational:
     """tr(PQ), the sum of P[i,k] * Q[k,i] over P's nonzero entries, without forming PQ."""
     b, n = q.matrix.entries, q.dim
@@ -152,57 +124,15 @@ def projector_onto(subspace: Subspace) -> Projector:
     """Orthogonal projector with the given range.
 
     For M the canonical basis conjugated and stacked as rows, the projector
-    is M* G^-1 M with Gram matrix G = M M*, invertible because the rows are
-    independent. The elimination runs on Gaussian integers: N is M with each
-    row scaled by the lcm of its denominators, which leaves M* G^-1 M
-    unchanged, and one fraction-free Gauss-Jordan pass over the integer rows
-    [N N* | N] leaves row i as [g_i e_i | Y_i], so (N N*)^-1 N has rows
-    Y_i / g_i. N N* is Hermitian positive definite, so each g_i is a
-    positive integer, met in order on the diagonal. With L the lcm of the
-    g_i, P = N* Z / L for Z_i = Y_i * L / g_i, one canonical scalar per
-    entry; P is Hermitian, so only its upper triangle is summed. The result
-    is exact, Hermitian and idempotent by algebra (the constructor re-checks
-    anyway). The public behaviour is unchanged: the same range gives the
-    same matrix.
+    is M* (M M*)^-1 M, computed by ``linalg``'s Gram solve on Gaussian
+    integers with one denominator. The result is exact, Hermitian and
+    idempotent by algebra (the constructor re-checks anyway), and the same
+    range gives the same matrix.
     """
     n = subspace.ambient_dim
     if subspace.is_zero:
         return Projector.zero(n)
-    nr, ni = _integer_rows([v.entries for v in subspace.basis])
-    ni = [[-b for b in row] for row in ni]  # conjugated
-    k = len(nr)
-    # Augmented rows [G_i | N_i], G[i][j] = sum over l of N[i][l] * conj(N[j][l]).
-    re = [[0] * k + nr[i] for i in range(k)]
-    im = [[0] * k + ni[i] for i in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            gr = gi = 0
-            for a, b, c, d in zip(nr[i], ni[i], nr[j], ni[j]):
-                if (a or b) and (c or d):
-                    gr += a * c + b * d
-                    gi += b * c - a * d
-            re[i][j], im[i][j] = gr, gi
-            re[j][i], im[j][i] = gr, -gi
-    _eliminate(re, im, k)
-    scale = lcm(*[re[i][i] for i in range(k)])
-    zr = [[a * (scale // re[i][i]) for a in re[i][k:]] for i in range(k)]
-    zi = [[b * (scale // re[i][i]) for b in im[i][k:]] for i in range(k)]
-    # P[s][t] = sum over i of conj(N[i][s]) * Z[i][t] / L; P is Hermitian, so the
-    # lower triangle is the conjugate of the upper one.
-    entries: list[GaussianRational] = [ZERO] * (n * n)
-    for s in range(n):
-        for t in range(s, n):
-            pr = pi = 0
-            for i in range(k):
-                a, b, c, d = nr[i][s], ni[i][s], zr[i][t], zi[i][t]
-                if (a or b) and (c or d):
-                    pr += a * c + b * d
-                    pi += a * d - b * c
-            if pr or pi:
-                g = gcd(pr, pi, scale)
-                entries[s * n + t] = x = _make(pr // g, pi // g, scale // g)
-                entries[t * n + s] = x.conjugate()
-    return Projector(Matrix(n, n, entries))
+    return Projector(_projection([v.entries for v in subspace.basis]))
 
 
 def projector_from_span(vectors: Sequence[StateVector]) -> Projector:

@@ -219,6 +219,12 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return x
 
 
+def _reduce(a: int, b: int, d: int) -> GaussianRational:
+    """Build (a + b*i)/d for integers with d > 0, reduced to lowest terms."""
+    g = gcd(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)
@@ -270,6 +276,4 @@ def parse_scalar(text: str) -> GaussianRational:
     # The imaginary part is read first, so its fault wins when both parts have one.
     b, bd = (0, 1) if im_sign is None else _ratio(im_sign + (im_num or "1"), im_den, text)
     a, ad = (0, 1) if re_num is None else _ratio(re_num, re_den, text)
-    a, b, d = a * bd, b * ad, ad * bd
-    g = gcd(a, b, d)
-    return _make(a // g, b // g, d // g)
+    return _reduce(a * bd, b * ad, ad * bd)

@@ -33,7 +33,8 @@ from qgap import (
     range_of,
     standard_context,
 )
-from qgap.projectors import _is_idempotent, _trace_of_product
+from qgap.linalg import _is_idempotent
+from qgap.projectors import _trace_of_product
 from qgap.scalars import ZERO, GaussianRational
 from qgap.scenario import _run_table
 
