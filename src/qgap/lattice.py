@@ -6,11 +6,11 @@ hashing and golden-file comparisons all work on the canonical basis. The
 lattice operations are meet (intersection), join (closed span of the
 union, which in finite dimension is just the span), vector-sum (identical
 to join here, kept as its own operation so the identity is testable) and
-orthocomplement. Each reduces one matrix: Zassenhaus's block for meet, the
-stacked bases for join, the null space read off the basis for complement.
-``Subspace.row_space`` is the one reducer of stacked rows to a canonical
-basis: ``from_vectors``, ``column_space`` and ``parse_span`` (the span reader
-of the CLI and the fixture audit) all call it.
+orthocomplement. Each reduces one matrix in ``linalg``: Zassenhaus's block for
+meet, the stacked bases for join, the null space read off the basis for
+complement; ``contains`` and ``leq`` are rank tests by ``linalg._rank``.
+``Subspace.row_space`` is the one reducer to a canonical basis: ``from_vectors``,
+``column_space`` and ``parse_span`` (the CLI and audit span reader) call it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ShapeError
-from .linalg import Matrix, StateVector
+from .linalg import Matrix, StateVector, _rank
 from .scalars import ONE, ZERO, Frozen, parse_scalar
 
 
@@ -98,20 +98,15 @@ class Subspace(Frozen):
             )
 
     def contains(self, v: StateVector) -> bool:
-        """Membership test; scale-invariant because spans are closed under scaling."""
+        """Membership test: v adds nothing to the rank of the basis. Scale-invariant, as spans are."""
         if v.dim != self.ambient_dim:
             raise ShapeError(f"vector of dim {v.dim} against ambient dim {self.ambient_dim}")
-        residual = list(v.entries)
-        for b in self.basis:
-            coeff = residual[_lead(b)]
-            if not coeff.is_zero:
-                residual = [x - coeff * y for x, y in zip(residual, b.entries)]
-        return all(e.is_zero for e in residual)
+        return _rank([b.entries for b in self.basis] + [v.entries]) == self.dim
 
     def leq(self, other: "Subspace") -> bool:
-        """The lattice order: every basis vector of self lies in other."""
+        """The lattice order: self's basis adds no rank to other's; a zero self is below everything."""
         self._check_ambient(other)
-        return all(other.contains(b) for b in self.basis)
+        return self.is_zero or _rank([b.entries for b in other.basis + self.basis]) == other.dim
 
     def __le__(self, other: "Subspace") -> bool:
         return self.leq(other)
@@ -157,9 +152,8 @@ class Subspace(Frozen):
         if self.is_zero or other.is_zero:
             return Subspace.zero(self.ambient_dim)
         n = self.ambient_dim
-        block = Matrix.from_rows(
-            [a.entries + a.entries for a in self.basis] + [b.entries + (ZERO,) * n for b in other.basis]
-        ).rref()
+        stacked = [a.entries * 2 for a in self.basis] + [b.entries + (ZERO,) * n for b in other.basis]
+        block = Matrix(len(stacked), 2 * n, [e for r in stacked for e in r]).rref()
         rows = (block.row(i) for i in range(block.rows))
         return Subspace(n, tuple(StateVector(r[n:]) for r in rows if all(e.is_zero for e in r[:n])))
 

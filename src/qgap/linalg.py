@@ -15,14 +15,13 @@ so the results are the same values without those multiplies and adds.
 Elimination runs on Gaussian integers. ``_integer_rows`` scales each row
 by the lcm of its denominators and keeps its real and imaginary numerators
 as two ``int`` lists; ``_eliminate`` reduces such rows by fraction-free
-Gauss-Jordan, and each cleared row loses its integer content. Three
+Gauss-Jordan, and each cleared row loses its integer content. Four
 private kernels use that form and build ``GaussianRational`` values only
-for their result: ``Matrix.rref`` (behind every lattice operation) divides
-each pivot row by its pivot, one canonical triple per entry;
-``_projection`` solves the Gram system behind
-``projectors.projector_onto``; ``_is_idempotent`` decides the
-idempotence check of ``projectors.Projector``. The public API is
-unchanged.
+for their result: ``Matrix.rref`` divides each pivot row by its pivot, one
+canonical triple per entry; ``_rank`` counts the pivots only, for
+``lattice.Subspace.contains`` and ``leq``; ``_projection`` solves the Gram
+system behind ``projectors.projector_onto``; ``_is_idempotent`` decides
+the idempotence check of ``projectors.Projector``.
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -259,6 +258,12 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]
         if len(pivots) == n:
             break
     return pivots
+
+
+def _rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
+    """The rank of one or more rows of equal length: their pivot count under ``_eliminate``, no reduced form built."""
+    _, re, im = _integer_rows(rows)
+    return len(_eliminate(re, im, len(re[0])))
 
 
 def _is_idempotent(m: Matrix) -> bool:

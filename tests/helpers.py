@@ -1,6 +1,7 @@
 """Shared builders, hypothesis strategies, and independent test oracles."""
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
@@ -66,12 +67,47 @@ def rand_span_pair(rng: Random, height: int) -> tuple[Subspace, Subspace]:
     a = [rand_state(rng, height=height) for _ in range(rng.randint(1, 3))]
     b = [rand_state(rng, height=height) for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.5:
-        shared = [ZERO] * 4
-        while all(e.is_zero for e in shared):
-            coeffs = [rand_scalar(rng) for _ in a]
-            shared = [sum((c * v.entries[j] for c, v in zip(coeffs, a)), ZERO) for j in range(4)]
-        b[0] = StateVector(tuple(shared))
+        b[0] = rand_combination(rng, a)
     return Subspace.from_vectors(4, a), Subspace.from_vectors(4, b)
+
+
+def rand_combination(rng: Random, vectors) -> StateVector:
+    """A nonzero combination of nonzero vectors, with coefficients drawn by ``rand_scalar``."""
+    dim = vectors[0].dim
+    entries = [ZERO] * dim
+    while all(e.is_zero for e in entries):
+        coeffs = [rand_scalar(rng) for _ in vectors]
+        entries = [sum((c * v.entries[j] for c, v in zip(coeffs, vectors)), ZERO) for j in range(dim)]
+    return StateVector(tuple(entries))
+
+
+# --- work counters ---
+
+_COUNTED = {"mul": "__mul__", "add": "__add__", "sub": "__sub__", "neg": "__neg__"}
+
+
+@contextmanager
+def counted_arithmetic():
+    """Count GaussianRational multiplies, adds, subtractions and negations while the block runs."""
+    counts = dict.fromkeys(_COUNTED, 0)
+    originals = {key: getattr(GaussianRational, name) for key, name in _COUNTED.items()}
+
+    def wrap(key):
+        fn = originals[key]
+
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return counted
+
+    for key, name in _COUNTED.items():
+        setattr(GaussianRational, name, wrap(key))
+    try:
+        yield counts
+    finally:
+        for key, name in _COUNTED.items():
+            setattr(GaussianRational, name, originals[key])
 
 
 # --- hypothesis strategies ---

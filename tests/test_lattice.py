@@ -6,8 +6,10 @@ from hypothesis import given
 from helpers import (
     SINGLET,
     E2,
+    counted_arithmetic,
     gr,
     meet_oracle,
+    rand_combination,
     rand_span_pair,
     rand_state,
     rand_subspace,
@@ -80,6 +82,21 @@ class TestOrder:
 
     def test_not_leq(self):
         assert not DIFF_Z_RANGE <= span(4, (0, 1, 0, 0))
+
+
+class TestRankTests:
+    """Membership and order are decided by rank on Gaussian integers, with no scalar arithmetic."""
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_contains_and_leq_do_no_scalar_arithmetic(self, height):
+        rng, zero = Random(808 + height), Subspace.zero(4)
+        for _ in range(20):
+            a, b = rand_span_pair(rng, height)
+            inside, outside = rand_combination(rng, a.basis), rand_state(rng, height=height)
+            with counted_arithmetic() as counts:
+                answers = (a.contains(inside), a.contains(outside), a <= b, b <= a, a <= zero, zero <= a)
+            assert counts == dict.fromkeys(counts, 0)
+            assert answers[0] and not answers[4] and answers[5]
 
 
 class TestMeet:

@@ -1,6 +1,5 @@
 import copy
 import pickle
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ import exact
 from helpers import (
     E2,
     SINGLET,
+    counted_arithmetic,
     gr,
     matrices_st,
     nonzero_scalars_st,
@@ -32,7 +32,7 @@ from qgap import (
     state_tensor,
     tensor_product,
 )
-from qgap.scalars import ZERO, GaussianRational
+from qgap.scalars import ZERO
 
 I = gr(0, 1)
 
@@ -154,33 +154,6 @@ class TestSparseProducts:
         assert zero.apply(StateVector.of(*([1] * cols))) == (ZERO,) * rows
         assert zero.rref() == zero
         assert Subspace.row_space(zero).is_zero
-
-
-_COUNTED = {"mul": "__mul__", "add": "__add__", "sub": "__sub__", "neg": "__neg__"}
-
-
-@contextmanager
-def counted_arithmetic():
-    """Count GaussianRational multiplies, adds, subtractions and negations while the block runs."""
-    counts = dict.fromkeys(_COUNTED, 0)
-    originals = {key: getattr(GaussianRational, name) for key, name in _COUNTED.items()}
-
-    def wrap(key):
-        fn = originals[key]
-
-        def counted(*args):
-            counts[key] += 1
-            return fn(*args)
-
-        return counted
-
-    for key, name in _COUNTED.items():
-        setattr(GaussianRational, name, wrap(key))
-    try:
-        yield counts
-    finally:
-        for key, name in _COUNTED.items():
-            setattr(GaussianRational, name, originals[key])
 
 
 def expected_work(term_counts):

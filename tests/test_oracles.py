@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    rand_combination,
     rand_scalar,
+    rand_span_pair,
     rand_state,
     rand_subspace,
     sparse_matrices_st,
@@ -27,6 +29,7 @@ from helpers import (
 from qgap import (
     GaussianRational,
     Matrix,
+    ShapeError,
     Subspace,
     kernel_of,
     projector_from_span,
@@ -34,6 +37,7 @@ from qgap import (
     range_of,
     tensor_product,
 )
+from qgap.linalg import _rank
 
 
 def rand_matrix(rng: Random, rows: int, cols: int) -> Matrix:
@@ -50,6 +54,7 @@ def test_rref_and_rank_agree_with_sympy():
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         reduced, pivots = to_sympy(m).rref()
         assert Subspace.row_space(m).dim == len(pivots)
+        assert _rank([m.row(i) for i in range(m.rows)]) == len(pivots)
         assert to_sympy(m.rref()) == reduced
 
 
@@ -63,6 +68,7 @@ def test_sparse_rref_agrees_with_sympy(height, data):
     m = data.draw(sparse_matrices_st(rows, cols, height))
     reduced, pivots = to_sympy(m).rref()
     assert to_sympy(m.rref()) == reduced
+    assert _rank([m.row(i) for i in range(m.rows)]) == len(pivots)
     assert Subspace.row_space(m) == sympy_span(cols, [reduced.row(i) for i in range(len(pivots))])
 
 
@@ -113,18 +119,49 @@ def test_kernel_agrees_with_sympy():
                 assert range_of(p) == s
 
 
+def stacked_rank(*bases):
+    """The sympy rank of the vectors of the given bases stacked as rows."""
+    return sp.Matrix.vstack(*[to_sympy_vec(v).T for basis in bases for v in basis]).rank()
+
+
 def test_membership_agrees_with_sympy_rank():
+    # Random vectors and, half the time, combinations of the basis, so both
+    # answers occur, at entry heights 2 and 1000.
     rng = Random(303)
+    answers = set()
+    for height in (2, 1000):
+        for _ in range(30):
+            count = rng.randint(0, 4)
+            s = Subspace.from_vectors(4, [rand_state(rng, height=height) for _ in range(count)])
+            v = rand_state(rng, height=height)
+            if s.is_zero:
+                assert not s.contains(v)
+                continue
+            if rng.random() < 0.5:
+                v = rand_combination(rng, s.basis)
+            answers.add(s.contains(v))
+            assert s.contains(v) == (stacked_rank(s.basis, [v]) == s.dim)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("height", (2, 1000))
+def test_order_agrees_with_sympy_rank(height):
+    rng = Random(606 + height)
+    answers = set()
     for _ in range(30):
-        s = rand_subspace(rng)
-        v = rand_state(rng)
-        if s.is_zero:
-            assert not s.contains(v)
-            continue
-        stacked = sp.Matrix.vstack(
-            *[to_sympy_vec(b).T for b in s.basis], to_sympy_vec(v).T
-        )
-        assert s.contains(v) == (stacked.rank() == s.dim)
+        a, b = rand_span_pair(rng, height)
+        rank = stacked_rank(a.basis, b.basis)
+        answers.update((a <= b, b <= a))
+        assert (a <= b) == (rank == b.dim)
+        assert (b <= a) == (rank == a.dim)
+        assert a.meet(b) <= a and a.meet(b) <= b
+        assert a <= a.join(b) and b <= a.join(b)
+    assert answers == {True, False}
+    zero = Subspace.zero(4)
+    assert zero <= a and zero <= zero and not a <= zero
+    for left, right in ((a, Subspace.zero(3)), (zero, Subspace.zero(3)), (Subspace.zero(3), a)):
+        with pytest.raises(ShapeError):
+            left <= right
 
 
 def test_meet_dimension_obeys_grassmann_identity():
@@ -135,17 +172,10 @@ def test_meet_dimension_obeys_grassmann_identity():
         if a.is_zero or b.is_zero:
             assert met.is_zero
             continue
-        stacked = sp.Matrix.vstack(
-            *[to_sympy_vec(v).T for v in a.basis], *[to_sympy_vec(v).T for v in b.basis]
-        )
-        join_dim = stacked.rank()
-        assert met.dim == a.dim + b.dim - join_dim
+        assert met.dim == a.dim + b.dim - stacked_rank(a.basis, b.basis)
         for v in met.basis:
             for side in (a, b):
-                with_v = sp.Matrix.vstack(
-                    *[to_sympy_vec(u).T for u in side.basis], to_sympy_vec(v).T
-                )
-                assert with_v.rank() == side.dim
+                assert stacked_rank(side.basis, [v]) == side.dim
 
 
 def test_tensor_product_agrees_with_sympy_kron():
