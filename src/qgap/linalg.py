@@ -12,16 +12,23 @@ nonzero. The spin projectors and states of the pair space are mostly
 zeros, and adding or subtracting an exact zero changes no canonical triple,
 so the results are the same values without those multiplies and adds.
 
-Elimination runs on Gaussian integers. ``_integer_rows`` scales each row
-by the lcm of its denominators and keeps its real and imaginary numerators
-as two ``int`` lists; ``_eliminate`` reduces such rows by fraction-free
-Gauss-Jordan, and each cleared row loses its integer content. Four
-private kernels use that form and build ``GaussianRational`` values only
-for their result: ``Matrix.rref`` divides each pivot row by its pivot, one
-canonical triple per entry; ``_rank`` counts the pivots only, for
-``lattice.Subspace.contains`` and ``leq``; ``_projection`` solves the Gram
-system behind ``projectors.projector_onto``; ``_is_idempotent`` decides
-the idempotence check of ``projectors.Projector``.
+Elimination, ranks, projector construction, the idempotence check and
+valuation's two tests run on Gaussian integers. ``_integer_rows`` scales
+each row by the lcm of its denominators and keeps its real and imaginary
+numerators as two ``int`` lists; ``_eliminate`` reduces such rows by
+fraction-free Gauss-Jordan, and each cleared row loses its integer
+content. Three private kernels use that form and build
+``GaussianRational`` values only for their result: ``Matrix.rref``
+divides each pivot row by its pivot, one canonical triple per entry;
+``_rank`` counts the pivots of a forward elimination, for
+``lattice.Subspace.contains`` and ``leq``; ``_projection`` solves the
+Gram system behind ``projectors.projector_onto``. Two more build no scalar
+at all and read one cached integer view of each operand,
+``Matrix._integer_pattern`` and ``StateVector._integer_form``:
+``_is_idempotent`` decides the idempotence check of
+``projectors.Projector``, and ``_kills_or_fixes`` decides whether a matrix
+sends a state to zero or to itself, which is all ``propositions.valuate``
+asks.
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -79,6 +86,27 @@ class Matrix(Frozen):
             tuple((j, x) for j, x in enumerate(self.entries[i * c : (i + 1) * c]) if not x.is_zero)
             for i in range(self.rows)
         )
+
+    @cached_property
+    def _integer_pattern(self) -> tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]:
+        """The matrix as A / L: the lcm L of all its denominators, and per row the (column, re, im) of A's nonzero entries.
+
+        Written out rather than read off ``_integer_rows``, which also scales
+        the zero entries: on the compiled projectors of valuate_mix that took
+        twice as long.
+        """
+        entries, c = self.entries, self.cols
+        scale = lcm(*[x._d for x in entries])
+        rows = []
+        for i in range(0, len(entries), c):
+            row = []
+            for j in range(c):
+                x = entries[i + j]
+                if x._a or x._b:
+                    k = scale // x._d
+                    row.append((j, x._a * k, x._b * k))
+            rows.append(tuple(row))
+        return scale, tuple(rows)
 
     def at(self, i: int, j: int) -> GaussianRational:
         return self.entries[i * self.cols + j]
@@ -216,7 +244,7 @@ def _integer_rows(
     return scales, re, im
 
 
-def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]:
+def _eliminate(re: list[list[int]], im: list[list[int]], cols: int, *, above: bool = True) -> list[int]:
     """Fraction-free Gauss-Jordan on Gaussian-integer rows, in place; returns the pivot columns.
 
     Row k of the result has its pivot at the k-th returned column, and every
@@ -225,7 +253,9 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]
     with a nonzero entry f in the pivot column becomes p*x - f*y, for y the
     pivot row and p its pivot, and then loses its integer content, the gcd
     of all its parts; a row with a zero there is left alone. Only the first
-    ``cols`` columns are searched for pivots; later ones ride along.
+    ``cols`` columns are searched for pivots; later ones ride along. With
+    ``above`` false only the rows below each pivot are cleared, which leaves
+    a row-echelon form with the same pivots.
     """
     n = len(re)
     pivots: list[int] = []
@@ -239,7 +269,7 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]
         re[r], re[src], im[r], im[src] = re[src], re[r], im[src], im[r]
         yr, yi = re[r], im[r]
         pr, pi = yr[col], yi[col]
-        for i in range(n):
+        for i in range(0 if above else r + 1, n):
             fr, fi = re[i][col], im[i][col]
             if i == r or not fr and not fi:
                 continue
@@ -261,34 +291,59 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int) -> list[int]
 
 
 def _rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
-    """The rank of one or more rows of equal length: their pivot count under ``_eliminate``, no reduced form built."""
+    """The rank of one or more rows of equal length: their pivot count under a forward ``_eliminate``, no reduced form built."""
     _, re, im = _integer_rows(rows)
-    return len(_eliminate(re, im, len(re[0])))
+    return len(_eliminate(re, im, len(re[0]), above=False))
 
 
 def _is_idempotent(m: Matrix) -> bool:
-    """Whether the square matrix m has m @ m == m, decided on its integer form as A A == L A.
+    """Whether the square matrix m has m @ m == m, decided on its integer view as A A == L A.
 
-    m = A / L for L the lcm of all its denominators: ``_integer_rows`` on
-    the entries taken as one row gives L and A's real and imaginary parts
-    as two flat lists. Each row of A A sums over the nonzero entries of that
-    row and of the rows they select.
+    ``m._integer_pattern`` holds m = A / L. Each row of A A sums over the
+    nonzero entries of that row and of the rows they select, and is compared
+    with the same row of A scaled by L.
     """
     n = m.cols
-    (scale,), (ar,), (ai,) = _integer_rows([m.entries])
-    nonzero = [[j for j in range(n) if ar[i * n + j] or ai[i * n + j]] for i in range(n)]
-    for i in range(n):
+    scale, rows = m._integer_pattern
+    for row in rows:
         sr, si = [0] * n, [0] * n
-        for k in nonzero[i]:
-            a, b = ar[i * n + k], ai[i * n + k]
-            for j in nonzero[k]:
-                c, d = ar[k * n + j], ai[k * n + j]
+        for k, a, b in row:
+            for j, c, d in rows[k]:
                 sr[j] += a * c - b * d
                 si[j] += a * d + b * c
-        row = range(i * n, (i + 1) * n)
-        if sr != [scale * ar[j] for j in row] or si != [scale * ai[j] for j in row]:
+        lr, li = [0] * n, [0] * n
+        for j, a, b in row:
+            lr[j], li[j] = scale * a, scale * b
+        if sr != lr or si != li:
             return False
     return True
+
+
+def _kills_or_fixes(m: Matrix, state: StateVector) -> tuple[bool, bool]:
+    """Whether m sends the state to zero, and whether to itself, decided on integer views.
+
+    With m = A / L from ``m._integer_pattern`` and v = V / s from
+    ``state._integer_form``, m v = 0 exactly when A V = 0, and m v = v
+    exactly when A V = L V. The rows of A V are summed in order until both
+    answers have failed. They never both hold, since the state is nonzero.
+    """
+    scale, rows = m._integer_pattern
+    vr, vi = state._integer_form
+    kills = fixes = True
+    for row, xr, xi in zip(rows, vr, vi):
+        sr = si = 0
+        for j, a, b in row:
+            c, d = vr[j], vi[j]
+            if c or d:
+                sr += a * c - b * d
+                si += a * d + b * c
+        if sr or si:
+            kills = False
+        if fixes and (sr != scale * xr or si != scale * xi):
+            fixes = False
+        if not kills and not fixes:
+            break
+    return kills, fixes
 
 
 def _projection(rows: Sequence[Sequence[GaussianRational]]) -> Matrix:
@@ -352,6 +407,12 @@ class StateVector(Frozen):
         if all(e.is_zero for e in entries):
             raise InvalidStateError("the zero vector is not a state")
         object.__setattr__(self, "entries", entries)
+
+    @cached_property
+    def _integer_form(self) -> tuple[list[int], list[int]]:
+        """V's real and imaginary numerators, for the state v = V / s and s the lcm of its denominators."""
+        _, (vr,), (vi,) = _integer_rows([self.entries])
+        return vr, vi
 
     @classmethod
     def of(cls, *values: Scalarish) -> "StateVector":

@@ -37,7 +37,7 @@ from .errors import (
     ShapeError,
     UnsupportedConnectiveError,
 )
-from .linalg import StateVector
+from .linalg import StateVector, _kills_or_fixes
 from .projectors import Projector
 from .scalars import Frozen
 
@@ -221,14 +221,16 @@ def valuate(state: StateVector, p: Projector) -> TruthValueSet:
 
     True exactly when the state lies in the range (P state == state), false
     exactly when it lies in the kernel (P state == 0), and a gap otherwise.
-    Indeterminate never arises here. Scale-invariant in the state.
+    Indeterminate never arises here. Scale-invariant in the state. Both
+    tests are decided by ``linalg._kills_or_fixes`` on integer views of the
+    projector and the state; no image is built.
     """
     if state.dim != p.dim:
         raise ShapeError(f"state of dim {state.dim} against projector of dim {p.dim}")
-    image = p.matrix.apply(state)
-    if all(e.is_zero for e in image):
+    kills, fixes = _kills_or_fixes(p.matrix, state)
+    if kills:
         return TruthValueSet.FALSE_ONLY
-    if image == state.entries:
+    if fixes:
         return TruthValueSet.TRUE_ONLY
     return TruthValueSet.GAP
 

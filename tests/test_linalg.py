@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact
@@ -32,7 +32,8 @@ from qgap import (
     state_tensor,
     tensor_product,
 )
-from qgap.scalars import ZERO
+from qgap.linalg import _is_idempotent, _kills_or_fixes
+from qgap.scalars import ONE, ZERO
 
 I = gr(0, 1)
 
@@ -246,18 +247,23 @@ class TestSparseWork:
 
 
 class TestCachedPattern:
-    """The nonzero pattern kept for products changes no equality, hash, repr or copy."""
+    """The nonzero pattern and the integer views kept on a matrix or a state change no equality, hash, repr or copy."""
 
     @pytest.mark.parametrize("height", HEIGHTS)
     @given(data=st.data())
     def test_invisible_to_eq_hash_and_repr(self, height, data):
         rows, cols = data.draw(dims_st), data.draw(dims_st)
         m = data.draw(sparse_matrices_st(rows, cols, height))
-        fresh = Matrix(m.rows, m.cols, m.entries)
-        before = (hash(m), repr(m))
+        v = data.draw(sparse_states_st(cols, height))
+        fresh, fresh_v = Matrix(m.rows, m.cols, m.entries), StateVector(v.entries)
+        before = (hash(m), repr(m), hash(v), repr(v))
         m @ Matrix.identity(cols)
+        m._integer_pattern
+        v._integer_form
         assert m == m and m == fresh and fresh == m
-        assert (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
+        assert v == v and v == fresh_v and fresh_v == v
+        assert (hash(m), repr(m), hash(v), repr(v)) == before
+        assert before == (hash(fresh), repr(fresh), hash(fresh_v), repr(fresh_v))
 
     @pytest.mark.parametrize("used", [False, True], ids=["cold", "used"])
     @pytest.mark.parametrize(
@@ -265,13 +271,63 @@ class TestCachedPattern:
     )
     def test_survives_copy_and_pickle(self, clone, used):
         m = DIFF_X + P_Z_UD.scale(I)
+        v = SINGLET.scale(gr(2, 3))
         if used:
             m.apply(SINGLET)
             m @ m
-        m2 = clone(m)
+            _kills_or_fixes(m, v)
+            _is_idempotent(m)
+        m2, v2 = clone(m), clone(v)
         assert m2 == m and hash(m2) == hash(m) and repr(m2) == repr(m)
+        assert v2 == v and hash(v2) == hash(v) and repr(v2) == repr(v)
         assert m2 @ m2 == m @ m
         assert m2.apply(SINGLET) == m.apply(SINGLET)
+        assert m2._integer_pattern == m._integer_pattern and v2._integer_form == v._integer_form
+        assert _kills_or_fixes(m2, v2) == _kills_or_fixes(m, v) == (False, False)
+        assert _is_idempotent(m2) is _is_idempotent(m) is False
+
+
+def apply_answers(m, v):
+    """Whether the image read off ``Matrix.apply`` is zero, and whether it is the state itself."""
+    image = m.apply(v)
+    return all(e.is_zero for e in image), image == v.entries
+
+
+class TestKillsOrFixes:
+    """The integer kernel behind valuation answers as the image of ``Matrix.apply`` does."""
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    def test_agrees_with_apply(self, height):
+        # Besides drawn matrices (zero rows and the zero matrix among them),
+        # a drawn matrix with the state's support columns cleared kills the
+        # state, and the identity plus such a matrix fixes it.
+        seen = set()
+        factors = nonzero_scalars_st(height).filter(lambda f: not f.is_real and f * f.conjugate() != ONE)
+
+        @settings(max_examples=60)
+        @given(data=st.data())
+        def check(data):
+            dim = data.draw(dims_st)
+            v = data.draw(sparse_states_st(dim, height))
+            kind = data.draw(st.sampled_from(["drawn", "zero", "identity", "kills", "fixes"]))
+            if kind == "zero":
+                m = Matrix.zero(dim, dim)
+            elif kind == "identity":
+                m = Matrix.identity(dim)
+            else:
+                m = data.draw(sparse_matrices_st(dim, dim, height))
+                if kind != "drawn":
+                    support = nonzero_at(v.entries)
+                    m = Matrix(dim, dim, tuple(ZERO if k % dim in support else x for k, x in enumerate(m.entries)))
+                if kind == "fixes":
+                    m = m + Matrix.identity(dim)
+            for state in (v, v.scale(data.draw(factors))):
+                answers = _kills_or_fixes(m, state)
+                assert answers == apply_answers(m, state)
+                seen.add(answers)
+
+        check()
+        assert seen == {(True, False), (False, True), (False, False)}
 
 
 @st.composite

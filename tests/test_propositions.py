@@ -9,6 +9,7 @@ from helpers import (
     SINGLET,
     atom_order,
     classical_solutions_oracle,
+    counted_arithmetic,
     gr,
     partner,
     rand_state,
@@ -28,6 +29,8 @@ from qgap import (
     Projector,
     QgapError,
     ShapeError,
+    StateVector,
+    Subspace,
     TruthValueSet,
     UnsupportedConnectiveError,
     Xor,
@@ -244,6 +247,24 @@ class TestValuate:
             assert valuate(state, right) is G
         assert valuate(SINGLET, compound) is T
         assert valuate(other, compound) is G
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_does_no_scalar_arithmetic(self, height):
+        # Fresh projectors and states: a compiled exclusive-or, never
+        # valuated before, and projectors onto a span holding the state, onto
+        # its complement and onto a random span.
+        rng, ctx = Random(909 + height), standard_context()
+        cases = []
+        for _ in range(10):
+            state = rand_state(rng, height=height, sparse=rng.random() < 0.5)
+            around = Subspace.from_vectors(4, [state, rand_state(rng, height=height)])
+            cases.append((StateVector(state.entries), compile_proposition(DIFF_Z, ctx)))
+            for s in (around, around.orthocomplement(), rand_subspace(rng)):
+                cases.append((StateVector(state.entries), projector_onto(s)))
+        with counted_arithmetic() as counts:
+            values = [valuate(state, p) for state, p in cases]
+        assert counts == dict.fromkeys(counts, 0)
+        assert set(values) == {T, F, G}
 
 
 class TestClassicalValuate:

@@ -229,6 +229,33 @@ class TestVerify:
         assert range_of(compile_proposition(different_spins(Axis.Z), ctx)).contains(post)
 
 
+def apply_rule(state, p):
+    """Valuation read off the image ``Matrix.apply`` builds: zero is false, the state itself true, else a gap."""
+    image = p.matrix.apply(state)
+    if all(e.is_zero for e in image):
+        return F
+    return T if image == state.entries else G
+
+
+class TestRunTableValuation:
+    def test_agrees_with_the_apply_rule(self):
+        # Every row of the run table, on each axis's singlet and both of its
+        # post-states, as built and scaled by complex non-unit factors.
+        pre, post = scenario._run_table()
+        assert len(pre) + len(post) == 30
+        seen = set()
+        for axis in Axis:
+            prepared = singlet(axis)
+            states = [prepared] + [verify(prepared, Atom(Particle.A, axis, d)) for d in Direction]
+            for state in states:
+                for s in (state, state.scale(gr(3, -2)), state.scale(gr(-5, 7) / 11)):
+                    for _, _, projector in pre + post:
+                        value = valuate(s, projector)
+                        assert value is apply_rule(s, projector)
+                        seen.add(value)
+        assert seen == {T, F, G}
+
+
 class TestPreVerificationProfile:
     @pytest.mark.parametrize("axis", list(Axis))
     def test_diff_true_same_false(self, axis):
