@@ -11,6 +11,9 @@ meet, the stacked bases for join, the null space read off the basis for
 complement; ``contains`` and ``leq`` are rank tests by ``linalg._rank``.
 ``Subspace.row_space`` is the one reducer to a canonical basis: ``from_vectors``,
 ``column_space`` and ``parse_span`` (the CLI and audit span reader) call it.
+``Subspace(n, basis)`` takes a basis from outside only if its vectors, all
+of dimension n, stacked equal their own ``Matrix.rref``; the lattice's own
+results are already reduced and are stored by ``Frozen._of``.
 """
 
 from __future__ import annotations
@@ -27,23 +30,6 @@ def _lead(vec: StateVector) -> int | None:
     return next((j for j, e in enumerate(vec.entries) if not e.is_zero), None)
 
 
-def _is_canonical(ambient_dim: int, basis: tuple[StateVector, ...]) -> bool:
-    last_pivot = -1
-    for row_index, vec in enumerate(basis):
-        if vec.dim != ambient_dim:
-            return False
-        lead = _lead(vec)
-        if lead is None or lead <= last_pivot:
-            return False
-        if vec.entries[lead] != ONE:
-            return False
-        for other_index, other in enumerate(basis):
-            if other_index != row_index and not other.entries[lead].is_zero:
-                return False
-        last_pivot = lead
-    return True
-
-
 class Subspace(Frozen):
     _fields = ("ambient_dim", "basis")
 
@@ -51,7 +37,9 @@ class Subspace(Frozen):
         basis = tuple(basis)
         if ambient_dim < 1:
             raise ShapeError("ambient dimension must be positive")
-        if len(basis) > ambient_dim or not _is_canonical(ambient_dim, basis):
+        if any(v.dim != ambient_dim for v in basis) or basis and (
+            (m := Matrix(len(basis), ambient_dim, [e for v in basis for e in v.entries])).rref() != m
+        ):
             raise ShapeError("basis is not a canonical RREF basis for this ambient dimension")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
@@ -61,7 +49,7 @@ class Subspace(Frozen):
         """The span of the rows of m: the nonzero rows of its reduced form."""
         reduced = m.rref()
         rows = (reduced.row(i) for i in range(reduced.rows))
-        return cls(m.cols, tuple(StateVector(r) for r in rows if not all(e.is_zero for e in r)))
+        return cls._of(m.cols, tuple(StateVector._of(r) for r in rows if not all(e.is_zero for e in r)))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[StateVector]) -> "Subspace":
@@ -137,7 +125,7 @@ class Subspace(Frozen):
             v[f] = ONE
             for p, b in zip(pivots, self.basis):
                 v[p] = -b.entries[f].conjugate()
-            vectors.append(StateVector(tuple(v)))
+            vectors.append(StateVector._of(tuple(v)))
         return Subspace.from_vectors(n, vectors)
 
     def meet(self, other: "Subspace") -> "Subspace":
@@ -155,7 +143,7 @@ class Subspace(Frozen):
         stacked = [a.entries * 2 for a in self.basis] + [b.entries + (ZERO,) * n for b in other.basis]
         block = Matrix(len(stacked), 2 * n, [e for r in stacked for e in r]).rref()
         rows = (block.row(i) for i in range(block.rows))
-        return Subspace(n, tuple(StateVector(r[n:]) for r in rows if all(e.is_zero for e in r[:n])))
+        return Subspace._of(n, tuple(StateVector._of(r[n:]) for r in rows if all(e.is_zero for e in r[:n])))
 
     def __str__(self) -> str:
         return "span{" + ", ".join(str(b) for b in self.basis) + "}"

@@ -204,7 +204,7 @@ class Matrix(Frozen):
         so the elimination runs on each row scaled to Gaussian integers and
         divides each pivot row by its pivot only when building the result.
         """
-        _, re, im = _integer_rows([self.row(i) for i in range(self.rows)])
+        re, im = _integer_rows([self.row(i) for i in range(self.rows)])
         pivots = _eliminate(re, im, self.cols)
         entries: list[GaussianRational] = []
         for r, col in enumerate(pivots):
@@ -220,14 +220,11 @@ class Matrix(Frozen):
         return "[" + ",".join("[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)) + "]"
 
 
-def _integer_rows(
-    rows: Iterable[Sequence[GaussianRational]],
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Each row times the lcm of its denominators: the lcms, and per row its real and its imaginary numerators.
+def _integer_rows(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Each row times the lcm of its denominators: per row its real and its imaginary numerators.
 
     The loops are written out: on rows this short they beat comprehensions.
     """
-    scales: list[int] = []
     re: list[list[int]] = []
     im: list[list[int]] = []
     for row in rows:
@@ -238,10 +235,9 @@ def _integer_rows(
             k = scale // x._d
             xr.append(x._a * k)
             xi.append(x._b * k)
-        scales.append(scale)
         re.append(xr)
         im.append(xi)
-    return scales, re, im
+    return re, im
 
 
 def _eliminate(re: list[list[int]], im: list[list[int]], cols: int, *, above: bool = True) -> list[int]:
@@ -292,7 +288,7 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int, *, above: bo
 
 def _rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
     """The rank of one or more rows of equal length: their pivot count under a forward ``_eliminate``, no reduced form built."""
-    _, re, im = _integer_rows(rows)
+    re, im = _integer_rows(rows)
     return len(_eliminate(re, im, len(re[0]), above=False))
 
 
@@ -359,7 +355,7 @@ def _projection(rows: Sequence[Sequence[GaussianRational]]) -> Matrix:
     g_i, the projector is N* Z / L for Z_i = Y_i * L / g_i, one canonical
     scalar per entry; it is Hermitian, so only its upper triangle is summed.
     """
-    _, nr, ni = _integer_rows(rows)
+    nr, ni = _integer_rows(rows)
     ni = [[-b for b in row] for row in ni]  # conjugated
     k, n = len(nr), len(nr[0])
     # Augmented rows [G_i | N_i], G[i][j] = sum over l of N[i][l] * conj(N[j][l]).
@@ -411,7 +407,7 @@ class StateVector(Frozen):
     @cached_property
     def _integer_form(self) -> tuple[list[int], list[int]]:
         """V's real and imaginary numerators, for the state v = V / s and s the lcm of its denominators."""
-        _, (vr,), (vi,) = _integer_rows([self.entries])
+        (vr,), (vi,) = _integer_rows([self.entries])
         return vr, vi
 
     @classmethod
@@ -426,7 +422,7 @@ class StateVector(Frozen):
         f = coerce_scalar(factor)
         if f.is_zero:
             raise InvalidStateError("cannot scale a state by zero")
-        return StateVector(tuple(f * e for e in self.entries))
+        return StateVector._of(tuple(f * e for e in self.entries))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"

@@ -6,7 +6,8 @@ proposition carrier. ``Projector(m)`` checks both properties. The two
 connectives' closed forms skip that check, since a cheaper test implies it:
 ``Projector.product(p, q)`` checks only that PQ is Hermitian, which already
 makes it idempotent, and ``Projector.sum(p, q)`` checks only that
-tr(PQ) = 0, which makes PQ = 0 and so P + Q a projector. The operator
+tr(PQ) = 0, which makes PQ = 0 and so P + Q a projector; each then stores
+its matrix by ``Frozen._of``, without ``Projector``'s own check. The operator
 lattice (meet, join) is computed through the subspace lattice of ranges,
 which also covers non-commuting pairs. The kernel of P is the range of
 I - P, which holds exactly for every orthogonal projector.
@@ -55,9 +56,7 @@ class Projector(Frozen):
         m = p.matrix @ q.matrix
         if not m.is_hermitian():
             raise InvalidValueError("projector matrix is not Hermitian")
-        result = object.__new__(cls)
-        object.__setattr__(result, "matrix", m)
-        return result
+        return cls._of(m)
 
     @classmethod
     def sum(cls, p: "Projector", q: "Projector") -> "Projector":
@@ -72,9 +71,7 @@ class Projector(Frozen):
         p._check_dim(q)
         if not _trace_of_product(p, q).is_zero:
             raise InvalidValueError("projectors are not orthogonal: tr(PQ) is not zero")
-        result = object.__new__(cls)
-        object.__setattr__(result, "matrix", p.matrix + q.matrix)
-        return result
+        return cls._of(p.matrix + q.matrix)
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":

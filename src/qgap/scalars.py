@@ -14,10 +14,12 @@ give them back as ``Fraction`` values. Text becomes a scalar only through
 ``Frozen`` is the base of every value class in the package: it refuses
 assignment and deletion of attributes, compares and hashes a value by its
 field tuple and prints it as ``Name(field=value, ...)``. Each class writes
-its own ``__init__``, so importing the package runs no class generator, and
-each ``__init__`` converts its arguments, checks them and stores them, in
-that order. A sequence field is stored as a tuple, so a value built from
-lists equals and hashes like one built from tuples.
+its own ``__init__``, so importing the package runs no class generator. A
+value is checked once, where it enters: ``__init__`` converts, checks and
+stores a value from outside, and ``Frozen._of`` (for ``GaussianRational``,
+``_make``) stores one the package derived and has already decided. A
+sequence field is stored as a tuple, so a value built from lists equals and
+hashes like one built from tuples.
 """
 
 from __future__ import annotations
@@ -45,10 +47,19 @@ class Frozen:
     setters), and ``_fields`` names them in order. Two values are equal
     when they are of the same class and their field tuples are equal; the
     hash is the hash of the field tuple, and ``repr`` shows every field.
+    ``_of`` stores a derived value's fields as given, without ``__init__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+
+    @classmethod
+    def _of(cls, *values: object):
+        """The value whose fields, in ``_fields`` order, are ``values``, stored without ``__init__``."""
+        x = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(x, name, value)
+        return x
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -170,7 +170,7 @@ def verify(state: StateVector, atom: Atom) -> StateVector:
     image = atom_projector(atom).matrix.apply(state)
     if all(e.is_zero for e in image):
         raise ImpossibleOutcomeError(f"verifying {atom} is impossible in state {state}")
-    return StateVector(image)
+    return StateVector._of(image)
 
 
 class ValuationRecord(Frozen):

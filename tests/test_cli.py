@@ -305,10 +305,13 @@ class TestLattice:
         )
         assert code == 0 and out == "true\n"
 
-    def test_height_1000_meet_matches_golden_output(self, capsys):
+    @pytest.mark.parametrize("op", ["meet", "complement", "join"])
+    def test_height_1000_meet_matches_golden_output(self, capsys, op):
         # Spans with entries of height up to 1000 whose basis rows start with a
         # negative entry, so given in the --a=... form; the meet has complex,
-        # non-unit pivots while it is reduced.
+        # non-unit pivots while it is reduced. The complement of a and the join
+        # of b with a's second row were recorded before lattice results were
+        # stored without a second canonical-form check.
         a = (
             "-485/106-3/148*i,-216/335+3/422*i,-155/89,475/488-845/256*i;"
             "-261/46,-273/391-358/309*i,-463/468+693/692*i,-258/137-190/339*i;"
@@ -319,9 +322,15 @@ class TestLattice:
             "149638284221/20986880850+2180697139/471615300*i,-26548842815/13009241616+55466143409/6824520192*i;"
             "121/337-192/419*i,-835/154+223/219*i,79/56+39/16*i,53/9+973/795*i"
         )
-        code, out, err = run_cli(capsys, "lattice", "--op", "meet", f"--a={a}", f"--b={b}", "--output", "json")
+        second = a.split(";")[1]
+        operands = {
+            "meet": (f"--a={a}", f"--b={b}"),
+            "complement": (f"--a={a}",),
+            "join": (f"--a={b}", f"--b={second}"),
+        }
+        code, out, err = run_cli(capsys, "lattice", "--op", op, *operands[op], "--output", "json")
         assert code == 0 and err == ""
-        assert out.encode() == (GOLDEN_DIR / "lattice_meet_h1000_json.txt").read_bytes()
+        assert out.encode() == (GOLDEN_DIR / f"lattice_{op}_h1000_json.txt").read_bytes()
 
     def test_join_json(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -17,7 +18,18 @@ from helpers import (
     subspaces_st,
     vec,
 )
-from qgap import Matrix, ShapeError, StateVector, Subspace, inner, kernel_of, parse_span, projector_onto
+from qgap import (
+    Matrix,
+    ShapeError,
+    StateVector,
+    Subspace,
+    inner,
+    kernel_of,
+    parse_span,
+    projector_onto,
+    range_of,
+)
+from qgap import linalg, scalars
 
 DIFF_Z_RANGE = span(4, (0, 1, 0, 0), (0, 0, 1, 0))
 
@@ -33,6 +45,11 @@ class TestCanonicalForm:
             Subspace(4, (vec(1, 1, 0, 0), vec(1, -1, 0, 0)))
         with pytest.raises(ShapeError):
             Subspace(4, (vec(0, 2, 0, 0),))
+        # A vector of another dimension, after or before a canonical one.
+        for basis in ((vec(0, 0, 0, 1), vec(1, 0)), (vec(1, 0), vec(0, 0, 0, 1))):
+            with pytest.raises(ShapeError) as refused:
+                Subspace(4, basis)
+            assert str(refused.value) == "basis is not a canonical RREF basis for this ambient dimension"
 
     def test_zero_and_full(self):
         assert Subspace.zero(4).dim == 0
@@ -168,6 +185,40 @@ class TestEliminationCount:
             rref_calls.clear()
             kernel_of(p)
             assert len(rref_calls) == 1
+
+
+class TestDerivedResults:
+    """The lattice's own results are stored by ``Frozen._of``: no vector, subspace or scalar is checked again."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(StateVector, "__init__", counting("StateVector", StateVector.__init__))
+        monkeypatch.setattr(Subspace, "__init__", counting("Subspace", Subspace.__init__))
+        coerce = counting("coerce_scalar", scalars.coerce_scalar)
+        for module in (scalars, linalg):
+            monkeypatch.setattr(module, "coerce_scalar", coerce)
+        return calls
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_lattice_results_build_no_checked_value(self, checks, height):
+        rng = Random(1212 + height)
+        for _ in range(20):
+            a, b = rand_span_pair(rng, height)
+            stacked = Matrix(a.dim + b.dim, 4, [e for v in a.basis + b.basis for e in v.entries])
+            p = projector_onto(a)
+            checks.clear()
+            results = (Subspace.row_space(stacked), a.meet(b), a.orthocomplement(), a.join(b), range_of(p))
+            assert not checks, checks
+            assert results[0] == results[3] and results[4] == a
 
 
 class TestJoinAndSum:

@@ -17,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    nonzero_scalars_st,
     rand_combination,
     rand_scalar,
     rand_span_pair,
     rand_state,
     rand_subspace,
     sparse_matrices_st,
+    sparse_states_st,
     sympy_span,
     to_sympy,
 )
@@ -30,6 +32,7 @@ from qgap import (
     GaussianRational,
     Matrix,
     ShapeError,
+    StateVector,
     Subspace,
     kernel_of,
     projector_from_span,
@@ -38,6 +41,7 @@ from qgap import (
     tensor_product,
 )
 from qgap.linalg import _rank
+from qgap.scalars import ONE
 
 
 def rand_matrix(rng: Random, rows: int, cols: int) -> Matrix:
@@ -70,6 +74,63 @@ def test_sparse_rref_agrees_with_sympy(height, data):
     assert to_sympy(m.rref()) == reduced
     assert _rank([m.row(i) for i in range(m.rows)]) == len(pivots)
     assert Subspace.row_space(m) == sympy_span(cols, [reduced.row(i) for i in range(len(pivots))])
+
+
+NOT_CANONICAL = "basis is not a canonical RREF basis for this ambient dimension"
+
+
+def sympy_accepts(n, basis):
+    """Whether the vectors all have dimension n and sympy reduces them, stacked, to themselves."""
+    if any(v.dim != n for v in basis):
+        return False
+    stacked = sp.Matrix([list(to_sympy_vec(v)) for v in basis])
+    return not basis or stacked.rref()[0] == stacked
+
+
+@st.composite
+def mutated_bases_st(draw, n, height):
+    """A canonical basis from ``row_space``, and that basis mutated each way that applies to it."""
+    rows = draw(st.integers(1, n + 1))
+    basis = Subspace.row_space(draw(sparse_matrices_st(rows, n, height))).basis
+    k, factors = len(basis), nonzero_scalars_st(height).filter(lambda c: c != ONE)
+    bases = {"canonical": basis}
+    if k:
+        i, at = draw(st.integers(0, k - 1)), draw(st.integers(0, k))
+        scaled = StateVector(tuple(draw(factors) * e for e in basis[i].entries))
+        bases["scaled pivot row"] = basis[:i] + (scaled,) + basis[i + 1 :]
+        bases["repeated row"] = basis[:at] + (basis[i],) + basis[at:]
+    if k >= 2:
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        swapped = list(basis)
+        swapped[i], swapped[j] = basis[j], basis[i]
+        bases["swapped rows"] = tuple(swapped)
+        c = draw(factors)
+        uncleared = StateVector(tuple(x + c * y for x, y in zip(basis[i].entries, basis[j].entries)))
+        bases["uncleared pivot column"] = basis[:i] + (uncleared,) + basis[i + 1 :]
+    other, at = draw(st.integers(1, 6).filter(lambda m: m != n)), draw(st.integers(0, k))
+    bases["other dimension"] = basis[:at] + (draw(sparse_states_st(other, height)),) + basis[at:]
+    bases["too many rows"] = basis + tuple(draw(sparse_states_st(n, height)) for _ in range(n + 1 - k))
+    return bases
+
+
+@pytest.mark.parametrize("height", (2, 1000))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_canonical_basis_check_agrees_with_sympy_rref(height, data):
+    # The one canonical rule, Subspace.__init__ against Matrix.rref, held to
+    # sympy's rref on canonical bases and on every mutation of them.
+    n = data.draw(st.integers(1, 5))
+    verdicts = set()
+    for how, basis in data.draw(mutated_bases_st(n, height)).items():
+        accepts = sympy_accepts(n, basis)
+        verdicts.add(accepts)
+        if accepts:
+            assert Subspace(n, basis).basis == basis, how
+        else:
+            with pytest.raises(ShapeError) as refused:
+                Subspace(n, basis)
+            assert str(refused.value) == NOT_CANONICAL, how
+    assert verdicts == {True, False}
 
 
 I = GaussianRational(0, 1)

@@ -31,7 +31,7 @@ from qgap import (
     Xor,
 )
 from qgap.scalars import ONE, ZERO, Frozen, GaussianRational
-from qgap.scenario import ValuationRecord, render_report
+from qgap.scenario import ValuationRecord, atom_projector, render_report, singlet, verify
 
 G1 = "GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1))"
 G0 = "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))"
@@ -258,3 +258,40 @@ def test_fixture_result_dict_lists_its_fields_in_order():
         ("derived", "d"),
         ("note", ""),
     ]
+
+
+def _rebuilt(x):
+    """The same value built from outside, through each class's ``__init__`` all the way down."""
+    if isinstance(x, StateVector):
+        return StateVector(x.entries)
+    if isinstance(x, Subspace):
+        return Subspace(x.ambient_dim, [_rebuilt(v) for v in x.basis])
+    return Projector(Matrix(x.matrix.rows, x.matrix.cols, x.matrix.entries))
+
+
+def _derived():
+    i = GaussianRational(0, 1)
+    up_down = Projector.product(atom_projector(A_Z_UP), atom_projector(B_Z_DOWN))
+    down_up = Projector.product(
+        atom_projector(Atom(Particle.A, Axis.Z, Direction.DOWN)), atom_projector(Atom(Particle.B, Axis.Z, Direction.UP))
+    )
+    plane = Subspace.from_vectors(4, [StateVector((ONE, i, ZERO, ONE)), StateVector((ZERO, ONE, ONE, ZERO))])
+    line = Subspace.from_vectors(4, [StateVector((ONE, i + 1, ONE, ONE))])
+    return {
+        "row_space": Subspace.row_space(Matrix.from_rows([[1, i, 0, 2], [0, 0, 0, 0], [2, 2 * i, 1, 1]])),
+        "meet": plane.meet(line.join(Subspace.from_vectors(4, [StateVector((ZERO, ONE, ONE, ZERO))]))),
+        "Projector.product": up_down,
+        "Projector.sum": Projector.sum(up_down, down_up),
+        "verify": verify(singlet(Axis.Z), A_Z_UP),
+        "StateVector.scale": UP.scale(GaussianRational(2, -3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_derived()))
+def test_a_derived_value_is_the_value_built_through_init(name):
+    x = _derived()[name]
+    y = _rebuilt(x)
+    assert list(vars(x)) == list(x._fields)
+    for z in (x, copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(z) is type(y)
+        assert z == y and y == z and hash(z) == hash(y) and repr(z) == repr(y)
