@@ -6,11 +6,14 @@ hashing and golden-file comparisons all work on the canonical basis. The
 lattice operations are meet (intersection), join (closed span of the
 union, which in finite dimension is just the span), vector-sum (identical
 to join here, kept as its own operation so the identity is testable) and
-orthocomplement. Each reduces one matrix in ``linalg``: Zassenhaus's block for
-meet, the stacked bases for join, the null space read off the basis for
-complement; ``contains`` and ``leq`` are rank tests by ``linalg._rank``.
-``Subspace.row_space`` is the one reducer to a canonical basis: ``from_vectors``,
-``column_space`` and ``parse_span`` (the CLI and audit span reader) call it.
+orthocomplement. Each runs one elimination pass of ``linalg`` on Gaussian
+integers: join and complement reduce the stacked bases and the null space read
+off the basis; meet eliminates Zassenhaus's block forward over its left half
+and then reduces only the rows left below its pivots. ``contains`` and
+``leq`` are rank tests by ``linalg._rank``. Every canonical basis is read off
+``linalg._reduced`` by ``_span``: ``Subspace.row_space`` (which
+``from_vectors`` and ``parse_span``, the CLI and audit span reader, call),
+``column_space`` and ``meet`` pass it their rows as Gaussian integers.
 ``Subspace(n, basis)`` takes a basis from outside only if its vectors, all
 of dimension n, stacked equal their own ``Matrix.rref``; the lattice's own
 results are already reduced and are stored by ``Frozen._of``.
@@ -21,8 +24,14 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ShapeError
-from .linalg import Matrix, StateVector, _rank
+from .linalg import Matrix, StateVector, _eliminate, _integer_rows, _rank, _reduced
 from .scalars import ONE, ZERO, Frozen, parse_scalar
+
+
+def _span(re: list[list[int]], im: list[list[int]], n: int) -> "Subspace":
+    """The span of Gaussian-integer rows of length n: ``_reduced``'s flat entries cut into basis vectors."""
+    entries = _reduced(re, im, n)
+    return Subspace._of(n, tuple(StateVector._of(tuple(entries[i : i + n])) for i in range(0, len(entries), n)))
 
 
 def _lead(vec: StateVector) -> int | None:
@@ -47,9 +56,7 @@ class Subspace(Frozen):
     @classmethod
     def row_space(cls, m: Matrix) -> "Subspace":
         """The span of the rows of m: the nonzero rows of its reduced form."""
-        reduced = m.rref()
-        rows = (reduced.row(i) for i in range(reduced.rows))
-        return cls._of(m.cols, tuple(StateVector._of(r) for r in rows if not all(e.is_zero for e in r)))
+        return _span(*_integer_rows(m.row(i) for i in range(m.rows)), m.cols)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[StateVector]) -> "Subspace":
@@ -68,8 +75,8 @@ class Subspace(Frozen):
 
     @classmethod
     def column_space(cls, m: Matrix) -> "Subspace":
-        """The span of the columns of m, as the row space of its transpose."""
-        return cls.row_space(Matrix(m.cols, m.rows, tuple(e for j in range(m.cols) for e in m.col(j))))
+        """The span of the columns of m: the nonzero rows of the reduced form of its transpose."""
+        return _span(*_integer_rows(m.col(j) for j in range(m.cols)), m.rows)
 
     @property
     def dim(self) -> int:
@@ -129,21 +136,24 @@ class Subspace(Frozen):
         return Subspace.from_vectors(n, vectors)
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection, by Zassenhaus's reduction of one block matrix.
+        """Intersection, by Zassenhaus's block reduced forward over its left half.
 
         With A and B the two canonical bases, the rows of [[A, A], [B, 0]]
-        are independent, so its reduced form has no zero row. The rows whose
-        left half reduced to zero come last, and their right halves are
-        already the canonical basis of the intersection.
+        are independent. A forward ``_eliminate`` over the first n columns
+        leaves its k pivot rows first, k the dimension of the sum; the rows
+        after them have a zero left half, and their right halves span the
+        intersection, which is zero when no row is left. ``_reduced`` of
+        those halves is its canonical basis.
         """
         self._check_ambient(other)
         if self.is_zero or other.is_zero:
             return Subspace.zero(self.ambient_dim)
         n = self.ambient_dim
-        stacked = [a.entries * 2 for a in self.basis] + [b.entries + (ZERO,) * n for b in other.basis]
-        block = Matrix(len(stacked), 2 * n, [e for r in stacked for e in r]).rref()
-        rows = (block.row(i) for i in range(block.rows))
-        return Subspace._of(n, tuple(StateVector._of(r[n:]) for r in rows if all(e.is_zero for e in r[:n])))
+        re, im = _integer_rows([a.entries * 2 for a in self.basis] + [b.entries + (ZERO,) * n for b in other.basis])
+        k = len(_eliminate(re, im, n, above=False))
+        if k == len(re):
+            return Subspace._of(n, ())
+        return _span([r[n:] for r in re[k:]], [r[n:] for r in im[k:]], n)
 
     def __str__(self) -> str:
         return "span{" + ", ".join(str(b) for b in self.basis) + "}"

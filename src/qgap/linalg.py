@@ -18,11 +18,15 @@ each row by the lcm of its denominators and keeps its real and imaginary
 numerators as two ``int`` lists; ``_eliminate`` reduces such rows by
 fraction-free Gauss-Jordan, and each cleared row loses its integer
 content. Three private kernels use that form and build
-``GaussianRational`` values only for their result: ``Matrix.rref``
-divides each pivot row by its pivot, one canonical triple per entry;
-``_rank`` counts the pivots of a forward elimination, for
-``lattice.Subspace.contains`` and ``leq``; ``_projection`` solves the
-Gram system behind ``projectors.projector_onto``. Two more build no scalar
+``GaussianRational`` values only for their result: ``_reduced`` divides
+each pivot row by its pivot, one canonical triple per entry, and returns
+only the nonzero rows, for ``lattice.Subspace.row_space``,
+``column_space`` and ``meet``; ``_rank`` counts the pivots of a forward
+elimination, for ``lattice.Subspace.contains`` and ``leq``; ``_projection``
+solves the Gram system behind ``projectors.projector_onto``.
+``Matrix.rref`` is ``_reduced`` padded with zero rows; its one caller in
+the library is the canonical-basis check of ``lattice.Subspace``, which
+compares a basis from outside with its reduced form. Two more build no scalar
 at all and read one cached integer view of each operand,
 ``Matrix._integer_pattern`` and ``StateVector._integer_form``:
 ``_is_idempotent`` decides the idempotence check of
@@ -72,7 +76,7 @@ class Matrix(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.from_rows([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -200,20 +204,12 @@ class Matrix(Frozen):
         Pivot choice is the first nonzero entry in column order (exact
         arithmetic needs no magnitude pivoting), pivots are normalized to 1,
         pivot columns are cleared above and below, zero rows sink to the
-        bottom. The result is the canonical representative of the row space,
-        so the elimination runs on each row scaled to Gaussian integers and
-        divides each pivot row by its pivot only when building the result.
+        bottom. The result is the canonical representative of the row space:
+        ``_reduced`` of the rows scaled to Gaussian integers, padded with the
+        zero rows.
         """
-        re, im = _integer_rows([self.row(i) for i in range(self.rows)])
-        pivots = _eliminate(re, im, self.cols)
-        entries: list[GaussianRational] = []
-        for r, col in enumerate(pivots):
-            p, q = re[r][col], im[r][col]
-            d = p * p + q * q
-            # x / p = x * conj(p) / |p|^2
-            for a, b in zip(re[r], im[r]):
-                entries.append(_reduce(a * p + b * q, b * p - a * q, d) if a or b else ZERO)
-        entries.extend([ZERO] * ((self.rows - len(pivots)) * self.cols))
+        entries = _reduced(*_integer_rows([self.row(i) for i in range(self.rows)]), self.cols)
+        entries.extend([ZERO] * (self.rows * self.cols - len(entries)))
         return Matrix(self.rows, self.cols, tuple(entries))
 
     def __str__(self) -> str:
@@ -284,6 +280,23 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int, *, above: bo
         if len(pivots) == n:
             break
     return pivots
+
+
+def _reduced(re: list[list[int]], im: list[list[int]], cols: int) -> list[GaussianRational]:
+    """The nonzero rows of the reduced row-echelon form of Gaussian-integer rows, flat and canonical.
+
+    ``_eliminate`` reduces the rows in place, and each pivot row is then
+    divided by its pivot, one canonical triple per entry; the zero rows are
+    left out.
+    """
+    entries: list[GaussianRational] = []
+    for r, col in enumerate(_eliminate(re, im, cols)):
+        p, q = re[r][col], im[r][col]
+        d = p * p + q * q
+        # x / p = x * conj(p) / |p|^2
+        for a, b in zip(re[r], im[r]):
+            entries.append(_reduce(a * p + b * q, b * p - a * q, d) if a or b else ZERO)
+    return entries
 
 
 def _rank(rows: Sequence[Sequence[GaussianRational]]) -> int:

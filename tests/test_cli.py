@@ -305,13 +305,16 @@ class TestLattice:
         )
         assert code == 0 and out == "true\n"
 
-    @pytest.mark.parametrize("op", ["meet", "complement", "join"])
-    def test_height_1000_meet_matches_golden_output(self, capsys, op):
+    @pytest.mark.parametrize("golden", ["meet", "complement", "join", "meet_nested", "meet_lines"])
+    def test_height_1000_meet_matches_golden_output(self, capsys, golden):
         # Spans with entries of height up to 1000 whose basis rows start with a
         # negative entry, so given in the --a=... form; the meet has complex,
         # non-unit pivots while it is reduced. The complement of a and the join
         # of b with a's second row were recorded before lattice results were
-        # stored without a second canonical-form check.
+        # stored without a second canonical-form check. The meet of a with its
+        # own second row, where every row left below the block's pivots is
+        # kept, and the zero meet of that row with b's second, where no row is
+        # left, were recorded before meet eliminated forward only.
         a = (
             "-485/106-3/148*i,-216/335+3/422*i,-155/89,475/488-845/256*i;"
             "-261/46,-273/391-358/309*i,-463/468+693/692*i,-258/137-190/339*i;"
@@ -327,10 +330,13 @@ class TestLattice:
             "meet": (f"--a={a}", f"--b={b}"),
             "complement": (f"--a={a}",),
             "join": (f"--a={b}", f"--b={second}"),
+            "meet_nested": (f"--a={a}", f"--b={second}"),
+            "meet_lines": (f"--a={second}", f"--b={b.split(';')[1]}"),
         }
-        code, out, err = run_cli(capsys, "lattice", "--op", op, *operands[op], "--output", "json")
+        op = golden.split("_")[0]
+        code, out, err = run_cli(capsys, "lattice", "--op", op, *operands[golden], "--output", "json")
         assert code == 0 and err == ""
-        assert out.encode() == (GOLDEN_DIR / f"lattice_{op}_h1000_json.txt").read_bytes()
+        assert out.encode() == (GOLDEN_DIR / f"lattice_{golden}_h1000_json.txt").read_bytes()
 
     def test_join_json(self, capsys):
         code, out, _ = run_cli(

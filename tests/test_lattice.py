@@ -2,7 +2,8 @@ from collections import Counter
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     SINGLET,
@@ -15,8 +16,11 @@ from helpers import (
     rand_state,
     rand_subspace,
     span,
+    sparse_scalars_st,
+    sparse_states_st,
     subspaces_st,
     vec,
+    zassenhaus_meet,
 )
 from qgap import (
     Matrix,
@@ -29,7 +33,8 @@ from qgap import (
     projector_onto,
     range_of,
 )
-from qgap import linalg, scalars
+from qgap import lattice, linalg, scalars
+from qgap.scalars import ONE, ZERO
 
 DIFF_Z_RANGE = span(4, (0, 1, 0, 0), (0, 0, 1, 0))
 
@@ -116,6 +121,45 @@ class TestRankTests:
             assert answers[0] and not answers[4] and answers[5]
 
 
+MEET_CASES = ("generic", "zero meet", "a <= b", "b <= a", "full operand", "equal")
+
+
+@st.composite
+def meet_pairs_st(draw, height):
+    """A case of ``MEET_CASES`` and two spans in C^4 of the given height, drawn to be that case."""
+    case = draw(st.sampled_from(MEET_CASES))
+
+    def generic():
+        return Subspace.from_vectors(4, draw(st.lists(sparse_states_st(4, height), min_size=1, max_size=3)))
+
+    if case == "zero meet":
+        # Independent vectors, triangular under a drawn order of the coordinates, split between the two spans.
+        order, w = draw(st.permutations(range(4))), []
+        for i in range(4):
+            entries = [ZERO] * 4
+            entries[order[i]] = ONE
+            for j in order[i + 1 :]:
+                entries[j] = draw(sparse_scalars_st(height))
+            w.append(StateVector(tuple(entries)))
+        k = draw(st.integers(1, 3))
+        a, b = Subspace.from_vectors(4, w[:k]), Subspace.from_vectors(4, w[k : k + draw(st.integers(1, 4 - k))])
+    elif case == "a <= b":
+        a = generic()
+        b = a.join(generic())
+    elif case == "b <= a":
+        b = generic()
+        a = b.join(generic())
+    elif case == "full operand":
+        a, b = Subspace.zero(4).orthocomplement(), generic()
+        if draw(st.booleans()):
+            a, b = b, a
+    elif case == "equal":
+        a = b = generic()
+    else:
+        a, b = generic(), generic()
+    return case, a, b
+
+
 class TestMeet:
     def test_orthogonal_lines(self):
         assert span(4, (0, 1, 0, 0)).meet(span(4, (0, 0, 1, 0))) == Subspace.zero(4)
@@ -139,24 +183,53 @@ class TestMeet:
             a, b = rand_span_pair(rng, height)
             assert a.meet(b) == meet_oracle(a, b)
 
+    @pytest.mark.parametrize("height", (2, 1000))
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_forward_elimination_matches_full_reduction(self, height, data):
+        # The forward-only meet against one full rref of the block and against
+        # sympy, in both argument orders, with each branch of the meet forced.
+        case, a, b = data.draw(meet_pairs_st(height))
+        expected = {"zero meet": Subspace.zero(4), "a <= b": a, "b <= a": b, "equal": a}.get(case)
+        if case == "full operand":
+            expected = b if a.dim == 4 else a
+        for x, y in ((a, b), (b, a)):
+            got = x.meet(y)
+            assert got == zassenhaus_meet(x, y) == meet_oracle(x, y), case
+            assert expected is None or got == expected, case
+        assert case != "zero meet" or not a.is_zero and not b.is_zero
+
     @given(subspaces_st(), subspaces_st())
     def test_de_morgan(self, a, b):
         assert a.meet(b) == a.orthocomplement().join(b.orthocomplement()).orthocomplement()
 
 
 class TestEliminationCount:
-    """Each lattice operation on nonzero, non-full spans reduces one matrix."""
+    """Each lattice operation on nonzero, non-full spans reduces one matrix by one elimination pass.
+
+    A meet eliminates Zassenhaus's block forward, then reduces the rows left
+    below its pivots, and only when there are any. No operation here runs
+    ``Matrix.rref``. Each pass is recorded as (rows, row length, clears
+    above the pivots).
+    """
 
     @pytest.fixture
-    def rref_calls(self, monkeypatch):
+    def passes(self, monkeypatch):
         calls = []
-        rref = Matrix.rref
+        eliminate, rref = linalg._eliminate, Matrix.rref
 
-        def counted(self):
-            calls.append(self)
+        def counted_eliminate(re, im, cols, *, above=True):
+            calls.append((len(re), len(re[0]), above))
+            return eliminate(re, im, cols, above=above)
+
+        def counted_rref(self):
+            calls.append("rref")
             return rref(self)
 
-        monkeypatch.setattr(Matrix, "rref", counted)
+        # lattice imports _eliminate by name, so it is patched where each module looks it up.
+        for module in (linalg, lattice):
+            monkeypatch.setattr(module, "_eliminate", counted_eliminate)
+        monkeypatch.setattr(Matrix, "rref", counted_rref)
         return calls
 
     SPANS = (
@@ -166,29 +239,32 @@ class TestEliminationCount:
         span(4, (1, gr(0, 1), 0, 0), (0, 0, 1, 1), (0, 0, 0, gr(2, -1))),
     )
 
-    def test_meet(self, rref_calls):
+    def test_meet(self, passes):
         for a in self.SPANS:
             for b in self.SPANS:
-                rref_calls.clear()
-                a.meet(b)
-                assert len(rref_calls) == 1
+                passes.clear()
+                c = a.meet(b)
+                assert passes == [(a.dim + b.dim, 8, False)] + ([(c.dim, 4, True)] if c.dim else [])
 
-    def test_orthocomplement(self, rref_calls):
+    def test_orthocomplement(self, passes):
         for s in (Subspace.zero(4),) + self.SPANS:
-            rref_calls.clear()
+            passes.clear()
             s.orthocomplement()
-            assert len(rref_calls) == 1
+            assert passes == [(4 - s.dim, 4, True)]
 
-    def test_kernel_of(self, rref_calls):
+    def test_kernel_of(self, passes):
         projectors = [projector_onto(s) for s in (Subspace.zero(4),) + self.SPANS]
         for p in projectors:
-            rref_calls.clear()
+            passes.clear()
             kernel_of(p)
-            assert len(rref_calls) == 1
+            assert passes == [(4, 4, True)]
 
 
 class TestDerivedResults:
-    """The lattice's own results are stored by ``Frozen._of``: no vector, subspace or scalar is checked again."""
+    """The lattice's own results are stored by ``Frozen._of``: no vector, subspace or scalar is checked again.
+
+    ``kernel_of`` builds I - P from the constants ``ONE`` and ``ZERO``, which need no coercion either.
+    """
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -216,9 +292,11 @@ class TestDerivedResults:
             stacked = Matrix(a.dim + b.dim, 4, [e for v in a.basis + b.basis for e in v.entries])
             p = projector_onto(a)
             checks.clear()
-            results = (Subspace.row_space(stacked), a.meet(b), a.orthocomplement(), a.join(b), range_of(p))
+            results = (
+                Subspace.row_space(stacked), a.meet(b), a.orthocomplement(), a.join(b), range_of(p), kernel_of(p)
+            )
             assert not checks, checks
-            assert results[0] == results[3] and results[4] == a
+            assert results[0] == results[3] and results[4] == a and results[5] == results[2]
 
 
 class TestJoinAndSum:

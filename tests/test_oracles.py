@@ -76,6 +76,17 @@ def test_sparse_rref_agrees_with_sympy(height, data):
     assert Subspace.row_space(m) == sympy_span(cols, [reduced.row(i) for i in range(len(pivots))])
 
 
+@pytest.mark.parametrize("height", (2, 1000))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_sparse_column_space_agrees_with_sympy(height, data):
+    # Columns reduced straight from the matrix, with no transposed Matrix,
+    # against sympy's pivot columns reduced by sympy.
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    m = data.draw(sparse_matrices_st(rows, cols, height))
+    assert Subspace.column_space(m) == sympy_span(rows, to_sympy(m).columnspace())
+
+
 NOT_CANONICAL = "basis is not a canonical RREF basis for this ambient dimension"
 
 
