@@ -7,16 +7,21 @@ lattice operations are meet (intersection), join (closed span of the
 union, which in finite dimension is just the span), vector-sum (identical
 to join here, kept as its own operation so the identity is testable) and
 orthocomplement. Each runs one elimination pass of ``linalg`` on Gaussian
-integers: join and complement reduce the stacked bases and the null space read
-off the basis; meet eliminates Zassenhaus's block forward over its left half
-and then reduces only the rows left below its pivots. ``contains`` and
+integers: join reduces the stacked bases, complement the null space read
+off the basis; meet eliminates Zassenhaus's block forward over its left
+half and then reduces only the rows left below its pivots. ``contains`` and
 ``leq`` are rank tests by ``linalg._rank``. Every canonical basis is read off
 ``linalg._reduced`` by ``_span``: ``Subspace.row_space`` (which
 ``from_vectors`` and ``parse_span``, the CLI and audit span reader, call),
-``column_space`` and ``meet`` pass it their rows as Gaussian integers.
-``Subspace(n, basis)`` takes a basis from outside only if its vectors, all
-of dimension n, stacked equal their own ``Matrix.rref``; the lattice's own
-results are already reduced and are stored by ``Frozen._of``.
+``column_space``, ``meet``, ``join`` and ``orthocomplement`` pass it their
+rows as Gaussian integers. ``_span`` seeds each basis vector's
+``StateVector._integer_form`` with the integer row ``_reduced`` returns with
+it, so meet, join, ``contains``, ``leq`` and ``projectors.projector_onto``
+read a lattice result's basis as Gaussian integers without scaling it
+again; a vector from outside, as ``contains`` may get, is scaled once, on
+first use. ``Subspace(n, basis)`` takes a basis from outside only if its
+vectors, all of dimension n, stacked equal their own ``Matrix.rref``; the
+lattice's own results are already reduced and are stored by ``Frozen._of``.
 """
 
 from __future__ import annotations
@@ -24,14 +29,18 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ShapeError
-from .linalg import Matrix, StateVector, _eliminate, _integer_rows, _rank, _reduced
+from .linalg import Matrix, StateVector, _eliminate, _integer_forms, _integer_rows, _rank, _reduced
 from .scalars import ONE, ZERO, Frozen, parse_scalar
 
 
-def _span(re: list[list[int]], im: list[list[int]], n: int) -> "Subspace":
-    """The span of Gaussian-integer rows of length n: ``_reduced``'s flat entries cut into basis vectors."""
-    entries = _reduced(re, im, n)
-    return Subspace._of(n, tuple(StateVector._of(tuple(entries[i : i + n])) for i in range(0, len(entries), n)))
+def _span(re: list[Sequence[int]], im: list[Sequence[int]], n: int) -> "Subspace":
+    """The span of Gaussian-integer rows of length n: ``_reduced``'s rows as basis vectors, each seeded with its integer form."""
+    basis = []
+    for entries, form in _reduced(re, im, n):
+        v = StateVector._of(entries)
+        v.__dict__["_integer_form"] = form  # the cached property's value, stored where it would store it
+        basis.append(v)
+    return Subspace._of(n, tuple(basis))
 
 
 def _lead(vec: StateVector) -> int | None:
@@ -96,20 +105,20 @@ class Subspace(Frozen):
         """Membership test: v adds nothing to the rank of the basis. Scale-invariant, as spans are."""
         if v.dim != self.ambient_dim:
             raise ShapeError(f"vector of dim {v.dim} against ambient dim {self.ambient_dim}")
-        return _rank([b.entries for b in self.basis] + [v.entries]) == self.dim
+        return _rank(*_integer_forms(self.basis + (v,))) == self.dim
 
     def leq(self, other: "Subspace") -> bool:
         """The lattice order: self's basis adds no rank to other's; a zero self is below everything."""
         self._check_ambient(other)
-        return self.is_zero or _rank([b.entries for b in other.basis + self.basis]) == other.dim
+        return self.is_zero or _rank(*_integer_forms(other.basis + self.basis)) == other.dim
 
     def __le__(self, other: "Subspace") -> bool:
         return self.leq(other)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        """Vector sum {a + b}; the span of both bases stacked."""
+        """Vector sum {a + b}; the span of both bases stacked, read off their integer forms."""
         self._check_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
+        return _span(*_integer_forms(self.basis + other.basis), self.ambient_dim)
 
     def join(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing the union. Coincides with sum in finite dimension."""
@@ -132,8 +141,8 @@ class Subspace(Frozen):
             v[f] = ONE
             for p, b in zip(pivots, self.basis):
                 v[p] = -b.entries[f].conjugate()
-            vectors.append(StateVector._of(tuple(v)))
-        return Subspace.from_vectors(n, vectors)
+            vectors.append(v)
+        return _span(*_integer_rows(vectors), n)
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Intersection, by Zassenhaus's block reduced forward over its left half.
@@ -149,7 +158,11 @@ class Subspace(Frozen):
         if self.is_zero or other.is_zero:
             return Subspace.zero(self.ambient_dim)
         n = self.ambient_dim
-        re, im = _integer_rows([a.entries * 2 for a in self.basis] + [b.entries + (ZERO,) * n for b in other.basis])
+        ar, ai = _integer_forms(self.basis)
+        br, bi = _integer_forms(other.basis)
+        zeros = (0,) * n
+        re = [x + x for x in ar] + [x + zeros for x in br]
+        im = [x + x for x in ai] + [x + zeros for x in bi]
         k = len(_eliminate(re, im, n, above=False))
         if k == len(re):
             return Subspace._of(n, ())

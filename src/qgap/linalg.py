@@ -17,22 +17,29 @@ valuation's two tests run on Gaussian integers. ``_integer_rows`` scales
 each row by the lcm of its denominators and keeps its real and imaginary
 numerators as two ``int`` lists; ``_eliminate`` reduces such rows by
 fraction-free Gauss-Jordan, and each cleared row loses its integer
-content. Three private kernels use that form and build
-``GaussianRational`` values only for their result: ``_reduced`` divides
-each pivot row by its pivot, one canonical triple per entry, and returns
-only the nonzero rows, for ``lattice.Subspace.row_space``,
-``column_space`` and ``meet``; ``_rank`` counts the pivots of a forward
-elimination, for ``lattice.Subspace.contains`` and ``leq``; ``_projection``
-solves the Gram system behind ``projectors.projector_onto``.
-``Matrix.rref`` is ``_reduced`` padded with zero rows; its one caller in
-the library is the canonical-basis check of ``lattice.Subspace``, which
-compares a basis from outside with its reduced form. Two more build no scalar
-at all and read one cached integer view of each operand,
-``Matrix._integer_pattern`` and ``StateVector._integer_form``:
-``_is_idempotent`` decides the idempotence check of
+content. It puts new rows into the lists it is given and never writes into
+a row, so a row may be a cached tuple. Three private kernels take such
+rows and build ``GaussianRational`` values only for their result:
+``_reduced`` divides each pivot row by its pivot, one canonical triple per
+entry, and returns only the nonzero rows, each with its integer form, for
+``lattice``'s one basis builder; ``_rank`` counts the pivots of a forward
+elimination, for ``lattice.Subspace.contains`` and ``leq``;
+``_projection`` solves the Gram system behind ``projectors.projector_onto``.
+``Matrix.rref`` is ``_reduced``'s rows padded with zero rows; its one
+caller in the library is the canonical-basis check of ``lattice.Subspace``,
+which compares a basis from outside with its reduced form.
+
+Two integer views are cached on values, as tuples: ``Matrix._integer_pattern``
+and ``StateVector._integer_form``, each computed on first use. ``lattice``
+seeds the form of every canonical basis vector it builds with the one
+``_reduced`` returns, which is the one first use would compute.
+``_integer_forms`` stacks vectors' forms as an elimination's input; the
+lattice's meet, join, ``contains`` and ``leq`` and ``projectors.projector_onto``
+read their operands' bases that way, so a lattice result is never scaled
+again. ``_is_idempotent`` decides the idempotence check of
 ``projectors.Projector``, and ``_kills_or_fixes`` decides whether a matrix
 sends a state to zero or to itself, which is all ``propositions.valuate``
-asks.
+asks; both read the two views and build no scalar at all.
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -208,7 +215,8 @@ class Matrix(Frozen):
         ``_reduced`` of the rows scaled to Gaussian integers, padded with the
         zero rows.
         """
-        entries = _reduced(*_integer_rows([self.row(i) for i in range(self.rows)]), self.cols)
+        rows = _reduced(*_integer_rows([self.row(i) for i in range(self.rows)]), self.cols)
+        entries = [e for row, _ in rows for e in row]
         entries.extend([ZERO] * (self.rows * self.cols - len(entries)))
         return Matrix(self.rows, self.cols, tuple(entries))
 
@@ -236,8 +244,23 @@ def _integer_rows(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[list
     return re, im
 
 
-def _eliminate(re: list[list[int]], im: list[list[int]], cols: int, *, above: bool = True) -> list[int]:
-    """Fraction-free Gauss-Jordan on Gaussian-integer rows, in place; returns the pivot columns.
+def _integer_forms(vectors: Iterable["StateVector"]) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
+    """The vectors' cached integer forms, as the real and the imaginary rows of an elimination's input.
+
+    The lists are fresh, since ``_eliminate`` reorders and replaces their
+    rows; the rows are the cached tuples themselves, which it only reads.
+    """
+    re: list[Sequence[int]] = []
+    im: list[Sequence[int]] = []
+    for v in vectors:
+        vr, vi = v._integer_form
+        re.append(vr)
+        im.append(vi)
+    return re, im
+
+
+def _eliminate(re: list[Sequence[int]], im: list[Sequence[int]], cols: int, *, above: bool = True) -> list[int]:
+    """Fraction-free Gauss-Jordan on Gaussian-integer rows, in place in the two lists; returns the pivot columns.
 
     Row k of the result has its pivot at the k-th returned column, and every
     other row is zero there. The pivot is the first nonzero entry in column
@@ -247,7 +270,8 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int, *, above: bo
     of all its parts; a row with a zero there is left alone. Only the first
     ``cols`` columns are searched for pivots; later ones ride along. With
     ``above`` false only the rows below each pivot are cleared, which leaves
-    a row-echelon form with the same pivots.
+    a row-echelon form with the same pivots. A changed row is a new list
+    put in place of the old one, which is never written into.
     """
     n = len(re)
     pivots: list[int] = []
@@ -282,26 +306,37 @@ def _eliminate(re: list[list[int]], im: list[list[int]], cols: int, *, above: bo
     return pivots
 
 
-def _reduced(re: list[list[int]], im: list[list[int]], cols: int) -> list[GaussianRational]:
-    """The nonzero rows of the reduced row-echelon form of Gaussian-integer rows, flat and canonical.
+def _reduced(
+    re: list[Sequence[int]], im: list[Sequence[int]], cols: int
+) -> list[tuple[tuple[GaussianRational, ...], tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The nonzero rows of the reduced row-echelon form of Gaussian-integer rows, canonical, each with its integer form.
 
-    ``_eliminate`` reduces the rows in place, and each pivot row is then
-    divided by its pivot, one canonical triple per entry; the zero rows are
-    left out.
+    ``_eliminate`` reduces the rows in place, and each pivot row x with
+    pivot p is then divided by it, one canonical triple per entry; the zero
+    rows are left out. Each row comes with its real and imaginary integer
+    numerators, as ``_integer_rows`` would compute them from the entries
+    (``StateVector._integer_form``): with X = x * conj(p) and G the gcd of
+    all parts of X and of |p|^2, the row is X / |p|^2, and the lcm of its
+    reduced denominators is |p|^2 / G, so its numerators are X / G.
     """
-    entries: list[GaussianRational] = []
+    rows = []
     for r, col in enumerate(_eliminate(re, im, cols)):
-        p, q = re[r][col], im[r][col]
+        yr, yi = re[r], im[r]
+        p, q = yr[col], yi[col]
         d = p * p + q * q
         # x / p = x * conj(p) / |p|^2
-        for a, b in zip(re[r], im[r]):
-            entries.append(_reduce(a * p + b * q, b * p - a * q, d) if a or b else ZERO)
-    return entries
+        xr = [a * p + b * q for a, b in zip(yr, yi)]
+        xi = [b * p - a * q for a, b in zip(yr, yi)]
+        g = gcd(*xr, *xi, d)
+        vr = tuple([a // g for a in xr])
+        vi = tuple([b // g for b in xi])
+        s = d // g
+        rows.append((tuple([_reduce(a, b, s) if a or b else ZERO for a, b in zip(vr, vi)]), (vr, vi)))
+    return rows
 
 
-def _rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
-    """The rank of one or more rows of equal length: their pivot count under a forward ``_eliminate``, no reduced form built."""
-    re, im = _integer_rows(rows)
+def _rank(re: list[Sequence[int]], im: list[Sequence[int]]) -> int:
+    """The rank of one or more Gaussian-integer rows of equal length: their pivot count under a forward ``_eliminate``, no reduced form built."""
     return len(_eliminate(re, im, len(re[0]), above=False))
 
 
@@ -355,24 +390,24 @@ def _kills_or_fixes(m: Matrix, state: StateVector) -> tuple[bool, bool]:
     return kills, fixes
 
 
-def _projection(rows: Sequence[Sequence[GaussianRational]]) -> Matrix:
-    """The orthogonal projector onto the span of linearly independent rows, read as column vectors.
+def _projection(nr: Sequence[Sequence[int]], ni: Sequence[Sequence[int]]) -> Matrix:
+    """The orthogonal projector onto the span of linearly independent Gaussian-integer rows, read as column vectors.
 
     For M the rows conjugated and stacked, the projector is M* G^-1 M with
-    Gram matrix G = M M*, invertible because the rows are independent. N is
-    M with each row scaled by the lcm of its denominators, which leaves
-    M* G^-1 M unchanged, and one ``_eliminate`` pass over the integer rows
+    Gram matrix G = M M*, invertible because the rows are independent.
+    Scaling a row leaves M* G^-1 M unchanged, so the rows may be a basis
+    scaled to Gaussian integers, such as the integer forms of its vectors.
+    For N those rows conjugated, one ``_eliminate`` pass over the rows
     [N N* | N] leaves row i as [g_i e_i | Y_i], so (N N*)^-1 N has rows
     Y_i / g_i. N N* is Hermitian positive definite, so each g_i is a
     positive integer, met in order on the diagonal. With L the lcm of the
     g_i, the projector is N* Z / L for Z_i = Y_i * L / g_i, one canonical
     scalar per entry; it is Hermitian, so only its upper triangle is summed.
     """
-    nr, ni = _integer_rows(rows)
     ni = [[-b for b in row] for row in ni]  # conjugated
     k, n = len(nr), len(nr[0])
     # Augmented rows [G_i | N_i], G[i][j] = sum over l of N[i][l] * conj(N[j][l]).
-    re = [[0] * k + nr[i] for i in range(k)]
+    re = [[0] * k + list(nr[i]) for i in range(k)]
     im = [[0] * k + ni[i] for i in range(k)]
     for i in range(k):
         for j in range(i, k):
@@ -418,10 +453,14 @@ class StateVector(Frozen):
         object.__setattr__(self, "entries", entries)
 
     @cached_property
-    def _integer_form(self) -> tuple[list[int], list[int]]:
-        """V's real and imaginary numerators, for the state v = V / s and s the lcm of its denominators."""
+    def _integer_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """V's real and imaginary numerators, for the state v = V / s and s the lcm of its denominators.
+
+        Tuples, so a row shared into an elimination's input cannot be changed
+        through it; ``lattice`` seeds this for every canonical basis vector.
+        """
         (vr,), (vi,) = _integer_rows([self.entries])
-        return vr, vi
+        return tuple(vr), tuple(vi)
 
     @classmethod
     def of(cls, *values: Scalarish) -> "StateVector":

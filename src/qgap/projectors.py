@@ -14,16 +14,25 @@ I - P, which holds exactly for every orthogonal projector.
 
 ``projector_onto`` and the idempotence check call ``linalg``'s private
 Gaussian-integer kernels (``_projection``, ``_is_idempotent``), which
-build ``GaussianRational`` values only for the resulting matrix.
+build ``GaussianRational`` values only for the resulting matrix;
+``projector_onto`` reads the subspace's basis through the integer forms
+the lattice seeded on it. A projector keeps its range as the private
+cached ``_range``: ``projector_onto`` stores the subspace it was given,
+since the column space of M* (M M*)^-1 M is the span of M's rows, and any
+other projector reduces its column space once, on first use. ``range_of``
+reads it, so ``projector_meet`` and ``projector_join`` of projectors built
+by ``projector_onto`` reduce no column space. Equality, hash and repr read
+only the matrix.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidValueError, ShapeError
 from .lattice import Subspace
-from .linalg import Matrix, StateVector, _is_idempotent, _projection
+from .linalg import Matrix, StateVector, _integer_forms, _is_idempotent, _projection
 from .scalars import ZERO, Frozen, GaussianRational
 
 
@@ -81,6 +90,11 @@ class Projector(Frozen):
     def identity(cls, dim: int) -> "Projector":
         return cls(Matrix.identity(dim))
 
+    @cached_property
+    def _range(self) -> Subspace:
+        """The canonical column space of the matrix; ``projector_onto`` stores the range it was given here."""
+        return Subspace.column_space(self.matrix)
+
     @property
     def dim(self) -> int:
         return self.matrix.rows
@@ -128,8 +142,11 @@ def projector_onto(subspace: Subspace) -> Projector:
     """
     n = subspace.ambient_dim
     if subspace.is_zero:
-        return Projector.zero(n)
-    return Projector(_projection([v.entries for v in subspace.basis]))
+        p = Projector.zero(n)
+    else:
+        p = Projector(_projection(*_integer_forms(subspace.basis)))
+    p.__dict__["_range"] = subspace  # the column space of M* (M M*)^-1 M is the span of M's rows
+    return p
 
 
 def projector_from_span(vectors: Sequence[StateVector]) -> Projector:
@@ -141,8 +158,8 @@ def projector_from_span(vectors: Sequence[StateVector]) -> Projector:
 
 
 def range_of(p: Projector) -> Subspace:
-    """Canonical column space of the projector's matrix."""
-    return Subspace.column_space(p.matrix)
+    """Canonical column space of the projector's matrix: the range ``projector_onto`` was given, or else computed once."""
+    return p._range
 
 
 def kernel_of(p: Projector) -> Subspace:

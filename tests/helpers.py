@@ -173,6 +173,13 @@ def sparse_states_st(draw, dim: int, height: int):
 
 
 @st.composite
+def sparse_spans_st(draw, height: int, dim: int = 4):
+    """The span of 0 to dim sparse states of the given height."""
+    count = draw(st.integers(0, dim))
+    return Subspace.from_vectors(dim, [draw(sparse_states_st(dim, height)) for _ in range(count)])
+
+
+@st.composite
 def matrices_st(draw, min_dim=1, max_dim=4, square=False):
     rows = draw(st.integers(min_dim, max_dim))
     cols = rows if square else draw(st.integers(min_dim, max_dim))

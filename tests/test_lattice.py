@@ -16,7 +16,9 @@ from helpers import (
     rand_state,
     rand_subspace,
     span,
+    sparse_matrices_st,
     sparse_scalars_st,
+    sparse_spans_st,
     sparse_states_st,
     subspaces_st,
     vec,
@@ -24,14 +26,18 @@ from helpers import (
 )
 from qgap import (
     Matrix,
+    Projector,
     ShapeError,
     StateVector,
     Subspace,
     inner,
     kernel_of,
     parse_span,
+    projector_join,
+    projector_meet,
     projector_onto,
     range_of,
+    valuate,
 )
 from qgap import lattice, linalg, scalars
 from qgap.scalars import ONE, ZERO
@@ -210,7 +216,8 @@ class TestEliminationCount:
     A meet eliminates Zassenhaus's block forward, then reduces the rows left
     below its pivots, and only when there are any. No operation here runs
     ``Matrix.rref``. Each pass is recorded as (rows, row length, clears
-    above the pivots).
+    above the pivots). A projector built by ``projector_onto`` keeps its
+    range, so the projector meet and join reduce no 4x4 column space.
     """
 
     @pytest.fixture
@@ -246,6 +253,60 @@ class TestEliminationCount:
                 c = a.meet(b)
                 assert passes == [(a.dim + b.dim, 8, False)] + ([(c.dim, 4, True)] if c.dim else [])
 
+    def test_join(self, passes):
+        for a in self.SPANS:
+            for b in self.SPANS:
+                passes.clear()
+                a.join(b)
+                assert passes == [(a.dim + b.dim, 4, True)]
+
+    def test_projector_onto(self, passes):
+        for s in self.SPANS:
+            passes.clear()
+            projector_onto(s)
+            assert passes == [(s.dim, s.dim + 4, True)]
+
+    def test_projector_meet_and_join_reduce_no_column_space(self, passes):
+        projectors = [projector_onto(s) for s in self.SPANS]
+        for a, pa in zip(self.SPANS, projectors):
+            for b, pb in zip(self.SPANS, projectors):
+                c = a.meet(b)
+                passes.clear()
+                projector_meet(pa, pb)
+                assert passes == [(a.dim + b.dim, 8, False)] + ([(c.dim, 4, True), (c.dim, c.dim + 4, True)] if c.dim else [])
+                c = a.join(b)
+                passes.clear()
+                projector_join(pa, pb)
+                assert passes == [(a.dim + b.dim, 4, True), (c.dim, c.dim + 4, True)]
+
+    def test_a_checked_projector_reduces_its_column_space_once(self, passes):
+        p = Projector(projector_onto(self.SPANS[2]).matrix)
+        passes.clear()
+        assert range_of(p) == self.SPANS[2]
+        assert passes == [(4, 4, True)]
+        range_of(p)
+        assert passes == [(4, 4, True)]
+
+    def test_lattice_built_operands_are_not_scaled_again(self, monkeypatch):
+        # The basis vectors of lattice results carry their integer forms, so
+        # these operations scale no row of scalars to Gaussian integers.
+        calls = []
+        integer_rows = linalg._integer_rows
+
+        def counted_integer_rows(rows):
+            calls.append(rows)
+            return integer_rows(rows)
+
+        for module in (linalg, lattice):
+            monkeypatch.setattr(module, "_integer_rows", counted_integer_rows)
+        for a in self.SPANS:
+            projector_onto(a)
+            for b in self.SPANS:
+                a.meet(b), a.join(b), a.leq(b)
+                for v in b.basis:
+                    a.contains(v)
+        assert calls == []
+
     def test_orthocomplement(self, passes):
         for s in (Subspace.zero(4),) + self.SPANS:
             passes.clear()
@@ -258,6 +319,58 @@ class TestEliminationCount:
             passes.clear()
             kernel_of(p)
             assert passes == [(4, 4, True)]
+
+
+class TestIntegerForms:
+    """Every basis vector the lattice builds carries the integer form that ``StateVector._integer_form`` would compute.
+
+    The form is read off the reduction's pivot row and stored as tuples:
+    operands share their cached rows into the elimination's input, and no
+    operation may change them.
+    """
+
+    @staticmethod
+    def assert_seeded(*subspaces):
+        for s in subspaces:
+            for v in s.basis:
+                assert "_integer_form" in vars(v)
+                (vr,), (vi,) = linalg._integer_rows([v.entries])
+                assert v._integer_form == (tuple(vr), tuple(vi))
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @given(data=st.data())
+    def test_every_builder_seeds_the_lazy_form(self, height, data):
+        m = data.draw(sparse_matrices_st(data.draw(st.integers(1, 4)), 4, height))
+        a, b = data.draw(sparse_spans_st(height)), data.draw(sparse_spans_st(height))
+        vectors = [data.draw(sparse_states_st(4, height)) for _ in range(data.draw(st.integers(1, 4)))]
+        self.assert_seeded(
+            Subspace.row_space(m),
+            Subspace.column_space(m),
+            Subspace.from_vectors(4, vectors),
+            parse_span([[str(e) for e in m.row(i)] for i in range(m.rows)]),
+            a, b, a.meet(b), b.meet(a), a.join(b), a.sum(b), a.orthocomplement(),
+        )
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @given(data=st.data())
+    def test_operations_leave_the_operands_views_unchanged(self, height, data):
+        a, b = data.draw(sparse_spans_st(height)), data.draw(sparse_spans_st(height))
+        v = data.draw(sparse_states_st(4, height))
+        pa, pb = projector_onto(a), projector_onto(b)
+        vectors, matrices = a.basis + b.basis + (v,), (pa.matrix, pb.matrix)
+        forms = [x._integer_form for x in vectors]
+        patterns = [m._integer_pattern for m in matrices]
+        a.meet(b), b.meet(a), a.join(b), a.orthocomplement(), a.contains(v), a.leq(b), b.leq(a)
+        projector_onto(a), projector_meet(pa, pb), projector_join(pa, pb), kernel_of(pa)
+        valuate(v, pa), valuate(v, pb), Projector(pa.matrix)
+        for x, form in zip(vectors, forms):
+            assert x._integer_form is form
+            assert all(type(row) is tuple for row in form)
+            (vr,), (vi,) = linalg._integer_rows([x.entries])
+            assert form == (tuple(vr), tuple(vi))
+        for m, pattern in zip(matrices, patterns):
+            assert m._integer_pattern is pattern
+            assert pattern == Matrix(m.rows, m.cols, m.entries)._integer_pattern
 
 
 class TestDerivedResults:

@@ -40,7 +40,7 @@ from qgap import (
     range_of,
     tensor_product,
 )
-from qgap.linalg import _rank
+from qgap.linalg import _integer_rows, _rank
 from qgap.scalars import ONE
 
 
@@ -58,7 +58,7 @@ def test_rref_and_rank_agree_with_sympy():
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         reduced, pivots = to_sympy(m).rref()
         assert Subspace.row_space(m).dim == len(pivots)
-        assert _rank([m.row(i) for i in range(m.rows)]) == len(pivots)
+        assert _rank(*_integer_rows([m.row(i) for i in range(m.rows)])) == len(pivots)
         assert to_sympy(m.rref()) == reduced
 
 
@@ -72,7 +72,7 @@ def test_sparse_rref_agrees_with_sympy(height, data):
     m = data.draw(sparse_matrices_st(rows, cols, height))
     reduced, pivots = to_sympy(m).rref()
     assert to_sympy(m.rref()) == reduced
-    assert _rank([m.row(i) for i in range(m.rows)]) == len(pivots)
+    assert _rank(*_integer_rows([m.row(i) for i in range(m.rows)])) == len(pivots)
     assert Subspace.row_space(m) == sympy_span(cols, [reduced.row(i) for i in range(len(pivots))])
 
 
@@ -189,6 +189,8 @@ def test_kernel_agrees_with_sympy():
                 p = projector_onto(s)
                 assert kernel_of(p) == sympy_span(4, to_sympy(p.matrix).nullspace())
                 assert range_of(p) == s
+                # range_of reads the range projector_onto was given; sympy reads the matrix's.
+                assert Subspace.column_space(p.matrix) == range_of(p) == sympy_span(4, to_sympy(p.matrix).columnspace())
 
 
 def stacked_rank(*bases):

@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,6 +17,7 @@ from helpers import (
     rand_state,
     sparse_matrices_st,
     span,
+    sparse_spans_st,
     states_st,
     vec,
 )
@@ -26,6 +29,7 @@ from qgap import (
     ShapeError,
     Subspace,
     kernel_of,
+    parse_span,
     projector_from_span,
     projector_join,
     projector_meet,
@@ -266,7 +270,57 @@ def test_projector_onto_round_trip():
     rng = Random(5)
     for _ in range(20):
         s = Subspace.from_vectors(4, [rand_state(rng) for _ in range(rng.randint(0, 4))])
-        assert range_of(projector_onto(s)) == s
+        p = projector_onto(s)
+        assert range_of(p) == s
+        # range_of reads the range projector_onto was given; the matrix must have it too.
+        assert Subspace.column_space(p.matrix) == range_of(p)
+
+
+class TestRangeIsTheColumnSpace:
+    """``range_of`` reads the range ``projector_onto`` stored, or the one computed on first use.
+
+    For every way a projector is built, the column space of its matrix,
+    computed afresh, is that range.
+    """
+
+    @staticmethod
+    def assert_ranges(*projectors):
+        for p in projectors:
+            assert Subspace.column_space(p.matrix) == range_of(p)
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @given(data=st.data())
+    def test_onto_meet_join_and_their_chains(self, height, data):
+        a, b, c = (data.draw(sparse_spans_st(height)) for _ in range(3))
+        pa, pb, pc = (projector_onto(s) for s in (a, b, c))
+        met, joined = projector_meet(pa, pb), projector_join(pa, pb)
+        self.assert_ranges(
+            pa, pb, pc, met, joined,
+            projector_meet(met, pc), projector_join(met, pc), projector_meet(joined, pc), projector_join(joined, pc),
+            projector_meet(projector_meet(met, pc), pa),
+        )
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @given(data=st.data())
+    def test_product_sum_and_checked_matrices(self, height, data):
+        # u, w and v are mutually orthogonal, so the projectors onto u + w and
+        # u + v commute with product P_u, and P_u and P_w sum to P_(u + w).
+        u, b, c = (data.draw(sparse_spans_st(height)) for _ in range(3))
+        w = b.meet(u.orthocomplement())
+        v = c.meet(u.join(w).orthocomplement())
+        pu, pw = projector_onto(u), projector_onto(w)
+        product = Projector.product(projector_onto(u.join(w)), projector_onto(u.join(v)))
+        total = Projector.sum(pu, pw)
+        assert product == pu and total == projector_onto(u.join(w))
+        complement = Projector(Matrix.identity(4) - pu.matrix)
+        self.assert_ranges(
+            product, total, complement, Projector(pu.matrix), Projector.product(pu, complement),
+            projector_meet(product, total), projector_join(total, complement),
+        )
+
+    def test_compiled_and_constant_projectors(self):
+        rows = [entry[-1] for table in _run_table() for entry in table]
+        self.assert_ranges(*standard_context().values(), *rows, Projector.zero(4), Projector.identity(4))
 
 
 def _subspace_of_dim(rng: Random, n: int, k: int, height: int) -> Subspace:
@@ -355,3 +409,47 @@ class TestIdempotenceOnIntegers:
                     assert off.is_hermitian() and off @ off != off
                     with pytest.raises(InvalidValueError, match="^projector matrix is not idempotent$"):
                         Projector(off)
+
+
+# The height-1000 spans of the lattice goldens and of the CI's console-script step.
+H1000_A = (
+    "-485/106-3/148*i,-216/335+3/422*i,-155/89,475/488-845/256*i;"
+    "-261/46,-273/391-358/309*i,-463/468+693/692*i,-258/137-190/339*i;"
+    "985/451+761/246*i,-910/597,927/932-363/100*i,839/246-251/791*i"
+)
+H1000_B = (
+    "-5354203/1649307-14298089/9211224*i,14901008257/5369599090-19087912815/6764091988*i,"
+    "149638284221/20986880850+2180697139/471615300*i,-26548842815/13009241616+55466143409/6824520192*i;"
+    "121/337-192/419*i,-835/154+223/219*i,79/56+39/16*i,53/9+973/795*i"
+)
+
+
+def _h1000_span(text: str) -> Subspace:
+    return parse_span([row.split(",") for row in text.split(";")])
+
+
+def _projector_ops_h1000_json() -> str:
+    """The matrices of projector_onto, projector_meet and projector_join on the height-1000 spans, as JSON text."""
+    a, b = _h1000_span(H1000_A), _h1000_span(H1000_B)
+    second, b_second = _h1000_span(H1000_A.split(";")[1]), _h1000_span(H1000_B.split(";")[1])
+    pa, pb, p2, pb2 = (projector_onto(s) for s in (a, b, second, b_second))
+    ops = {
+        "onto_a": pa,
+        "onto_b": pb,
+        "meet_a_b": projector_meet(pa, pb),
+        "join_a_b": projector_join(pa, pb),
+        "join_b_second": projector_join(pb, p2),
+        "meet_a_second": projector_meet(pa, p2),
+        "meet_second_b_second": projector_meet(p2, pb2),
+        "meet_of_meet_a_b_and_b": projector_meet(projector_meet(pa, pb), pb),
+    }
+    return json.dumps({name: [[str(e) for e in p.matrix.row(i)] for i in range(p.dim)] for name, p in ops.items()}, indent=2) + "\n"
+
+
+def test_projector_operations_at_height_1000_match_golden_output():
+    # No CLI command prints a projector, so the matrices on the spans a, b,
+    # a's second row and b's second row are compared as text, byte for byte,
+    # with those recorded before projectors kept their range and basis
+    # vectors their Gaussian-integer rows.
+    golden = Path(__file__).parent / "golden" / "projector_ops_h1000.json"
+    assert _projector_ops_h1000_json().encode() == golden.read_bytes()
