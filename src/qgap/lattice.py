@@ -7,19 +7,20 @@ lattice operations are meet (intersection), join (closed span of the
 union, which in finite dimension is just the span), vector-sum (identical
 to join here, kept as its own operation so the identity is testable) and
 orthocomplement. Each runs one elimination pass of ``linalg`` on Gaussian
-integers: join reduces the stacked bases, complement the null space read
-off the basis; meet eliminates Zassenhaus's block forward over its left
-half and then reduces only the rows left below its pivots. ``contains`` and
-``leq`` are rank tests by ``linalg._rank``. Every canonical basis is read off
-``linalg._reduced`` by ``_span``: ``Subspace.row_space`` (which
-``from_vectors`` and ``parse_span``, the CLI and audit span reader, call),
-``column_space``, ``meet``, ``join`` and ``orthocomplement`` pass it their
-rows as Gaussian integers. ``_span`` seeds each basis vector's
-``StateVector._integer_form`` with the integer row ``_reduced`` returns with
-it, so meet, join, ``contains``, ``leq`` and ``projectors.projector_onto``
-read a lattice result's basis as Gaussian integers without scaling it
-again; a vector from outside, as ``contains`` may get, is scaled once, on
-first use. ``Subspace(n, basis)`` takes a basis from outside only if its
+integers: join reduces the stacked bases, complement the null-space rows
+``linalg._null_rows`` reads off the basis's integer forms; meet eliminates
+Zassenhaus's block forward over its left half and then reduces only the
+rows left below its pivots. ``contains`` and ``leq`` are rank tests by
+``linalg._rank``. Every canonical basis is read off ``linalg._reduced`` by
+``_span``: ``Subspace.row_space`` (which ``from_vectors`` and
+``parse_span``, the CLI and audit span reader, call), ``column_space``,
+``meet``, ``join`` and ``orthocomplement`` pass it their rows as Gaussian
+integers. ``_span`` seeds each basis vector's ``StateVector._integer_form``
+with the integer row ``_reduced`` returns with it, so meet, join,
+complement, ``contains``, ``leq`` and ``projectors.projector_onto`` read a
+lattice result's basis as Gaussian integers without scaling it again; a
+vector from outside, as ``contains`` may get, is scaled once, on first use.
+``Subspace(n, basis)`` takes a basis from outside only if its
 vectors, all of dimension n, stacked equal their own ``Matrix.rref``; the
 lattice's own results are already reduced and are stored by ``Frozen._of``.
 """
@@ -29,8 +30,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ShapeError
-from .linalg import Matrix, StateVector, _eliminate, _integer_forms, _integer_rows, _rank, _reduced
-from .scalars import ONE, ZERO, Frozen, parse_scalar
+from .linalg import Matrix, StateVector, _eliminate, _integer_forms, _integer_rows, _null_rows, _rank, _reduced
+from .scalars import Frozen, parse_scalar
 
 
 def _span(re: list[Sequence[int]], im: list[Sequence[int]], n: int) -> "Subspace":
@@ -41,11 +42,6 @@ def _span(re: list[Sequence[int]], im: list[Sequence[int]], n: int) -> "Subspace
         v.__dict__["_integer_form"] = form  # the cached property's value, stored where it would store it
         basis.append(v)
     return Subspace._of(n, tuple(basis))
-
-
-def _lead(vec: StateVector) -> int | None:
-    """Index of the first nonzero entry; the pivot column of a canonical basis vector."""
-    return next((j for j, e in enumerate(vec.entries) if not e.is_zero), None)
 
 
 class Subspace(Frozen):
@@ -128,21 +124,12 @@ class Subspace(Frozen):
         """All vectors orthogonal (Hermitian inner product) to every basis vector.
 
         The conjugated canonical basis is still in reduced row-echelon form,
-        so its null space is read off it: for each non-pivot column f, the
-        vector with 1 at f and -conj(b[f]) at the pivot of each basis vector b.
+        so its null space is read off it: ``linalg._null_rows`` builds one
+        Gaussian-integer row per non-pivot column straight from the basis's
+        integer forms, and ``_span`` reduces them.
         """
         n = self.ambient_dim
-        pivots = [_lead(b) for b in self.basis]
-        vectors = []
-        for f in range(n):
-            if f in pivots:
-                continue
-            v = [ZERO] * n
-            v[f] = ONE
-            for p, b in zip(pivots, self.basis):
-                v[p] = -b.entries[f].conjugate()
-            vectors.append(v)
-        return _span(*_integer_rows(vectors), n)
+        return _span(*_null_rows(*_integer_forms(self.basis), n), n)
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Intersection, by Zassenhaus's block reduced forward over its left half.

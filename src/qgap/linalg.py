@@ -24,7 +24,12 @@ rows and build ``GaussianRational`` values only for their result:
 entry, and returns only the nonzero rows, each with its integer form, for
 ``lattice``'s one basis builder; ``_rank`` counts the pivots of a forward
 elimination, for ``lattice.Subspace.contains`` and ``leq``;
-``_projection`` solves the Gram system behind ``projectors.projector_onto``.
+``_projection`` solves the Gram system behind ``projectors.projector_onto``,
+and on request returns I minus its projector. ``_null_rows`` runs no
+elimination: it reads Gaussian-integer rows spanning the orthocomplement
+of a canonical basis straight off the basis's integer forms, for
+``lattice.Subspace.orthocomplement`` and for ``projector_onto`` on a range
+larger than half the space.
 ``Matrix.rref`` is ``_reduced``'s rows padded with zero rows; its one
 caller in the library is the canonical-basis check of ``lattice.Subspace``,
 which compares a basis from outside with its reduced form.
@@ -34,12 +39,13 @@ and ``StateVector._integer_form``, each computed on first use. ``lattice``
 seeds the form of every canonical basis vector it builds with the one
 ``_reduced`` returns, which is the one first use would compute.
 ``_integer_forms`` stacks vectors' forms as an elimination's input; the
-lattice's meet, join, ``contains`` and ``leq`` and ``projectors.projector_onto``
-read their operands' bases that way, so a lattice result is never scaled
-again. ``_is_idempotent`` decides the idempotence check of
-``projectors.Projector``, and ``_kills_or_fixes`` decides whether a matrix
-sends a state to zero or to itself, which is all ``propositions.valuate``
-asks; both read the two views and build no scalar at all.
+lattice's meet, join, complement, ``contains`` and ``leq`` and
+``projectors.projector_onto`` read their operands' bases that way, so a
+lattice result is never scaled again. ``_is_idempotent`` decides the
+idempotence check of ``projectors.Projector``, and ``_kills_or_fixes``
+decides whether a matrix sends a state to zero or to itself, which is all
+``propositions.valuate`` asks; both read the two views and build no scalar
+at all.
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -199,11 +205,20 @@ class Matrix(Frozen):
         )
 
     def is_hermitian(self) -> bool:
-        """Each entry on or above the diagonal equals the conjugate of its mirror image."""
+        """Each entry on or above the diagonal equals the conjugate of its mirror image.
+
+        Compared on the canonical triples: the conjugate of (a + b*i)/d is
+        (a - b*i)/d, itself canonical, so no conjugate is built.
+        """
         if not self.is_square:
             return False
         e, n = self.entries, self.cols
-        return all(e[i * n + j] == e[j * n + i].conjugate() for i in range(n) for j in range(i, n))
+        for i in range(n):
+            for j in range(i, n):
+                x, y = e[i * n + j], e[j * n + i]
+                if x._a != y._a or x._b != -y._b or x._d != y._d:
+                    return False
+        return True
 
     def rref(self) -> "Matrix":
         """Reduced row-echelon form.
@@ -390,7 +405,40 @@ def _kills_or_fixes(m: Matrix, state: StateVector) -> tuple[bool, bool]:
     return kills, fixes
 
 
-def _projection(nr: Sequence[Sequence[int]], ni: Sequence[Sequence[int]]) -> Matrix:
+def _null_rows(
+    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], n: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Gaussian-integer rows spanning the orthocomplement in C^n of a canonical basis, read off its integer forms.
+
+    The rows V_i of ``re`` and ``im`` are the basis vectors' integer forms:
+    canonical vector i has 1 at its pivot p_i, so V_i[p_i] is its scale s_i,
+    a positive integer, and V_i is zero before p_i and at every other pivot.
+    The conjugated basis is still in reduced row-echelon form, so its null
+    space has one vector per free column f: 1 at f and -conj(V_i[f]) / s_i at
+    each p_i. Times L, the lcm of the s_i, that is the row W with W[f] = L
+    and W[p_i] = -conj(V_i[f]) * L / s_i. The rows are independent, since
+    each is the only one nonzero at its free column, and no elimination is
+    run. A zero basis gives the n unit rows.
+    """
+    pivots = [next(j for j, a in enumerate(vr) if a) for vr in re]
+    scale = lcm(*[vr[p] for vr, p in zip(re, pivots)])
+    factors = [scale // vr[p] for vr, p in zip(re, pivots)]
+    wr: list[list[int]] = []
+    wi: list[list[int]] = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        xr, xi = [0] * n, [0] * n
+        xr[f] = scale
+        for p, k, vr, vi in zip(pivots, factors, re, im):
+            xr[p] = -vr[f] * k
+            xi[p] = vi[f] * k
+        wr.append(xr)
+        wi.append(xi)
+    return wr, wi
+
+
+def _projection(nr: Sequence[Sequence[int]], ni: Sequence[Sequence[int]], *, complement: bool = False) -> Matrix:
     """The orthogonal projector onto the span of linearly independent Gaussian-integer rows, read as column vectors.
 
     For M the rows conjugated and stacked, the projector is M* G^-1 M with
@@ -403,6 +451,9 @@ def _projection(nr: Sequence[Sequence[int]], ni: Sequence[Sequence[int]]) -> Mat
     positive integer, met in order on the diagonal. With L the lcm of the
     g_i, the projector is N* Z / L for Z_i = Y_i * L / g_i, one canonical
     scalar per entry; it is Hermitian, so only its upper triangle is summed.
+    With ``complement`` the result is I - N* Z / L instead, the projector
+    onto the rows' orthocomplement: each entry is (L * delta - Q) / L for Q
+    the summed numerator, reduced once.
     """
     ni = [[-b for b in row] for row in ni]  # conjugated
     k, n = len(nr), len(nr[0])
@@ -433,9 +484,12 @@ def _projection(nr: Sequence[Sequence[int]], ni: Sequence[Sequence[int]]) -> Mat
                 if (a or b) and (c or d):
                     pr += a * c + b * d
                     pi += a * d - b * c
+            if complement:
+                pr, pi = (scale if s == t else 0) - pr, -pi
             if pr or pi:
                 entries[s * n + t] = x = _reduce(pr, pi, scale)
-                entries[t * n + s] = x.conjugate()
+                if s != t:
+                    entries[t * n + s] = x.conjugate()
     return Matrix(n, n, entries)
 
 

@@ -16,7 +16,12 @@ I - P, which holds exactly for every orthogonal projector.
 Gaussian-integer kernels (``_projection``, ``_is_idempotent``), which
 build ``GaussianRational`` values only for the resulting matrix;
 ``projector_onto`` reads the subspace's basis through the integer forms
-the lattice seeded on it. A projector keeps its range as the private
+the lattice seeded on it. It solves on the smaller side of the range: a
+range S of dimension at most n/2 on its own rows, a larger one as
+I - P_S⊥, on the n - dim S rows ``linalg._null_rows`` reads off S's forms
+(P_S = I - P_S⊥ holds exactly); C^n is the identity and the zero space
+the zero matrix. Every result still passes ``Projector``'s Hermitian and
+idempotence checks. A projector keeps its range as the private
 cached ``_range``: ``projector_onto`` stores the subspace it was given,
 since the column space of M* (M M*)^-1 M is the span of M's rows, and any
 other projector reduces its column space once, on first use. ``range_of``
@@ -32,7 +37,7 @@ from typing import Sequence
 
 from .errors import InvalidValueError, ShapeError
 from .lattice import Subspace
-from .linalg import Matrix, StateVector, _integer_forms, _is_idempotent, _projection
+from .linalg import Matrix, StateVector, _integer_forms, _is_idempotent, _null_rows, _projection
 from .scalars import ZERO, Frozen, GaussianRational
 
 
@@ -136,15 +141,23 @@ def projector_onto(subspace: Subspace) -> Projector:
 
     For M the canonical basis conjugated and stacked as rows, the projector
     is M* (M M*)^-1 M, computed by ``linalg``'s Gram solve on Gaussian
-    integers with one denominator. The result is exact, Hermitian and
+    integers with one denominator. The solve runs on the smaller side of the
+    range: for dim S > n/2 it runs on the n - dim S rows of S's
+    orthocomplement, read off S's integer forms by ``linalg._null_rows``,
+    and the projector is I minus that one; C^n gives the identity and the
+    zero space the zero matrix. The result is exact, Hermitian and
     idempotent by algebra (the constructor re-checks anyway), and the same
     range gives the same matrix.
     """
-    n = subspace.ambient_dim
-    if subspace.is_zero:
+    n, k = subspace.ambient_dim, subspace.dim
+    if k == 0:
         p = Projector.zero(n)
-    else:
+    elif k == n:
+        p = Projector.identity(n)
+    elif 2 * k <= n:
         p = Projector(_projection(*_integer_forms(subspace.basis)))
+    else:
+        p = Projector(_projection(*_null_rows(*_integer_forms(subspace.basis), n), complement=True))
     p.__dict__["_range"] = subspace  # the column space of M* (M M*)^-1 M is the span of M's rows
     return p
 

@@ -58,6 +58,15 @@ def rand_subspace(rng: Random, dim: int = 4) -> Subspace:
     return Subspace.from_vectors(dim, [rand_state(rng, dim) for _ in range(count)])
 
 
+def rand_subspace_of_dim(rng: Random, n: int, k: int, height: int) -> Subspace:
+    """A random k-dimensional subspace of C^n, from dense or half-zero vectors."""
+    sparse = rng.random() < 0.5
+    while True:
+        s = Subspace.from_vectors(n, [rand_state(rng, n, height, sparse) for _ in range(k)])
+        if s.dim == k:
+            return s
+
+
 def rand_span_pair(rng: Random, height: int) -> tuple[Subspace, Subspace]:
     """Two spans of 1-3 vectors in C^4, drawn like the lattice_mix benchmark's.
 

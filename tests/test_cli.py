@@ -305,7 +305,7 @@ class TestLattice:
         )
         assert code == 0 and out == "true\n"
 
-    @pytest.mark.parametrize("golden", ["meet", "complement", "join", "meet_nested", "meet_lines"])
+    @pytest.mark.parametrize("golden", ["meet", "complement", "join", "meet_nested", "meet_lines", "complement_line"])
     def test_height_1000_meet_matches_golden_output(self, capsys, golden):
         # Spans with entries of height up to 1000 whose basis rows start with a
         # negative entry, so given in the --a=... form; the meet has complex,
@@ -314,7 +314,9 @@ class TestLattice:
         # stored without a second canonical-form check. The meet of a with its
         # own second row, where every row left below the block's pivots is
         # kept, and the zero meet of that row with b's second, where no row is
-        # left, were recorded before meet eliminated forward only.
+        # left, were recorded before meet eliminated forward only. The
+        # complement of a's second row, of dimension 3, was recorded before
+        # complements were read off the basis's integer forms.
         a = (
             "-485/106-3/148*i,-216/335+3/422*i,-155/89,475/488-845/256*i;"
             "-261/46,-273/391-358/309*i,-463/468+693/692*i,-258/137-190/339*i;"
@@ -332,11 +334,18 @@ class TestLattice:
             "join": (f"--a={b}", f"--b={second}"),
             "meet_nested": (f"--a={a}", f"--b={second}"),
             "meet_lines": (f"--a={second}", f"--b={b.split(';')[1]}"),
+            "complement_line": (f"--a={second}",),
         }
         op = golden.split("_")[0]
         code, out, err = run_cli(capsys, "lattice", "--op", op, *operands[golden], "--output", "json")
         assert code == 0 and err == ""
         assert out.encode() == (GOLDEN_DIR / f"lattice_{golden}_h1000_json.txt").read_bytes()
+
+    def test_complement_of_the_zero_space_matches_golden_output(self, capsys):
+        # The whole space, recorded before complements were read off the basis's integer forms.
+        code, out, err = run_cli(capsys, "lattice", "--op", "complement", "--a", "0,0,0,0", "--output", "json")
+        assert code == 0 and err == ""
+        assert out.encode() == (GOLDEN_DIR / "lattice_complement_zero_json.txt").read_bytes()
 
     def test_join_json(self, capsys):
         code, out, _ = run_cli(

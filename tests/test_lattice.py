@@ -216,8 +216,10 @@ class TestEliminationCount:
     A meet eliminates Zassenhaus's block forward, then reduces the rows left
     below its pivots, and only when there are any. No operation here runs
     ``Matrix.rref``. Each pass is recorded as (rows, row length, clears
-    above the pivots). A projector built by ``projector_onto`` keeps its
-    range, so the projector meet and join reduce no 4x4 column space.
+    above the pivots). ``projector_onto`` solves on the smaller side of the
+    range, min(k, 4 - k) rows, and runs no pass for the zero space or C^4. A
+    projector built by ``projector_onto`` keeps its range, so the projector
+    meet and join reduce no 4x4 column space.
     """
 
     @pytest.fixture
@@ -260,11 +262,17 @@ class TestEliminationCount:
                 a.join(b)
                 assert passes == [(a.dim + b.dim, 4, True)]
 
+    @staticmethod
+    def onto_passes(k, n=4):
+        """The one Gram solve of ``projector_onto`` on a k-dimensional range, over min(k, n - k) rows; none at 0 or n."""
+        m = min(k, n - k)
+        return [(m, m + n, True)] if m else []
+
     def test_projector_onto(self, passes):
-        for s in self.SPANS:
+        for s in (Subspace.zero(4),) + self.SPANS + (Subspace.row_space(Matrix.identity(4)),):
             passes.clear()
             projector_onto(s)
-            assert passes == [(s.dim, s.dim + 4, True)]
+            assert passes == self.onto_passes(s.dim)
 
     def test_projector_meet_and_join_reduce_no_column_space(self, passes):
         projectors = [projector_onto(s) for s in self.SPANS]
@@ -273,11 +281,11 @@ class TestEliminationCount:
                 c = a.meet(b)
                 passes.clear()
                 projector_meet(pa, pb)
-                assert passes == [(a.dim + b.dim, 8, False)] + ([(c.dim, 4, True), (c.dim, c.dim + 4, True)] if c.dim else [])
+                assert passes == [(a.dim + b.dim, 8, False)] + ([(c.dim, 4, True)] if c.dim else []) + self.onto_passes(c.dim)
                 c = a.join(b)
                 passes.clear()
                 projector_join(pa, pb)
-                assert passes == [(a.dim + b.dim, 4, True), (c.dim, c.dim + 4, True)]
+                assert passes == [(a.dim + b.dim, 4, True)] + self.onto_passes(c.dim)
 
     def test_a_checked_projector_reduces_its_column_space_once(self, passes):
         p = Projector(projector_onto(self.SPANS[2]).matrix)
@@ -289,7 +297,8 @@ class TestEliminationCount:
 
     def test_lattice_built_operands_are_not_scaled_again(self, monkeypatch):
         # The basis vectors of lattice results carry their integer forms, so
-        # these operations scale no row of scalars to Gaussian integers.
+        # these operations scale no row of scalars to Gaussian integers; the
+        # complement reads its null rows off those forms.
         calls = []
         integer_rows = linalg._integer_rows
 
@@ -301,6 +310,7 @@ class TestEliminationCount:
             monkeypatch.setattr(module, "_integer_rows", counted_integer_rows)
         for a in self.SPANS:
             projector_onto(a)
+            a.orthocomplement()
             for b in self.SPANS:
                 a.meet(b), a.join(b), a.leq(b)
                 for v in b.basis:

@@ -23,6 +23,7 @@ from helpers import (
     rand_span_pair,
     rand_state,
     rand_subspace,
+    rand_subspace_of_dim,
     sparse_matrices_st,
     sparse_states_st,
     sympy_span,
@@ -40,7 +41,7 @@ from qgap import (
     range_of,
     tensor_product,
 )
-from qgap.linalg import _integer_rows, _rank
+from qgap.linalg import _integer_forms, _integer_rows, _null_rows, _rank
 from qgap.scalars import ONE
 
 
@@ -191,6 +192,46 @@ def test_kernel_agrees_with_sympy():
                 assert range_of(p) == s
                 # range_of reads the range projector_onto was given; sympy reads the matrix's.
                 assert Subspace.column_space(p.matrix) == range_of(p) == sympy_span(4, to_sympy(p.matrix).columnspace())
+
+
+def conjugated_basis(s: Subspace):
+    """The canonical basis of s conjugated and stacked as rows of a sympy matrix, 0 x n for the zero space."""
+    if s.is_zero:
+        return sp.zeros(0, s.ambient_dim)
+    return to_sympy(Matrix.from_rows([b.entries for b in s.basis])).conjugate()
+
+
+@pytest.mark.parametrize("height", (2, 1000))
+def test_null_rows_agree_with_sympy(height):
+    # The Gaussian-integer rows read off a canonical basis's integer forms
+    # are n - k in number, independent, and orthogonal to every basis vector.
+    rng = Random(303 + height)
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for _ in range(3):
+                s = rand_subspace_of_dim(rng, n, k, height)
+                re, im = _null_rows(*_integer_forms(s.basis), n)
+                assert len(re) == len(im) == n - k
+                if n == k:
+                    continue
+                w = sp.Matrix([[a + sp.I * b for a, b in zip(xr, xi)] for xr, xi in zip(re, im)])
+                assert w.rank() == n - k
+                assert (conjugated_basis(s) * w.T).applyfunc(sp.expand) == sp.zeros(k, n - k)
+
+
+@pytest.mark.parametrize("height", (2, 1000))
+def test_complement_agrees_with_sympy_in_every_dimension(height):
+    # The complement is the null space of the conjugated basis, and taking
+    # it twice gives the subspace back, for every k in C^1 to C^5.
+    rng = Random(404 + height)
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for _ in range(3):
+                s = rand_subspace_of_dim(rng, n, k, height)
+                c = s.orthocomplement()
+                assert c == sympy_span(n, conjugated_basis(s).nullspace())
+                assert c.dim == n - k
+                assert c.orthocomplement() == s
 
 
 def stacked_rank(*bases):

@@ -15,6 +15,7 @@ from helpers import (
     gram_projector,
     rand_span_pair,
     rand_state,
+    rand_subspace_of_dim,
     sparse_matrices_st,
     span,
     sparse_spans_st,
@@ -37,6 +38,7 @@ from qgap import (
     range_of,
     standard_context,
 )
+from qgap import projectors
 from qgap.linalg import _is_idempotent
 from qgap.projectors import _trace_of_product
 from qgap.scalars import ZERO, GaussianRational
@@ -323,15 +325,6 @@ class TestRangeIsTheColumnSpace:
         self.assert_ranges(*standard_context().values(), *rows, Projector.zero(4), Projector.identity(4))
 
 
-def _subspace_of_dim(rng: Random, n: int, k: int, height: int) -> Subspace:
-    """A random k-dimensional subspace of C^n, from dense or half-zero vectors."""
-    sparse = rng.random() < 0.5
-    while True:
-        s = Subspace.from_vectors(n, [rand_state(rng, n, height, sparse) for _ in range(k)])
-        if s.dim == k:
-            return s
-
-
 class TestOntoAgainstGramFormula:
     """``projector_onto``'s Gaussian-integer solve equals M* (M M*)^-1 M built from ``Matrix`` ``@`` and ``rref``."""
 
@@ -341,7 +334,7 @@ class TestOntoAgainstGramFormula:
         rng = Random(100 * n + height)
         for k in range(n + 1):
             for _ in range(3):
-                s = _subspace_of_dim(rng, n, k, height)
+                s = rand_subspace_of_dim(rng, n, k, height)
                 assert projector_onto(s).matrix == gram_projector(s)
 
     @pytest.mark.parametrize("height", (2, 1000))
@@ -353,6 +346,47 @@ class TestOntoAgainstGramFormula:
             scaled = [v.scale(gr(rng.randint(1, 9), rng.randint(-9, 9))) for v in reversed(vectors)]
             assert projector_from_span(vectors) == projector_from_span(scaled)
             assert projector_from_span(vectors).matrix == gram_projector(Subspace.from_vectors(4, vectors))
+
+
+class TestOntoFromTheSmallerSide:
+    """``projector_onto`` solves on the smaller side of the range and still checks its result.
+
+    A range S of dimension k in C^n is solved on its own k rows when
+    2k <= n, and otherwise on the n - k rows of S's orthocomplement, giving
+    I - P_S⊥; on odd n the side changes at k = (n + 1) / 2. C^n and the zero
+    space run no solve. Either way the answer is the Gram formula on S's
+    basis, P_S = I - P_S⊥ holds exactly, the range is the one given, and
+    ``Projector``'s Hermitian and idempotence checks run once.
+    """
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_dimension_and_side(self, n, height, monkeypatch):
+        solves, checks = [], []
+        projection, post_init = projectors._projection, Projector.__post_init__
+
+        def counted_projection(nr, ni, *, complement=False):
+            solves.append((len(nr), complement))
+            return projection(nr, ni, complement=complement)
+
+        def counted_post_init(self):
+            checks.append(self.matrix)
+            post_init(self)
+
+        # projectors imports _projection by name, so it is patched there.
+        monkeypatch.setattr(projectors, "_projection", counted_projection)
+        monkeypatch.setattr(Projector, "__post_init__", counted_post_init)
+        rng = Random(7 * n + height)
+        for k in range(n + 1):
+            for _ in range(3):
+                s = rand_subspace_of_dim(rng, n, k, height)
+                solves.clear()
+                checks.clear()
+                p = projector_onto(s)
+                assert solves == ([] if k in (0, n) else [(min(k, n - k), 2 * k > n)])
+                assert checks == [p.matrix]
+                assert p.matrix == gram_projector(s) == Matrix.identity(n) - gram_projector(s.orthocomplement())
+                assert range_of(p) is s
 
 
 def _lcm_of_denominators(m: Matrix) -> int:
@@ -397,7 +431,7 @@ class TestIdempotenceOnIntegers:
         rng = Random(height)
         for n in (2, 4):
             for k in range(1, n):
-                p = projector_onto(_subspace_of_dim(rng, n, k, height)).matrix
+                p = projector_onto(rand_subspace_of_dim(rng, n, k, height)).matrix
                 scale = _lcm_of_denominators(p)
                 delta = GaussianRational(Fraction(1, scale * scale))
                 for i, j, d in ((0, 0, delta), (0, n - 1, delta * gr(0, 1))):
