@@ -12,14 +12,14 @@ nonzero. The spin projectors and states of the pair space are mostly
 zeros, and adding or subtracting an exact zero changes no canonical triple,
 so the results are the same values without those multiplies and adds.
 
-Elimination, ranks, projector construction, the idempotence check and
-valuation's two tests run on Gaussian integers. ``_integer_rows`` scales
-each row by the lcm of its denominators and keeps its real and imaginary
-numerators as two ``int`` lists; ``_eliminate`` reduces such rows by
-fraction-free Gauss-Jordan, and each cleared row loses its integer
-content. It puts new rows into the lists it is given and never writes into
-a row, so a row may be a cached tuple. Three private kernels take such
-rows and build ``GaussianRational`` values only for their result:
+Elimination, ranks, projector construction, the idempotence and
+orthogonality checks and valuation's two tests run on Gaussian integers.
+``_integer_rows`` scales each row by the lcm of its denominators and keeps
+its real and imaginary numerators as two ``int`` lists; ``_eliminate``
+reduces such rows by fraction-free Gauss-Jordan, and each cleared row loses
+its integer content. It puts new rows into the lists it is given and never
+writes into a row, so a row may be a cached tuple. Three private kernels
+take such rows and build ``GaussianRational`` values only for their result:
 ``_reduced`` divides each pivot row by its pivot, one canonical triple per
 entry, and returns only the nonzero rows, each with its integer form, for
 ``lattice``'s one basis builder; ``_rank`` counts the pivots of a forward
@@ -45,7 +45,10 @@ lattice result is never scaled again. ``_is_idempotent`` decides the
 idempotence check of ``projectors.Projector``, and ``_kills_or_fixes``
 decides whether a matrix sends a state to zero or to itself, which is all
 ``propositions.valuate`` asks; both read the two views and build no scalar
-at all.
+at all. ``_trace_of_product_is_zero`` decides tr(PQ) = 0 for two Hermitian
+matrices, the orthogonality test of ``projectors.Projector.sum`` and
+``orthogonal_to``; it reads the entries' canonical triples directly, with
+neither view, and builds no scalar either.
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -376,6 +379,30 @@ def _is_idempotent(m: Matrix) -> bool:
         if sr != lr or si != li:
             return False
     return True
+
+
+def _trace_of_product_is_zero(p: Matrix, q: Matrix) -> bool:
+    """Whether tr(PQ) = 0 for Hermitian matrices P and Q of one shape, decided on the canonical triples.
+
+    Q is Hermitian, so tr(PQ) = sum over i, k of P[i,k] * conj(Q[i,k]), and
+    the sum is real, since P is Hermitian too. With P[i,k] = (a + b*i)/d and
+    Q[i,k] = (a' + b'*i)/d', each term's real part is (a*a' + b*b')/(d*d').
+    The terms where both entries are nonzero are summed as one numerator
+    over the lcm of their denominators, in ``int``s; zipping the two entry
+    tuples reads no cached pattern, which a fresh compound has not built.
+    """
+    num, den = 0, 1
+    for x, y in zip(p.entries, q.entries):
+        if (x._a or x._b) and (y._a or y._b):
+            t = x._a * y._a + x._b * y._b
+            d = x._d * y._d
+            if d == den:
+                num += t
+            else:
+                g = gcd(d, den)
+                num = num * (d // g) + t * (den // g)
+                den = den // g * d
+    return not num
 
 
 def _kills_or_fixes(m: Matrix, state: StateVector) -> tuple[bool, bool]:

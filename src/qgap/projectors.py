@@ -7,27 +7,30 @@ connectives' closed forms skip that check, since a cheaper test implies it:
 ``Projector.product(p, q)`` checks only that PQ is Hermitian, which already
 makes it idempotent, and ``Projector.sum(p, q)`` checks only that
 tr(PQ) = 0, which makes PQ = 0 and so P + Q a projector; each then stores
-its matrix by ``Frozen._of``, without ``Projector``'s own check. The operator
-lattice (meet, join) is computed through the subspace lattice of ranges,
-which also covers non-commuting pairs. The kernel of P is the range of
-I - P, which holds exactly for every orthogonal projector.
+its matrix by ``Frozen._of``, without ``Projector``'s own check.
+``commutes_with`` and ``orthogonal_to`` decide by the same two tests, so
+commutation and orthogonality each have one rule. The operator lattice
+(meet, join) is computed through the subspace lattice of ranges, which also
+covers non-commuting pairs. The kernel of P is the orthocomplement of its
+range, which holds exactly for every orthogonal projector.
 
-``projector_onto`` and the idempotence check call ``linalg``'s private
-Gaussian-integer kernels (``_projection``, ``_is_idempotent``), which
-build ``GaussianRational`` values only for the resulting matrix;
-``projector_onto`` reads the subspace's basis through the integer forms
-the lattice seeded on it. It solves on the smaller side of the range: a
-range S of dimension at most n/2 on its own rows, a larger one as
-I - P_S⊥, on the n - dim S rows ``linalg._null_rows`` reads off S's forms
-(P_S = I - P_S⊥ holds exactly); C^n is the identity and the zero space
-the zero matrix. Every result still passes ``Projector``'s Hermitian and
-idempotence checks. A projector keeps its range as the private
-cached ``_range``: ``projector_onto`` stores the subspace it was given,
-since the column space of M* (M M*)^-1 M is the span of M's rows, and any
-other projector reduces its column space once, on first use. ``range_of``
-reads it, so ``projector_meet`` and ``projector_join`` of projectors built
-by ``projector_onto`` reduce no column space. Equality, hash and repr read
-only the matrix.
+``projector_onto``, the idempotence check and the orthogonality test call
+``linalg``'s private Gaussian-integer kernels (``_projection``,
+``_is_idempotent``, ``_trace_of_product_is_zero``); the first builds
+``GaussianRational`` values only for the resulting matrix, the other two
+build none. ``projector_onto`` reads the subspace's basis through the
+integer forms the lattice seeded on it. It solves on the smaller side of
+the range: a range S of dimension at most n/2 on its own rows, a larger one
+as I - P_S⊥, on the n - dim S rows ``linalg._null_rows`` reads off S's
+forms (P_S = I - P_S⊥ holds exactly); C^n is the identity and the zero
+space the zero matrix. Every result still passes ``Projector``'s Hermitian
+and idempotence checks. A projector keeps its range as the private cached
+``_range``: ``projector_onto`` stores the subspace it was given, since the
+column space of M* (M M*)^-1 M is the span of M's rows, and any other
+projector reduces its column space once, on first use. ``range_of`` reads
+it, so ``projector_meet``, ``projector_join`` and ``kernel_of`` of
+projectors built by ``projector_onto`` reduce no column space. Equality,
+hash and repr read only the matrix.
 """
 
 from __future__ import annotations
@@ -37,8 +40,16 @@ from typing import Sequence
 
 from .errors import InvalidValueError, ShapeError
 from .lattice import Subspace
-from .linalg import Matrix, StateVector, _integer_forms, _is_idempotent, _null_rows, _projection
-from .scalars import ZERO, Frozen, GaussianRational
+from .linalg import (
+    Matrix,
+    StateVector,
+    _integer_forms,
+    _is_idempotent,
+    _null_rows,
+    _projection,
+    _trace_of_product_is_zero,
+)
+from .scalars import Frozen
 
 
 class Projector(Frozen):
@@ -80,10 +91,11 @@ class Projector(Frozen):
         it without forming PQ: tr(PQ) = tr(PPQQ) = tr((PQ)*(PQ)) is the sum
         of the squared moduli of PQ's entries, so it is zero exactly when
         PQ = 0. Then QP = (PQ)* = 0 too, and P + Q is Hermitian and
-        idempotent.
+        idempotent. ``linalg._trace_of_product_is_zero`` decides it on the
+        entries' integer triples, with no ``GaussianRational`` arithmetic.
         """
         p._check_dim(q)
-        if not _trace_of_product(p, q).is_zero:
+        if not _trace_of_product_is_zero(p.matrix, q.matrix):
             raise InvalidValueError("projectors are not orthogonal: tr(PQ) is not zero")
         return cls._of(p.matrix + q.matrix)
 
@@ -109,12 +121,14 @@ class Projector(Frozen):
         return self.matrix.is_zero()
 
     def commutes_with(self, other: "Projector") -> bool:
+        """Whether PQ = QP, decided as ``product`` decides it: PQ is Hermitian, since (PQ)* = QP."""
         self._check_dim(other)
-        return self.matrix @ other.matrix == other.matrix @ self.matrix
+        return (self.matrix @ other.matrix).is_hermitian()
 
     def orthogonal_to(self, other: "Projector") -> bool:
+        """Whether PQ = 0, decided as ``sum`` decides it: tr(PQ) = 0, with no matrix product."""
         self._check_dim(other)
-        return (self.matrix @ other.matrix).is_zero()
+        return _trace_of_product_is_zero(self.matrix, other.matrix)
 
     def _check_dim(self, other: "Projector") -> None:
         if self.dim != other.dim:
@@ -122,18 +136,6 @@ class Projector(Frozen):
 
     def __str__(self) -> str:
         return str(self.matrix)
-
-
-def _trace_of_product(p: Projector, q: Projector) -> GaussianRational:
-    """tr(PQ), the sum of P[i,k] * Q[k,i] over P's nonzero entries, without forming PQ."""
-    b, n = q.matrix.entries, q.dim
-    trace = ZERO
-    for i, row in enumerate(p.matrix._nonzeros):
-        for k, x in row:
-            y = b[k * n + i]
-            if not y.is_zero:
-                trace = trace + x * y
-    return trace
 
 
 def projector_onto(subspace: Subspace) -> Projector:
@@ -176,8 +178,8 @@ def range_of(p: Projector) -> Subspace:
 
 
 def kernel_of(p: Projector) -> Subspace:
-    """Canonical null space, as the column space of I - P; the orthocomplement of the range."""
-    return Subspace.column_space(Matrix.identity(p.dim) - p.matrix)
+    """Canonical null space: the orthocomplement of the range, read off the range's integer forms."""
+    return range_of(p).orthocomplement()
 
 
 def projector_meet(a: Projector, b: Projector) -> Projector:

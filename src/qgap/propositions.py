@@ -194,6 +194,8 @@ def compile_proposition(p: Proposition, context: Mapping[Atom, Projector]) -> Pr
     * P + Q is a projector exactly when PQ = 0, that is when P and Q are
       orthogonal; it is then their join. ``Projector.sum`` decides this by
       tr(PQ) = 0 without forming PQ, since tr(PQ) is the squared norm of PQ.
+      The trace is summed on the entries' integer triples, so the test runs
+      no ``GaussianRational`` arithmetic; only P + Q is built.
 
     Neither runs the generic ``Projector`` check.
     """

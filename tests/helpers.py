@@ -9,7 +9,17 @@ import sympy as sp
 from hypothesis import strategies as st
 
 import exact
-from qgap import Atom, Direction, GaussianRational, Matrix, StateVector, Subspace, classical_valuate
+from qgap import (
+    Atom,
+    Direction,
+    GaussianRational,
+    Matrix,
+    Projector,
+    StateVector,
+    Subspace,
+    classical_valuate,
+    projector_onto,
+)
 from qgap.propositions import And
 from qgap.scalars import ZERO
 
@@ -53,9 +63,9 @@ def rand_state(rng: Random, dim: int = 4, height: int = 2, sparse: bool = False)
             return StateVector(entries)
 
 
-def rand_subspace(rng: Random, dim: int = 4) -> Subspace:
+def rand_subspace(rng: Random, dim: int = 4, height: int = 2) -> Subspace:
     count = rng.randint(0, dim)
-    return Subspace.from_vectors(dim, [rand_state(rng, dim) for _ in range(count)])
+    return Subspace.from_vectors(dim, [rand_state(rng, dim, height) for _ in range(count)])
 
 
 def rand_subspace_of_dim(rng: Random, n: int, k: int, height: int) -> Subspace:
@@ -78,6 +88,24 @@ def rand_span_pair(rng: Random, height: int) -> tuple[Subspace, Subspace]:
     if rng.random() < 0.5:
         b[0] = rand_combination(rng, a)
     return Subspace.from_vectors(4, a), Subspace.from_vectors(4, b)
+
+
+def rand_projector_pairs(rng: Random, height: int) -> list[tuple[Projector, Projector]]:
+    """Projector pairs on spans a and b drawn by ``rand_span_pair``, in both orders.
+
+    P_a is paired with P_b, with I - P_a, with the nested P_(a meet b) and
+    P_(a join b), and with P_r for r the part of a join b orthogonal to a;
+    P_r is paired with P_b. Random span pairs rarely commute and are rarely
+    orthogonal; nested ranges always commute, and I - P_a and P_r are
+    orthogonal to P_a.
+    """
+    a, b = rand_span_pair(rng, height)
+    p, q = projector_onto(a), projector_onto(b)
+    complement = Projector(Matrix.identity(4) - p.matrix)
+    rest = projector_onto(a.join(b).meet(a.orthocomplement()))
+    nested = (projector_onto(a.meet(b)), projector_onto(a.join(b)))
+    pairs = [(p, q), (p, complement), (p, rest), (rest, q)] + [(p, n) for n in nested]
+    return pairs + [(y, x) for x, y in pairs]
 
 
 def rand_combination(rng: Random, vectors) -> StateVector:

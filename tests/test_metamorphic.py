@@ -2,9 +2,11 @@
 
 A unitary U maps the subspace lattice onto itself: it carries meets, joins,
 orthocomplements, order, membership, projectors and truth values over
-unchanged. These laws need no second implementation, so they hold the
-lattice's own results to account now that they are not re-checked when
-built.
+unchanged, and U P U* and U Q U* are orthogonal, or commute, exactly when P
+and Q are, or do. These laws need no second implementation, so they hold
+the lattice's own results and the connectives' two domain decisions to
+account now that they are not re-checked when built. Every law runs at
+heights 1, 2 and 1000, in a fixed number of trials.
 
 U is the Cayley transform (I - iH)(I + iH)^-1 of a Gaussian-rational
 Hermitian H, which is exactly unitary; I + iH is invertible because iH has
@@ -17,7 +19,15 @@ from random import Random
 
 import pytest
 
-from helpers import SINGLET, rand_combination, rand_scalar, rand_span_pair, rand_state, rand_subspace
+from helpers import (
+    SINGLET,
+    rand_combination,
+    rand_projector_pairs,
+    rand_scalar,
+    rand_span_pair,
+    rand_state,
+    rand_subspace,
+)
 from qgap import Matrix, Projector, StateVector, Subspace, projector_onto, tensor_product, valuate
 from qgap.scalars import I_UNIT, ZERO
 
@@ -49,14 +59,23 @@ def moved(u: Matrix, s: Subspace) -> Subspace:
     return Subspace.from_vectors(s.ambient_dim, [StateVector(u.apply(b)) for b in s.basis])
 
 
-@pytest.mark.parametrize("height", (1, 2))
+HEIGHTS = (1, 2, 1000)
+
+
+def span_height(height: int) -> int:
+    """The height spans are drawn at: 2 for the small unitaries, else the unitary's own."""
+    return max(height, 2)
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
 def test_lattice_projectors_and_valuation_are_carried_over_by_a_unitary(height):
     rng = Random(2600 + height)
     orders, values = set(), set()
+    h = span_height(height)
     for trial in range(15):
         u = cayley(rand_hermitian(rng, 4, height))
         u_star = u.conjugate_transpose()
-        a, b = rand_span_pair(rng, 2) if trial % 2 else (rand_subspace(rng), rand_subspace(rng))
+        a, b = rand_span_pair(rng, h) if trial % 2 else (rand_subspace(rng, height=h), rand_subspace(rng, height=h))
         ua, ub = moved(u, a), moved(u, b)
         assert moved(u, a.meet(b)) == ua.meet(ub)
         assert moved(u, a.join(b)) == ua.join(ub)
@@ -76,10 +95,28 @@ def test_lattice_projectors_and_valuation_are_carried_over_by_a_unitary(height):
     assert orders == {True, False} and len(values) == 3
 
 
-def test_a_local_unitary_pair_keeps_the_singlet_ray():
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_orthogonality_and_commutation_are_carried_over_by_a_unitary(height):
+    # Both decisions run on the moved pair, which Projector checks afresh.
+    rng = Random(2630 + height)
+    orthogonal, commuting = set(), set()
+    for _ in range(15):
+        u = cayley(rand_hermitian(rng, 4, height))
+        u_star = u.conjugate_transpose()
+        for p, q in rand_projector_pairs(rng, span_height(height)):
+            up, uq = Projector(u @ p.matrix @ u_star), Projector(u @ q.matrix @ u_star)
+            assert up.orthogonal_to(uq) == p.orthogonal_to(q)
+            assert up.commutes_with(uq) == p.commutes_with(q)
+            orthogonal.add(p.orthogonal_to(q))
+            commuting.add(p.commutes_with(q))
+    assert orthogonal == commuting == {True, False}
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_a_local_unitary_pair_keeps_the_singlet_ray(height):
     # (u x u) singlet = det(u) singlet, for every 2x2 unitary u.
-    rng = Random(2626)
+    rng = Random(2626 + height)
     ray = Subspace.from_vectors(4, [SINGLET])
     for _ in range(10):
-        u = cayley(rand_hermitian(rng, 2, 2))
+        u = cayley(rand_hermitian(rng, 2, height))
         assert ray.contains(StateVector(tensor_product(u, u).apply(SINGLET)))

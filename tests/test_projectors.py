@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from math import lcm
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from helpers import (
     SINGLET,
     E2,
+    counted_arithmetic,
     gr,
     gram_projector,
-    rand_span_pair,
+    rand_projector_pairs,
     rand_state,
     rand_subspace_of_dim,
     sparse_matrices_st,
@@ -34,13 +36,14 @@ from qgap import (
     projector_from_span,
     projector_join,
     projector_meet,
+    compile_proposition,
+    parse_proposition,
     projector_onto,
     range_of,
     standard_context,
 )
 from qgap import projectors
-from qgap.linalg import _is_idempotent
-from qgap.projectors import _trace_of_product
+from qgap.linalg import _is_idempotent, _trace_of_product_is_zero
 from qgap.scalars import ZERO, GaussianRational
 from qgap.scenario import _run_table
 
@@ -91,6 +94,37 @@ def _built_or_refused(build, p, q):
         return None
 
 
+# Compounds through both connectives, each legal in the standard context.
+COMPOUNDS = (
+    "A.z.up & B.z.down ^ A.z.down & B.z.up",
+    "A.x.up ^ A.x.down",
+    "A.y.up & B.y.up ^ A.y.down & B.y.down",
+    "(A.x.up & B.x.down ^ A.x.down & B.x.up) & (A.z.up & B.z.down ^ A.z.down & B.z.up)",
+    "B.y.up & A.z.down",
+)
+
+
+def _standard_projectors():
+    """The 12 atoms, the 18 run-table rows before verification and the compiled ``COMPOUNDS``, each with its I - P."""
+    ctx = standard_context()
+    compiled = [compile_proposition(parse_proposition(text), ctx) for text in COMPOUNDS]
+    ps = list(ctx.values()) + [proj for _, _, proj in _run_table()[0]] + compiled
+    return ps + [Projector(Matrix.identity(4) - p.matrix) for p in ps]
+
+
+def _check_product(p, q):
+    """Projector.product's decision against the independent commutation test P@Q == Q@P and the checked constructor.
+
+    Hermitian PQ is idempotent, so the one-test product agrees with
+    Projector(PQ), which also squares.
+    """
+    got = _built_or_refused(Projector.product, p, q)
+    assert (got is not None) == p.commutes_with(q) == (p.matrix @ q.matrix == q.matrix @ p.matrix)
+    assert got == _built_or_refused(lambda x, y: Projector(x.matrix @ y.matrix), p, q)
+    if got is not None:
+        assert Projector(got.matrix) == got
+
+
 class TestProduct:
     def test_commuting_pair(self):
         assert Projector.product(DIFF_Z, P_Z_UD) == P_Z_UD
@@ -104,30 +138,29 @@ class TestProduct:
         with pytest.raises(ShapeError):
             Projector.product(P_Z_UD, Projector.identity(2))
 
+    def test_every_ordered_pair_of_standard_projectors(self):
+        pairs = list(itertools.product(_standard_projectors(), repeat=2))
+        for p, q in pairs:
+            _check_product(p, q)
+        assert {p.commutes_with(q) for p, q in pairs} == {True, False}
+
     @given(st.integers(0, 10_000), st.sampled_from([2, 1000]))
     def test_matches_the_checked_constructor(self, seed, height):
-        # Hermitian PQ is idempotent, so the one-test product agrees with
-        # Projector(PQ), which also squares. Random span pairs commute or
-        # not; nested ranges and P with I - P always commute.
-        a, b = rand_span_pair(Random(seed), height)
-        p, q = projector_onto(a), projector_onto(b)
-        complement = Projector(Matrix.identity(4) - p.matrix)
-        pairs = [(p, q), (q, p), (p, complement), (complement, p)]
-        for nested in (projector_onto(a.meet(b)), projector_onto(a.join(b))):
-            pairs += [(p, nested), (nested, p)]
-        for left, right in pairs:
-            got = _built_or_refused(Projector.product, left, right)
-            assert got == _built_or_refused(lambda x, y: Projector(x.matrix @ y.matrix), left, right)
-            if got is not None:
-                assert Projector(got.matrix) == got
+        for left, right in rand_projector_pairs(Random(seed), height):
+            _check_product(left, right)
 
 
 def _check_sum(p, q):
-    """Projector.sum against the independent orthogonality test, the checked constructor and PQ."""
+    """Projector.sum's decision against the independent orthogonality tests, the checked constructor and PQ.
+
+    The sum of |(PQ)_ij|^2 and PQ = 0 are both decided on ``GaussianRational``
+    values, the second on the product ``@``.
+    """
     pq = p.matrix @ q.matrix
-    assert _trace_of_product(p, q) == sum((e * e.conjugate() for e in pq.entries), ZERO)
+    orthogonal = sum((e * e.conjugate() for e in pq.entries), ZERO).is_zero
+    assert _trace_of_product_is_zero(p.matrix, q.matrix) == orthogonal == pq.is_zero()
     got = _built_or_refused(Projector.sum, p, q)
-    assert (got is not None) == p.orthogonal_to(q) == pq.is_zero()
+    assert (got is not None) == p.orthogonal_to(q) == orthogonal
     if got is not None:
         assert got == Projector(p.matrix + q.matrix)
 
@@ -145,25 +178,53 @@ class TestSum:
         with pytest.raises(ShapeError):
             Projector.sum(Projector.zero(dims[0]), Projector.zero(dims[1]))
 
-    def test_every_ordered_pair_of_atoms_and_run_table_rows(self):
-        # The 12 atom projectors and the 18 projectors valuated before verification.
-        projectors = list(standard_context().values()) + [proj for _, _, proj in _run_table()[0]]
-        assert len(projectors) == 30
-        for p in projectors:
-            for q in projectors:
-                _check_sum(p, q)
+    def test_every_ordered_pair_of_standard_projectors(self):
+        pairs = list(itertools.product(_standard_projectors(), repeat=2))
+        for p, q in pairs:
+            _check_sum(p, q)
+        assert {p.orthogonal_to(q) for p, q in pairs} == {True, False}
 
     @given(st.integers(0, 10_000), st.sampled_from([2, 1000]))
     def test_matches_the_checked_constructor(self, seed, height):
-        # Random span pairs are rarely orthogonal; P with I - P always is, and so
-        # is P with the part of the join orthogonal to its range.
-        a, b = rand_span_pair(Random(seed), height)
-        p, q = projector_onto(a), projector_onto(b)
-        complement = Projector(Matrix.identity(4) - p.matrix)
-        rest = projector_onto(a.join(b).meet(a.orthocomplement()))
-        for left, right in ((p, q), (p, complement), (p, rest), (rest, q)):
+        for left, right in rand_projector_pairs(Random(seed), height):
             _check_sum(left, right)
-            _check_sum(right, left)
+
+
+class TestOrthogonalityOnIntegers:
+    """``_trace_of_product_is_zero`` sums tr(PQ) on integer triples.
+
+    ``Projector.sum`` and ``orthogonal_to`` call it and multiply no scalar.
+    """
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    @given(data=st.data())
+    def test_hermitian_pairs_with_a_cancelling_trace(self, height, data):
+        # For Hermitian P and Q, tr(PQ) is real and Q' = Q - (tr(PQ) / tr(PP)) P
+        # is Hermitian with tr(PQ') = 0: its terms, over unequal denominators,
+        # cancel exactly. The trace is summed off the GaussianRational product.
+        n = data.draw(st.integers(1, 4))
+        a, b = (data.draw(sparse_matrices_st(n, n, height)) for _ in range(2))
+        p, q = a + a.conjugate_transpose(), b + b.conjugate_transpose()
+
+        def trace(x, y):
+            return sum(((x @ y).at(i, i) for i in range(n)), ZERO)
+
+        assert _trace_of_product_is_zero(p, q) == trace(p, q).is_zero
+        if not p.is_zero():
+            cancelled = q - p.scale(trace(p, q) / trace(p, p))
+            assert trace(p, cancelled).is_zero and _trace_of_product_is_zero(p, cancelled)
+
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_sum_and_orthogonal_to_multiply_nothing(self, height):
+        pairs = [pair for seed in range(5) for pair in rand_projector_pairs(Random(seed), height)]
+        with counted_arithmetic() as counts:
+            decisions = [p.orthogonal_to(q) for p, q in pairs]
+        assert counts == dict.fromkeys(counts, 0)
+        with counted_arithmetic() as counts:
+            sums = [_built_or_refused(Projector.sum, p, q) for p, q in pairs]
+        assert counts["mul"] == 0
+        assert [s is not None for s in sums] == decisions
+        assert set(decisions) == {True, False}
 
 
 class TestFromSpan:
