@@ -12,14 +12,14 @@ integers: join reduces the stacked bases, complement the null-space rows
 Zassenhaus's block forward over its left half and then reduces only the
 rows left below its pivots. ``contains`` and ``leq`` are rank tests by
 ``linalg._rank``. Every canonical basis is read off ``linalg._reduced`` by
-``_span``: ``Subspace.row_space`` (which ``from_vectors`` and
-``parse_span``, the CLI and audit span reader, call), ``column_space``,
-``meet``, ``join`` and ``orthocomplement`` pass it their rows as Gaussian
-integers. ``_span`` seeds each basis vector's ``StateVector._integer_form``
-with the integer row ``_reduced`` returns with it, so meet, join,
-complement, ``contains``, ``leq`` and ``projectors.projector_onto`` read a
-lattice result's basis as Gaussian integers without scaling it again; a
-vector from outside, as ``contains`` may get, is scaled once, on first use.
+``_span``: ``Subspace.row_space`` (which ``parse_span``, the CLI and audit
+span reader, calls), ``from_vectors`` (its vectors' integer forms),
+``column_space``, ``meet``, ``join`` and ``orthocomplement`` pass it their
+rows as Gaussian integers. ``_reduced`` returns each basis vector with its
+``StateVector._integer_form`` already stored, so meet, join, complement,
+``contains``, ``leq`` and ``projectors.projector_onto`` read a lattice
+result's basis as Gaussian integers without scaling it again; a vector from
+outside, as ``contains`` may get, is scaled once, on first use.
 ``Subspace(n, basis)`` takes a basis from outside only if its
 vectors, all of dimension n, stacked equal their own ``Matrix.rref``; the
 lattice's own results are already reduced and are stored by ``Frozen._of``.
@@ -35,13 +35,8 @@ from .scalars import Frozen, parse_scalar
 
 
 def _span(re: list[Sequence[int]], im: list[Sequence[int]], n: int) -> "Subspace":
-    """The span of Gaussian-integer rows of length n: ``_reduced``'s rows as basis vectors, each seeded with its integer form."""
-    basis = []
-    for entries, form in _reduced(re, im, n):
-        v = StateVector._of(entries)
-        v.__dict__["_integer_form"] = form  # the cached property's value, stored where it would store it
-        basis.append(v)
-    return Subspace._of(n, tuple(basis))
+    """The span of Gaussian-integer rows of length n: ``_reduced``'s vectors as its canonical basis."""
+    return Subspace._of(n, tuple(_reduced(re, im, n)))
 
 
 class Subspace(Frozen):
@@ -65,14 +60,14 @@ class Subspace(Frozen):
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[StateVector]) -> "Subspace":
-        """Canonical subspace spanned by arbitrary vectors (stack and reduce)."""
+        """Canonical subspace spanned by arbitrary vectors: their integer forms stacked and reduced."""
         vecs = list(vectors)
         for v in vecs:
             if v.dim != ambient_dim:
                 raise ShapeError(f"vector of dim {v.dim} in ambient dim {ambient_dim}")
-        if not vecs:
-            return cls(ambient_dim, ())
-        return cls.row_space(Matrix(len(vecs), ambient_dim, tuple(e for v in vecs for e in v.entries)))
+        if ambient_dim < 1:
+            raise ShapeError("ambient dimension must be positive")
+        return _span(*_integer_forms(vecs), ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -139,11 +134,10 @@ class Subspace(Frozen):
         leaves its k pivot rows first, k the dimension of the sum; the rows
         after them have a zero left half, and their right halves span the
         intersection, which is zero when no row is left. ``_reduced`` of
-        those halves is its canonical basis.
+        those halves is its canonical basis. A zero operand needs no case of
+        its own: every row of the block then pivots, so none is left.
         """
         self._check_ambient(other)
-        if self.is_zero or other.is_zero:
-            return Subspace.zero(self.ambient_dim)
         n = self.ambient_dim
         ar, ai = _integer_forms(self.basis)
         br, bi = _integer_forms(other.basis)

@@ -17,27 +17,29 @@ orthogonality checks and valuation's two tests run on Gaussian integers.
 ``_integer_rows`` scales each row by the lcm of its denominators and keeps
 its real and imaginary numerators as two ``int`` lists; ``_eliminate``
 reduces such rows by fraction-free Gauss-Jordan, and each cleared row loses
-its integer content. It puts new rows into the lists it is given and never
-writes into a row, so a row may be a cached tuple. Three private kernels
-take such rows and build ``GaussianRational`` values only for their result:
-``_reduced`` divides each pivot row by its pivot, one canonical triple per
-entry, and returns only the nonzero rows, each with its integer form, for
-``lattice``'s one basis builder; ``_rank`` counts the pivots of a forward
-elimination, for ``lattice.Subspace.contains`` and ``leq``;
+its integer content, which bounds the integers' growth. It puts new rows
+into the lists it is given and never writes into a row, so a row may be a
+cached tuple. Three private kernels take such rows and build
+``GaussianRational`` values only for their result: ``_reduced`` divides
+each pivot row by its pivot, one canonical triple per entry, and returns
+only the nonzero rows, as ``StateVector``s with their integer forms already
+stored, for ``lattice``'s one basis builder; ``_rank`` counts the pivots of
+a forward elimination, for ``lattice.Subspace.contains`` and ``leq``;
 ``_projection`` solves the Gram system behind ``projectors.projector_onto``,
 and on request returns I minus its projector. ``_null_rows`` runs no
 elimination: it reads Gaussian-integer rows spanning the orthocomplement
 of a canonical basis straight off the basis's integer forms, for
 ``lattice.Subspace.orthocomplement`` and for ``projector_onto`` on a range
 larger than half the space.
-``Matrix.rref`` is ``_reduced``'s rows padded with zero rows; its one
-caller in the library is the canonical-basis check of ``lattice.Subspace``,
-which compares a basis from outside with its reduced form.
+``Matrix.rref`` is the entries of ``_reduced``'s vectors padded with zero
+rows; its one caller in the library is the canonical-basis check of
+``lattice.Subspace``, which compares a basis from outside with its reduced
+form.
 
 Two integer views are cached on values, as tuples: ``Matrix._integer_pattern``
-and ``StateVector._integer_form``, each computed on first use. ``lattice``
-seeds the form of every canonical basis vector it builds with the one
-``_reduced`` returns, which is the one first use would compute.
+and ``StateVector._integer_form``, each computed on first use. ``_reduced``
+stores the form of every canonical basis vector it builds, which is the one
+first use would compute.
 ``_integer_forms`` stacks vectors' forms as an elimination's input; the
 lattice's meet, join, complement, ``contains`` and ``leq`` and
 ``projectors.projector_onto`` read their operands' bases that way, so a
@@ -49,6 +51,11 @@ at all. ``_trace_of_product_is_zero`` decides tr(PQ) = 0 for two Hermitian
 matrices, the orthogonality test of ``projectors.Projector.sum`` and
 ``orthogonal_to``; it reads the entries' canonical triples directly, with
 neither view, and builds no scalar either.
+
+A kernel branch that only saves time has a test that fails without it or
+its measured cost beside it: in process on the named workload's seed-7
+inputs, min of 5-9 passes, three alternating processes per side (2-vCPU
+VM, Python 3.11.7).
 
 A matrix keeps its nonzero pattern, per row the ``(column, entry)`` pairs
 of its nonzero entries, computed on first use. A product accumulates each
@@ -233,8 +240,8 @@ class Matrix(Frozen):
         ``_reduced`` of the rows scaled to Gaussian integers, padded with the
         zero rows.
         """
-        rows = _reduced(*_integer_rows([self.row(i) for i in range(self.rows)]), self.cols)
-        entries = [e for row, _ in rows for e in row]
+        basis = _reduced(*_integer_rows([self.row(i) for i in range(self.rows)]), self.cols)
+        entries = [e for v in basis for e in v.entries]
         entries.extend([ZERO] * (self.rows * self.cols - len(entries)))
         return Matrix(self.rows, self.cols, tuple(entries))
 
@@ -285,11 +292,19 @@ def _eliminate(re: list[Sequence[int]], im: list[Sequence[int]], cols: int, *, a
     order among the rows not yet used, as in ``Matrix.rref``. Each row x
     with a nonzero entry f in the pivot column becomes p*x - f*y, for y the
     pivot row and p its pivot, and then loses its integer content, the gcd
-    of all its parts; a row with a zero there is left alone. Only the first
-    ``cols`` columns are searched for pivots; later ones ride along. With
-    ``above`` false only the rows below each pivot are cleared, which leaves
-    a row-echelon form with the same pivots. A changed row is a new list
-    put in place of the old one, which is never written into.
+    of all its parts; a row with a zero there is left alone. A row that
+    cancels to zero has gcd 0, and ``g > 1`` leaves it alone too. Only the
+    first ``cols`` columns are searched for pivots; later ones ride along.
+    With ``above`` false only the rows below each pivot are cleared, which
+    leaves a row-echelon form with the same pivots. A changed row is a new
+    list put in place of the old one, which is never written into.
+
+    Content removal changes no answer, only the size of the integers, and
+    it pays at the tail: without it, on the first 2200 LatticeMix(7) inputs
+    in process (min of 5 passes, three alternating processes per side,
+    2-vCPU VM, Python 3.11.7), p50 fell from 50-54 to 42-44 us per op, but
+    p99 rose from 348-414 to 473-525 us and the max from 1.05-1.19 to
+    1.59-1.69 ms.
     """
     n = len(re)
     pivots: list[int] = []
@@ -305,6 +320,7 @@ def _eliminate(re: list[Sequence[int]], im: list[Sequence[int]], cols: int, *, a
         pr, pi = yr[col], yi[col]
         for i in range(0 if above else r + 1, n):
             fr, fi = re[i][col], im[i][col]
+            # Canonical operands are zero at each other's pivots; rewriting those rows cost lattice_mix ~20% per op.
             if i == r or not fr and not fi:
                 continue
             nr: list[int] = []
@@ -319,25 +335,21 @@ def _eliminate(re: list[Sequence[int]], im: list[Sequence[int]], cols: int, *, a
                     ni[j] //= g
             re[i], im[i] = nr, ni
         pivots.append(col)
-        if len(pivots) == n:
-            break
     return pivots
 
 
-def _reduced(
-    re: list[Sequence[int]], im: list[Sequence[int]], cols: int
-) -> list[tuple[tuple[GaussianRational, ...], tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """The nonzero rows of the reduced row-echelon form of Gaussian-integer rows, canonical, each with its integer form.
+def _reduced(re: list[Sequence[int]], im: list[Sequence[int]], cols: int) -> list["StateVector"]:
+    """The nonzero rows of the reduced row-echelon form of Gaussian-integer rows, as canonical vectors with their integer forms.
 
     ``_eliminate`` reduces the rows in place, and each pivot row x with
     pivot p is then divided by it, one canonical triple per entry; the zero
-    rows are left out. Each row comes with its real and imaginary integer
-    numerators, as ``_integer_rows`` would compute them from the entries
-    (``StateVector._integer_form``): with X = x * conj(p) and G the gcd of
-    all parts of X and of |p|^2, the row is X / |p|^2, and the lcm of its
-    reduced denominators is |p|^2 / G, so its numerators are X / G.
+    rows are left out. Each vector's ``_integer_form`` is stored with it,
+    the real and imaginary numerators ``_integer_rows`` would compute from
+    its entries: with X = x * conj(p) and G the gcd of all parts of X and
+    of |p|^2, the row is X / |p|^2, and the lcm of its reduced denominators
+    is |p|^2 / G, so its numerators are X / G.
     """
-    rows = []
+    basis = []
     for r, col in enumerate(_eliminate(re, im, cols)):
         yr, yi = re[r], im[r]
         p, q = yr[col], yi[col]
@@ -349,8 +361,11 @@ def _reduced(
         vr = tuple([a // g for a in xr])
         vi = tuple([b // g for b in xi])
         s = d // g
-        rows.append((tuple([_reduce(a, b, s) if a or b else ZERO for a, b in zip(vr, vi)]), (vr, vi)))
-    return rows
+        # ZERO for a zero entry, not _reduce(0, 0, s): 1-4% of lattice_mix per op.
+        v = StateVector._of(tuple([_reduce(a, b, s) if a or b else ZERO for a, b in zip(vr, vi)]))
+        v.__dict__["_integer_form"] = vr, vi  # the cached property's value, stored where it would store it
+        basis.append(v)
+    return basis
 
 
 def _rank(re: list[Sequence[int]], im: list[Sequence[int]]) -> int:
@@ -393,15 +408,13 @@ def _trace_of_product_is_zero(p: Matrix, q: Matrix) -> bool:
     """
     num, den = 0, 1
     for x, y in zip(p.entries, q.entries):
+        # Summing the zero terms too cost valuate_mix 7-9% per op.
         if (x._a or x._b) and (y._a or y._b):
             t = x._a * y._a + x._b * y._b
             d = x._d * y._d
-            if d == den:
-                num += t
-            else:
-                g = gcd(d, den)
-                num = num * (d // g) + t * (den // g)
-                den = den // g * d
+            g = gcd(d, den)
+            num = num * (d // g) + t * (den // g)
+            den = den // g * d
     return not num
 
 
@@ -420,14 +433,14 @@ def _kills_or_fixes(m: Matrix, state: StateVector) -> tuple[bool, bool]:
         sr = si = 0
         for j, a, b in row:
             c, d = vr[j], vi[j]
-            if c or d:
+            if c or d:  # without it a call took 6-8% longer, on valuate_mix's pairs and on epr_mix's rows
                 sr += a * c - b * d
                 si += a * d + b * c
         if sr or si:
             kills = False
         if fixes and (sr != scale * xr or si != scale * xi):
             fixes = False
-        if not kills and not fixes:
+        if not kills and not fixes:  # without it a call took ~35% longer: ~10 us of a ~170 us epr_mix run
             break
     return kills, fixes
 
@@ -491,9 +504,8 @@ def _projection(nr: Sequence[Sequence[int]], ni: Sequence[Sequence[int]], *, com
         for j in range(i, k):
             gr = gi = 0
             for a, b, c, d in zip(nr[i], ni[i], nr[j], ni[j]):
-                if (a or b) and (c or d):
-                    gr += a * c + b * d
-                    gi += b * c - a * d
+                gr += a * c + b * d
+                gi += b * c - a * d
             re[i][j], im[i][j] = gr, gi
             re[j][i], im[j][i] = gr, -gi
     _eliminate(re, im, k)
@@ -508,15 +520,13 @@ def _projection(nr: Sequence[Sequence[int]], ni: Sequence[Sequence[int]], *, com
             pr = pi = 0
             for i in range(k):
                 a, b, c, d = nr[i][s], ni[i][s], zr[i][t], zi[i][t]
-                if (a or b) and (c or d):
-                    pr += a * c + b * d
-                    pi += a * d - b * c
+                pr += a * c + b * d
+                pi += a * d - b * c
             if complement:
                 pr, pi = (scale if s == t else 0) - pr, -pi
-            if pr or pi:
-                entries[s * n + t] = x = _reduce(pr, pi, scale)
-                if s != t:
-                    entries[t * n + s] = x.conjugate()
+            entries[s * n + t] = x = _reduce(pr, pi, scale)
+            if s != t:
+                entries[t * n + s] = x.conjugate()
     return Matrix(n, n, entries)
 
 
@@ -538,7 +548,7 @@ class StateVector(Frozen):
         """V's real and imaginary numerators, for the state v = V / s and s the lcm of its denominators.
 
         Tuples, so a row shared into an elimination's input cannot be changed
-        through it; ``lattice`` seeds this for every canonical basis vector.
+        through it; ``_reduced`` stores it for every canonical basis vector.
         """
         (vr,), (vi,) = _integer_rows([self.entries])
         return tuple(vr), tuple(vi)

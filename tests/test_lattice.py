@@ -62,6 +62,13 @@ class TestCanonicalForm:
                 Subspace(4, basis)
             assert str(refused.value) == "basis is not a canonical RREF basis for this ambient dimension"
 
+    def test_from_vectors_checks_the_ambient_dimension_with_no_vectors(self):
+        for n in (0, -1):
+            with pytest.raises(ShapeError) as refused:
+                Subspace.from_vectors(n, [])
+            assert str(refused.value) == "ambient dimension must be positive"
+        assert Subspace.from_vectors(3, []) == Subspace.zero(3)
+
     def test_zero_and_full(self):
         assert Subspace.zero(4).dim == 0
         assert Subspace.zero(4).orthocomplement().dim == 4
@@ -127,7 +134,7 @@ class TestRankTests:
             assert answers[0] and not answers[4] and answers[5]
 
 
-MEET_CASES = ("generic", "zero meet", "a <= b", "b <= a", "full operand", "equal")
+MEET_CASES = ("generic", "zero meet", "a <= b", "b <= a", "full operand", "equal", "zero operand")
 
 
 @st.composite
@@ -161,6 +168,10 @@ def meet_pairs_st(draw, height):
             a, b = b, a
     elif case == "equal":
         a = b = generic()
+    elif case == "zero operand":
+        side = draw(st.sampled_from(("left", "right", "both")))
+        a = generic() if side == "right" else Subspace.zero(4)
+        b = generic() if side == "left" else Subspace.zero(4)
     else:
         a, b = generic(), generic()
     return case, a, b
@@ -196,7 +207,8 @@ class TestMeet:
         # The forward-only meet against one full rref of the block and against
         # sympy, in both argument orders, with each branch of the meet forced.
         case, a, b = data.draw(meet_pairs_st(height))
-        expected = {"zero meet": Subspace.zero(4), "a <= b": a, "b <= a": b, "equal": a}.get(case)
+        zero = Subspace.zero(4)
+        expected = {"zero meet": zero, "a <= b": a, "b <= a": b, "equal": a, "zero operand": zero}.get(case)
         if case == "full operand":
             expected = b if a.dim == 4 else a
         for x, y in ((a, b), (b, a)):

@@ -1,6 +1,8 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from helpers import (
     gr,
     matrices_st,
     nonzero_scalars_st,
+    rand_state,
     scalar_pair,
     sparse_matrices_st,
     sparse_scalars_st,
@@ -32,7 +35,7 @@ from qgap import (
     state_tensor,
     tensor_product,
 )
-from qgap.linalg import _is_idempotent, _kills_or_fixes
+from qgap.linalg import _eliminate, _integer_forms, _is_idempotent, _kills_or_fixes
 from qgap.scalars import ONE, ZERO
 
 I = gr(0, 1)
@@ -388,6 +391,32 @@ class TestIsHermitian:
         skewed = Matrix.from_rows(rows)
         assert not skewed.is_hermitian()
         assert skewed.is_hermitian() == hermitian_by_definition(skewed)
+
+
+class TestContentRemoval:
+    """Every row ``_eliminate`` rewrites has lost its integer content, the gcd of all its parts.
+
+    No answer depends on it, only the size of the integers: the rows are
+    the integer forms of random states, 2 to 6 of them in C^4, so some rows
+    cancel to zero, which must be left as they are.
+    """
+
+    @pytest.mark.parametrize("above", (True, False))
+    @pytest.mark.parametrize("height", (2, 1000))
+    def test_every_rewritten_row_is_primitive(self, height, above):
+        rng = Random(f"content/{height}/{above}")
+        rewritten = zeros = 0
+        for _ in range(60):
+            states = [rand_state(rng, height=height, sparse=rng.random() < 0.5) for _ in range(rng.randint(2, 6))]
+            re, im = _integer_forms(states)
+            _eliminate(re, im, 4, above=above)
+            for xr, xi in zip(re, im):
+                # The forms are tuples; a rewritten row is a new list.
+                if type(xr) is list and (any(xr) or any(xi)):
+                    rewritten += 1
+                    assert gcd(*xr, *xi) == 1, (xr, xi)
+                zeros += not any(xr) and not any(xi)
+        assert rewritten > 60 and zeros > 0
 
 
 class TestRank:

@@ -1,6 +1,9 @@
+import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgap.propositions as propositions
 import qgap.scenario as scenario
@@ -386,6 +389,45 @@ class TestRunEpr:
         report = run_epr(Axis.Z, [])
         assert report.fixture_summary.total == 27
         assert report.fixture_summary.match_count == 21
+
+
+class TestDichotomy:
+    """The paper's contrast as a law over queries, after verifying A up along an axis.
+
+    A query whose atoms all lie along the verified axis has equal
+    supervaluational and classical populations, and they are nonempty. A
+    query with any atom off that axis has an empty supervaluational
+    population, since that atom is a gap in the post-state, and a nonempty
+    classical one. Queries are tuples of atoms, repeats allowed.
+    """
+
+    @staticmethod
+    def assert_dichotomy(axis, query):
+        report = run_epr(axis, query)
+        classical, supervaluational = report.classical_population, report.super_population
+        assert not classical.is_empty, (axis, query)
+        if all(atom.axis is axis for atom in query):
+            assert supervaluational == classical, (axis, query)
+            return "on axis"
+        assert supervaluational.is_empty, (axis, query)
+        return "off axis"
+
+    def test_every_query_of_one_to_three_atoms(self):
+        counts = {"on axis": 0, "off axis": 0}
+        for axis in Axis:
+            for size in (1, 2, 3):
+                for query in itertools.product(ALL_ATOMS, repeat=size):
+                    counts[self.assert_dichotomy(axis, query)] += 1
+        # Per axis 12 + 12^2 + 12^3 queries, 4 + 4^2 + 4^3 of them on the axis.
+        assert counts == {"on axis": 252, "off axis": 5400}
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_longer_queries(self, data):
+        # Half the draws take only the verified axis's atoms, which a draw from all twelve seldom does.
+        axis = data.draw(st.sampled_from(list(Axis)))
+        pool = ALL_ATOMS if data.draw(st.booleans()) else [a for a in ALL_ATOMS if a.axis is axis]
+        self.assert_dichotomy(axis, data.draw(st.lists(st.sampled_from(pool), min_size=4, max_size=12)))
 
 
 def _pre_verification_propositions():
