@@ -157,10 +157,10 @@ class Matrix(Frozen):
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        return Matrix(
+        return Matrix._of(
             self.rows,
             self.cols,
-            tuple(b if a.is_zero else a if b.is_zero else a + b for a, b in zip(self.entries, other.entries)),
+            tuple([(a + b if b._a or b._b else a) if a._a or a._b else b for a, b in zip(self.entries, other.entries)]),
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":

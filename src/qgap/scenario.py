@@ -5,7 +5,12 @@ pair space. Spin eigenvectors are fixed unnormalized representatives (phase
 conventions matter only for golden-output determinism, never for any
 predicate), the singlet is built directly from them, and a verification is
 an unnormalized projection of the state, which reproduces the separable
-post-state without ever introducing irrational normalizers. Every value
+post-state without ever introducing irrational normalizers. The spin
+basis, the prepared singlet and the post-state of verifying spin A up are
+per-axis constants, each built once per process and cached per ``Axis``
+member, so ``"z"`` and ``Axis.Z`` share one entry; the shared states keep
+their integer forms, so later valuations scale nothing. ``verify`` itself
+stays general and uncached. Every value
 derived from the pair space is built here only: the fixture audit
 compares the transcribed displays with a table of them, whose projectors
 it reads off the run table's rows. A spin basis, a valuation row and a run's
@@ -15,9 +20,9 @@ tuples are.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import ImpossibleOutcomeError, InvalidValueError, ShapeError
 from .fixtures import AuditSummary, FixtureResult, check_fixtures
@@ -79,9 +84,28 @@ class SpinBasis(Frozen):
         return self.up if Direction(direction) is Direction.UP else self.down
 
 
-@lru_cache(maxsize=None)
+_T = TypeVar("_T")
+
+
+def _per_axis(build: Callable[[Axis], _T]) -> Callable[[Axis], _T]:
+    """``build`` cached per ``Axis`` member: the argument becomes its member before the lookup.
+
+    So ``"z"`` and ``Axis.Z`` share one entry, and the cache holds at most
+    three. The wrapper exposes the cache's ``cache_info`` and ``cache_clear``.
+    """
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def per_member(axis: Axis) -> _T:
+        return cached(Axis(axis))
+
+    per_member.cache_info = cached.cache_info
+    per_member.cache_clear = cached.cache_clear
+    return per_member
+
+
+@_per_axis
 def spin_basis(axis: Axis) -> SpinBasis:
-    axis = Axis(axis)
     if axis is Axis.X:
         return SpinBasis(axis, StateVector.of(1, 1), StateVector.of(1, -1))
     if axis is Axis.Y:
@@ -89,8 +113,9 @@ def spin_basis(axis: Axis) -> SpinBasis:
     return SpinBasis(axis, StateVector.of(1, 0), StateVector.of(0, 1))
 
 
+@_per_axis
 def singlet(axis: Axis) -> StateVector:
-    """The total-spin-zero pair state, up x down - down x up along the axis.
+    """The total-spin-zero pair state, up x down - down x up along the axis, built once per axis.
 
     Whatever the axis, the result is a nonzero scalar multiple of
     [0, 1, -1, 0]: the singlet is one ray.
@@ -171,6 +196,12 @@ def verify(state: StateVector, atom: Atom) -> StateVector:
     if all(e.is_zero for e in image):
         raise ImpossibleOutcomeError(f"verifying {atom} is impossible in state {state}")
     return StateVector._of(image)
+
+
+@_per_axis
+def _post_state(axis: Axis) -> StateVector:
+    """The singlet after spin A is verified up along the axis, built once per axis."""
+    return verify(singlet(axis), Atom(Particle.A, axis, Direction.UP))
 
 
 class ValuationRecord(Frozen):
@@ -302,7 +333,9 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     run's constraints. Only the verified axis's pairs are enumerated; every
     other queried pair is unconstrained and factors out as {0,1}. The 30
     constant valuation rows, with their projectors, are built once and
-    shared by every run, and each run valuates each row once. A query of
+    shared by every run. The prepared singlet and the post-state are built
+    once per axis, so a warm run prepares and verifies nothing; it still
+    valuates each of the 30 rows once, on those shared states. A query of
     more than ``MAX_QUERY_ATOMS`` atoms, or of anything but ``Atom``s, raises
     ``InvalidValueError``.
     """
@@ -315,7 +348,7 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
             raise InvalidValueError(f"query element {element!r} is not an Atom")
     prepared = singlet(verify_axis)
     verified_atom = Atom(Particle.A, verify_axis, Direction.UP)
-    post = verify(prepared, verified_atom)
+    post = _post_state(verify_axis)
     pre_entries, post_entries = _run_table()
     post_valuations = _valuation_records(post, post_entries)
     after = {r.proposition: r.value for r in post_valuations}

@@ -24,12 +24,18 @@ from helpers import (
     vec,
 )
 from qgap import (
+    Atom,
+    Axis,
+    Direction,
+    GaussianRational,
     InvalidStateError,
     Matrix,
+    Particle,
     Projector,
     ShapeError,
     StateVector,
     Subspace,
+    atom_projector,
     inner,
     kernel_of,
     state_tensor,
@@ -215,6 +221,30 @@ class TestSparseWork:
         with counted_arithmetic() as counts:
             a + b
         assert (counts["mul"], counts["add"]) == (0, len(nonzero_at(a.entries) & nonzero_at(b.entries)))
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @given(data=st.data())
+    def test_add_values(self, height, data):
+        # Some of b's entries are a's negated, so those sums cancel to an exact zero.
+        rows, cols = data.draw(dims_st), data.draw(dims_st)
+        a = data.draw(sparse_matrices_st(rows, cols, height))
+        drawn = data.draw(sparse_matrices_st(rows, cols, height))
+        flips = data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+        b = Matrix(rows, cols, tuple(-x if flip else y for x, y, flip in zip(a.entries, drawn.entries, flips)))
+        with counted_arithmetic() as counts:
+            total = a + b
+        assert (total.rows, total.cols) == (rows, cols)
+        assert total.entries == tuple(GaussianRational.__add__(x, y) for x, y in zip(a.entries, b.entries))
+        assert (counts["mul"], counts["add"]) == (0, len(nonzero_at(a.entries) & nonzero_at(b.entries)))
+
+    def test_add_of_entries_that_cancel(self):
+        # A.x.up + A.x.down is I: the off-diagonal 1/2 and -1/2 cancel to zeros, the diagonal halves to ones.
+        up, down = (atom_projector(Atom(Particle.A, Axis.X, d)).matrix for d in Direction)
+        with counted_arithmetic() as counts:
+            total = up + down
+        assert total == Matrix.identity(4)
+        assert all(type(e) is GaussianRational for e in total.entries)
+        assert (counts["mul"], counts["add"]) == (0, 8)
 
 
     @pytest.mark.parametrize("height", HEIGHTS)

@@ -15,6 +15,7 @@ and U U* = I is checked on the ``GaussianRational`` product ``@``, which
 shares no integer kernel with ``rref``.
 """
 
+import itertools
 from random import Random
 
 import pytest
@@ -28,7 +29,26 @@ from helpers import (
     rand_state,
     rand_subspace,
 )
-from qgap import Matrix, Projector, StateVector, Subspace, projector_onto, tensor_product, valuate
+import qgap.scenario as scenario
+from qgap import (
+    Atom,
+    Axis,
+    Direction,
+    Matrix,
+    Particle,
+    Projector,
+    StateVector,
+    Subspace,
+    classical_value_sets,
+    compile_proposition,
+    different_spins,
+    population,
+    projector_onto,
+    run_epr,
+    standard_context,
+    tensor_product,
+    valuate,
+)
 from qgap.scalars import I_UNIT, ZERO
 
 
@@ -120,3 +140,38 @@ def test_a_local_unitary_pair_keeps_the_singlet_ray(height):
     for _ in range(10):
         u = cayley(rand_hermitian(rng, 2, height))
         assert ray.contains(StateVector(tensor_product(u, u).apply(SINGLET)))
+
+
+def _every_query_of_at_most_two_atoms():
+    atoms = list(standard_context())
+    return [()] + [(a,) for a in atoms] + list(itertools.product(atoms, repeat=2))
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_rotating_every_atom_projector_by_u_tensor_u_keeps_the_run(height):
+    # (u x u) singlet = det(u) singlet, so the prepared state reads the same in the rotated frame:
+    # all 30 run-table values and both populations of every short query are unchanged.
+    rng = Random(2660 + height)
+    pre_rows, post_rows = scenario._run_table()
+    queries = _every_query_of_at_most_two_atoms()
+    for _ in range(3):
+        u = cayley(rand_hermitian(rng, 2, height))
+        uu = tensor_product(u, u)
+        uu_star = uu.conjugate_transpose()
+        context = {atom: Projector(uu @ p.matrix @ uu_star) for atom, p in standard_context().items()}
+        assert context != dict(standard_context())
+        for axis in Axis:
+            report = run_epr(axis, [])
+            prepared = report.prepared_state
+            verified = Atom(Particle.A, axis, Direction.UP)
+            post = StateVector(context[verified].matrix.apply(prepared))
+            before = [valuate(prepared, compile_proposition(prop, context)) for _, prop, _ in pre_rows]
+            after = {prop: valuate(post, compile_proposition(prop, context)) for _, prop, _ in post_rows}
+            assert before == [r.value for r in report.pre_valuations]
+            assert list(after.values()) == [r.value for r in report.post_valuations]
+            constraints = [(different_spins(axis), 1), (verified, 1)]
+            for query in queries:
+                labels = [str(a) for a in query]
+                expected = run_epr(axis, query)
+                assert population([after[a] for a in query], labels) == expected.super_population
+                assert population(classical_value_sets(constraints, query), labels) == expected.classical_population

@@ -1,10 +1,12 @@
 import itertools
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgap.linalg as linalg
 import qgap.propositions as propositions
 import qgap.scenario as scenario
 from helpers import SINGLET, E2, SpinOracle, gr, vec
@@ -17,6 +19,7 @@ from qgap import (
     InvalidValueError,
     Matrix,
     Particle,
+    Projector,
     QgapError,
     ShapeError,
     SpinBasis,
@@ -35,6 +38,7 @@ from qgap import (
     singlet,
     spin_basis,
     standard_context,
+    tensor_product,
     valuate,
     verify,
 )
@@ -529,3 +533,128 @@ class TestSemantics:
         report = run_epr(Axis.Z, [Atom(Particle.B, Axis.Z, Direction.DOWN)])
         with pytest.raises(InvalidValueError, match=f"^unknown semantics '{semantics}'"):
             render(report, semantics)
+
+
+class TestPerAxisStates:
+    """The prepared singlet and the post-state are built once per axis and shared by every run."""
+
+    PER_AXIS = [spin_basis, singlet, scenario._post_state]
+
+    @pytest.mark.parametrize("build", PER_AXIS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_both_spellings_share_one_entry(self, build, axis):
+        build.cache_clear()
+        first = build(axis.value)
+        assert build(axis) is first
+        info = build.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("build", PER_AXIS, ids=lambda f: f.__name__)
+    def test_each_cache_holds_one_entry_per_axis(self, build):
+        build.cache_clear()
+        for axis in Axis:
+            for spelling in (axis.value, axis, axis.value):
+                build(spelling)
+        assert build.cache_info().currsize == 3
+
+    def test_the_post_state_is_the_singlet_verified_up_along_the_axis(self):
+        for axis in Axis:
+            expected = verify(singlet(axis), Atom(Particle.A, axis, Direction.UP))
+            assert scenario._post_state(axis) == expected
+        assert scenario._post_state(Axis.Z) == vec(0, 1, 0, 0)
+
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_a_warm_run_prepares_verifies_and_scales_nothing(self, monkeypatch, axis):
+        query = [Atom(Particle.B, axis, Direction.DOWN), Atom(Particle.B, Axis.X, Direction.UP)]
+        calls = []
+        for module, name in ((scenario, "verify"), (scenario, "state_tensor"), (linalg, "_integer_rows")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        singlet.cache_clear()
+        scenario._post_state.cache_clear()
+        run_epr(axis, query)
+        assert sorted(set(calls)) == ["_integer_rows", "state_tensor", "verify"]
+        calls.clear()
+        for spelling in (axis, axis.value):
+            report = run_epr(spelling, query)
+            assert report.prepared_state is singlet(axis)
+            assert report.post_state is scenario._post_state(axis)
+        assert calls == []
+
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_cached_states_give_the_reports_of_fresh_ones(self, axis):
+        # Every query of at most two atoms, repeats allowed: 1 + 12 + 144 per spelling.
+        queries = [()] + [(a,) for a in ALL_ATOMS] + list(itertools.product(ALL_ATOMS, repeat=2))
+        for spelling in (axis, axis.value):
+            for query in queries:
+                warm = run_epr(spelling, query)
+                singlet.cache_clear()
+                scenario._post_state.cache_clear()
+                assert run_epr(spelling, query) == warm, (spelling, query)
+
+
+# Rational unit vectors (a, b, c)/d, a^2 + b^2 + c^2 = d^2; no two are parallel or antiparallel.
+RATIONAL_AXES = [(1, 2, 2, 3), (2, 3, 6, 7), (3, 0, 4, 5), (1, 4, 8, 9), (2, 6, 9, 11), (-2, 3, -6, 7), (0, 0, 1, 1)]
+
+
+def spin_projector(m, sign):
+    """(I + sign m.sigma)/2 on one particle: m.sigma = [[c, a - ib], [a + ib, -c]]/d."""
+    a, b, c, d = m
+    s = Fraction(sign, 2 * d)
+    return Matrix.from_rows(
+        [
+            [gr(Fraction(1, 2) + s * c), gr(s * a, -s * b)],
+            [gr(s * a, s * b), gr(Fraction(1, 2) - s * c)],
+        ]
+    )
+
+
+def rebound_context(frames):
+    """Every atom's projector, with each axis label bound to the unit vector ``frames[label]``."""
+    eye = Matrix.identity(2)
+    context = {}
+    for axis, m in frames.items():
+        for direction, sign in ((Direction.UP, 1), (Direction.DOWN, -1)):
+            p = spin_projector(m, sign)
+            context[Atom(Particle.A, axis, direction)] = Projector(tensor_product(p, eye))
+            context[Atom(Particle.B, axis, direction)] = Projector(tensor_product(eye, p))
+    return context
+
+
+class TestRationalAxes:
+    """The paper's result along any rational axis, with the axis labels rebound in a custom context.
+
+    For each ordered pair (n, m) of distinct axes, z means n, x means m and
+    y means -n, so one context checks that B.m.up is a gap exactly when m is
+    neither n (false) nor -n (true) after A.n.up is verified.
+    """
+
+    def test_the_standard_axes_give_the_standard_context(self):
+        context = rebound_context({Axis.Z: (0, 0, 1, 1), Axis.X: (1, 0, 0, 1), Axis.Y: (0, 1, 0, 1)})
+        assert context == dict(standard_context())
+
+    def test_every_ordered_pair_of_rational_axes(self):
+        pairs = 0
+        for n, m in itertools.permutations(RATIONAL_AXES, 2):
+            minus_n = (-n[0], -n[1], -n[2], n[3])
+            context = rebound_context({Axis.Z: n, Axis.X: m, Axis.Y: minus_n})
+            for axis in Axis:
+                before = [
+                    valuate(SINGLET, compile_proposition(prop, context))
+                    for prop in (
+                        different_spins(axis),
+                        same_spins(axis),
+                        scenario.conjunction(axis, Direction.UP, Direction.DOWN),
+                        scenario.conjunction(axis, Direction.DOWN, Direction.UP),
+                    )
+                ]
+                assert before == [T, F, G, G], (n, m, axis)
+            post = StateVector(context[Atom(Particle.A, Axis.Z, Direction.UP)].matrix.apply(SINGLET))
+            after = {atom: valuate(post, context[atom]) for atom in ALL_ATOMS}
+            assert after[Atom(Particle.A, Axis.Z, Direction.UP)] is T
+            assert after[Atom(Particle.B, Axis.Z, Direction.DOWN)] is T
+            assert after[Atom(Particle.B, Axis.Z, Direction.UP)] is F
+            assert after[Atom(Particle.B, Axis.X, Direction.UP)] is G, (n, m)
+            assert after[Atom(Particle.B, Axis.Y, Direction.UP)] is T, n
+            pairs += 1
+        assert pairs == 42
