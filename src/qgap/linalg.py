@@ -6,11 +6,12 @@ is referentially transparent. There is no floating point anywhere:
 elimination uses exact division, so reduced row-echelon forms are
 canonical rather than tolerance-dependent.
 
-Every product (``@``, ``Matrix.apply``, ``inner``) runs over the nonzero
-entries only, and a sum or difference combines only where both entries are
-nonzero. The spin projectors and states of the pair space are mostly
-zeros, and adding or subtracting an exact zero changes no canonical triple,
-so the results are the same values without those multiplies and adds.
+``@`` is the one product loop: ``Matrix.apply`` is its one-column case and
+``inner`` a one-row ``apply``. It runs over the nonzero entries only, and a
+sum combines only where both entries are nonzero. The spin projectors and
+states of the pair space are mostly zeros, and adding an exact zero changes
+no canonical triple, so the results are the same values without those
+multiplies and adds.
 
 Elimination, ranks, projector construction, the idempotence and
 orthogonality checks and valuation's two tests run on Gaussian integers.
@@ -77,8 +78,8 @@ from .scalars import ONE, ZERO, Frozen, GaussianRational, Scalarish, _reduce, co
 class Matrix(Frozen):
     _fields = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[GaussianRational]) -> None:
-        entries = tuple(entries)
+    def __init__(self, rows: int, cols: int, entries: Sequence[Scalarish]) -> None:
+        entries = tuple([coerce_scalar(v) for v in entries])
         if rows < 1 or cols < 1:
             raise ShapeError(f"matrix must be at least 1x1, got {rows}x{cols}")
         if len(entries) != rows * cols:
@@ -94,8 +95,7 @@ class Matrix(Frozen):
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ShapeError("ragged rows")
-        flat = [coerce_scalar(v) for row in rows for v in row]
-        return cls(len(rows), ncols, tuple(flat))
+        return cls(len(rows), ncols, [v for row in rows for v in row])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -144,15 +144,9 @@ class Matrix(Frozen):
     def col(self, j: int) -> tuple[GaussianRational, ...]:
         return self.entries[j :: self.cols]
 
-    def row_lists(self) -> list[list[GaussianRational]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -163,18 +157,9 @@ class Matrix(Frozen):
             tuple([(a + b if b._a or b._b else a) if a._a or a._b else b for a, b in zip(self.entries, other.entries)]),
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a if b.is_zero else -b if a.is_zero else a - b for a, b in zip(self.entries, other.entries)),
-        )
-
     def scale(self, factor: Scalarish) -> "Matrix":
         f = coerce_scalar(factor)
-        return Matrix(self.rows, self.cols, tuple(e if e.is_zero else f * e for e in self.entries))
+        return Matrix._of(self.rows, self.cols, tuple(e if e.is_zero else f * e for e in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -190,29 +175,13 @@ class Matrix(Frozen):
                     s = acc[j]
                     acc[j] = x * y if s is None else s + x * y
             entries.extend(ZERO if s is None else s for s in acc)
-        return Matrix(self.rows, n, tuple(entries))
+        return Matrix._of(self.rows, n, tuple(entries))
 
     def apply(self, state: "StateVector") -> tuple[GaussianRational, ...]:
-        """Matrix-vector product, returned raw so callers can see a zero image."""
+        """Matrix-vector product as ``@`` of the state's one-column matrix, returned raw so callers can see a zero image."""
         if self.cols != state.dim:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to dim-{state.dim} vector")
-        v = state.entries
-        out: list[GaussianRational] = []
-        for row in self._nonzeros:
-            acc = None
-            for k, x in row:
-                y = v[k]
-                if not y.is_zero:
-                    acc = x * y if acc is None else acc + x * y
-            out.append(ZERO if acc is None else acc)
-        return tuple(out)
-
-    def conjugate_transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j).conjugate() for j in range(self.cols) for i in range(self.rows)),
-        )
+        return (self @ Matrix._of(state.dim, 1, state.entries)).entries
 
     def is_hermitian(self) -> bool:
         """Each entry on or above the diagonal equals the conjugate of its mirror image.
@@ -243,7 +212,7 @@ class Matrix(Frozen):
         basis = _reduced(*_integer_rows([self.row(i) for i in range(self.rows)]), self.cols)
         entries = [e for v in basis for e in v.entries]
         entries.extend([ZERO] * (self.rows * self.cols - len(entries)))
-        return Matrix(self.rows, self.cols, tuple(entries))
+        return Matrix._of(self.rows, self.cols, tuple(entries))
 
     def __str__(self) -> str:
         return "[" + ",".join("[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)) + "]"
@@ -527,7 +496,7 @@ def _projection(nr: Sequence[Sequence[int]], ni: Sequence[Sequence[int]], *, com
             entries[s * n + t] = x = _reduce(pr, pi, scale)
             if s != t:
                 entries[t * n + s] = x.conjugate()
-    return Matrix(n, n, entries)
+    return Matrix._of(n, n, tuple(entries))
 
 
 class StateVector(Frozen):
@@ -575,7 +544,7 @@ def inner(u: StateVector, v: StateVector) -> GaussianRational:
     """Hermitian inner product, conjugate-linear in u: the one-row matrix conj(u) applied to v."""
     if u.dim != v.dim:
         raise ShapeError(f"inner product of dim {u.dim} with dim {v.dim}")
-    return Matrix(1, u.dim, tuple(x.conjugate() for x in u.entries)).apply(v)[0]
+    return Matrix._of(1, u.dim, tuple(x.conjugate() for x in u.entries)).apply(v)[0]
 
 
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:
@@ -586,7 +555,7 @@ def tensor_product(a: Matrix, b: Matrix) -> Matrix:
             for aj in range(a.cols):
                 for bj in range(b.cols):
                     out.append(a.at(ai, aj) * b.at(bi, bj))
-    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+    return Matrix._of(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
 def state_tensor(u: StateVector, v: StateVector) -> StateVector:

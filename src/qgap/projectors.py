@@ -116,10 +116,6 @@ class Projector(Frozen):
     def dim(self) -> int:
         return self.matrix.rows
 
-    @property
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
     def commutes_with(self, other: "Projector") -> bool:
         """Whether PQ = QP, decided as ``product`` decides it: PQ is Hermitian, since (PQ)* = QP."""
         self._check_dim(other)

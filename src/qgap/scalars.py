@@ -114,10 +114,6 @@ class GaussianRational(Frozen):
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    @property
-    def is_real(self) -> bool:
-        return not self._b
-
     def conjugate(self) -> "GaussianRational":
         return _make(self._a, -self._b, self._d)
 

@@ -101,7 +101,7 @@ def rand_projector_pairs(rng: Random, height: int) -> list[tuple[Projector, Proj
     """
     a, b = rand_span_pair(rng, height)
     p, q = projector_onto(a), projector_onto(b)
-    complement = Projector(Matrix.identity(4) - p.matrix)
+    complement = Projector(Matrix.identity(4) + p.matrix.scale(-1))
     rest = projector_onto(a.join(b).meet(a.orthocomplement()))
     nested = (projector_onto(a.meet(b)), projector_onto(a.join(b)))
     pairs = [(p, q), (p, complement), (p, rest), (rest, q)] + [(p, n) for n in nested]
@@ -271,6 +271,11 @@ def zassenhaus_meet(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(n, tuple(StateVector(r[n:]) for r in rows if all(e.is_zero for e in r[:n])))
 
 
+def adjoint(m: Matrix) -> Matrix:
+    """The conjugate transpose M*, entry by entry."""
+    return Matrix(m.cols, m.rows, [m.at(i, j).conjugate() for j in range(m.cols) for i in range(m.rows)])
+
+
 def gram_projector(s: Subspace) -> Matrix:
     """The projector onto s by the Gram formula M* (M M*)^-1 M, on ``Matrix`` ``@`` and ``rref``.
 
@@ -282,7 +287,7 @@ def gram_projector(s: Subspace) -> Matrix:
     if s.is_zero:
         return Matrix.zero(n, n)
     m = Matrix.from_rows([[e.conjugate() for e in v.entries] for v in s.basis])
-    m_star = m.conjugate_transpose()
+    m_star = adjoint(m)
     gram = m @ m_star
     k = gram.rows
     solved = Matrix.from_rows([gram.row(i) + m.row(i) for i in range(k)]).rref()

@@ -149,6 +149,30 @@ MUTANTS = [
         "each product entry keeps only its last term",
     ),
     Mutant(
+        "matmul_fills_an_empty_entry_with_one", LINALG,
+        "entries.extend(ZERO if s is None else s for s in acc)",
+        "entries.extend(ONE if s is None else s for s in acc)",
+        "a product entry with no nonzero term is 1 instead of 0",
+    ),
+    Mutant(
+        "nonzeros_keeps_zero_entries", LINALG,
+        "for j, x in enumerate(self.entries[i * c : (i + 1) * c]) if not x.is_zero)",
+        "for j, x in enumerate(self.entries[i * c : (i + 1) * c]))",
+        "products multiply and add the zero entries too; same answers, more scalar work",
+    ),
+    Mutant(
+        "apply_without_its_shape_check", LINALG,
+        "        if self.cols != state.dim:\n            raise ShapeError(f\"cannot apply",
+        "        if False:\n            raise ShapeError(f\"cannot apply",
+        "a state of the wrong dimension is refused by @, with @'s message",
+    ),
+    Mutant(
+        "matrix_init_without_coercion", LINALG,
+        "entries = tuple([coerce_scalar(v) for v in entries])",
+        "entries = tuple(entries)",
+        "a matrix built from ints or text stores them unconverted and unchecked",
+    ),
+    Mutant(
         "add_drops_overlapping_terms", LINALG,
         "(a + b if b._a or b._b else a) if a._a or a._b else b",
         "a if a._a or a._b else b",
@@ -198,6 +222,12 @@ MUTANTS = [
         "a/d equals a/d' for every d'",
     ),
     # The per-axis states of scenario.
+    Mutant(
+        "verify_without_its_impossible_outcome_check", "src/qgap/scenario.py",
+        "    if all(e.is_zero for e in image):\n        raise ImpossibleOutcomeError",
+        "    if False:\n        raise ImpossibleOutcomeError",
+        "verifying an outcome the state contradicts returns the zero vector instead of raising",
+    ),
     Mutant(
         "post_state_verifies_down", "src/qgap/scenario.py",
         "return verify(singlet(axis), Atom(Particle.A, axis, Direction.UP))",

@@ -201,7 +201,7 @@ def test_criterion_08_trichotomy_and_expectation(capsys):
         for s in state.entries:
             denominator = denominator + s.conjugate() * s
         q = numerator / denominator
-        ok = ok and q.is_real
+        ok = ok and q.im == 0
         ok = ok and (value is T) == (q == gr(1))
         ok = ok and (value is F) == (q == gr(0))
         ok = ok and (value is G) == (gr(0) != q != gr(1))

@@ -22,6 +22,7 @@ import pytest
 
 from helpers import (
     SINGLET,
+    adjoint,
     rand_combination,
     rand_projector_pairs,
     rand_scalar,
@@ -69,8 +70,8 @@ def cayley(h: Matrix) -> Matrix:
     a = identity + step
     solved = Matrix.from_rows([a.row(i) + identity.row(i) for i in range(n)]).rref()
     inverse = Matrix.from_rows([solved.row(i)[n:] for i in range(n)])
-    u = (identity - step) @ inverse
-    assert u @ u.conjugate_transpose() == identity
+    u = (identity + step.scale(-1)) @ inverse
+    assert u @ adjoint(u) == identity
     return u
 
 
@@ -94,7 +95,7 @@ def test_lattice_projectors_and_valuation_are_carried_over_by_a_unitary(height):
     h = span_height(height)
     for trial in range(15):
         u = cayley(rand_hermitian(rng, 4, height))
-        u_star = u.conjugate_transpose()
+        u_star = adjoint(u)
         a, b = rand_span_pair(rng, h) if trial % 2 else (rand_subspace(rng, height=h), rand_subspace(rng, height=h))
         ua, ub = moved(u, a), moved(u, b)
         assert moved(u, a.meet(b)) == ua.meet(ub)
@@ -122,7 +123,7 @@ def test_orthogonality_and_commutation_are_carried_over_by_a_unitary(height):
     orthogonal, commuting = set(), set()
     for _ in range(15):
         u = cayley(rand_hermitian(rng, 4, height))
-        u_star = u.conjugate_transpose()
+        u_star = adjoint(u)
         for p, q in rand_projector_pairs(rng, span_height(height)):
             up, uq = Projector(u @ p.matrix @ u_star), Projector(u @ q.matrix @ u_star)
             assert up.orthogonal_to(uq) == p.orthogonal_to(q)
@@ -157,7 +158,7 @@ def test_rotating_every_atom_projector_by_u_tensor_u_keeps_the_run(height):
     for _ in range(3):
         u = cayley(rand_hermitian(rng, 2, height))
         uu = tensor_product(u, u)
-        uu_star = uu.conjugate_transpose()
+        uu_star = adjoint(uu)
         context = {atom: Projector(uu @ p.matrix @ uu_star) for atom, p in standard_context().items()}
         assert context != dict(standard_context())
         for axis in Axis:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     SINGLET,
     E2,
+    adjoint,
     counted_arithmetic,
     gr,
     gram_projector,
@@ -83,7 +84,7 @@ class TestConstructorValidation:
             Projector(matrix)
 
     def test_accepts_projectors(self):
-        assert Projector.zero(4).is_zero
+        assert Projector.zero(4).matrix == Matrix.zero(4, 4)
         assert Projector.identity(4).dim == 4
 
 
@@ -109,7 +110,7 @@ def _standard_projectors():
     ctx = standard_context()
     compiled = [compile_proposition(parse_proposition(text), ctx) for text in COMPOUNDS]
     ps = list(ctx.values()) + [proj for _, _, proj in _run_table()[0]] + compiled
-    return ps + [Projector(Matrix.identity(4) - p.matrix) for p in ps]
+    return ps + [Projector(Matrix.identity(4) + p.matrix.scale(-1)) for p in ps]
 
 
 def _check_product(p, q):
@@ -158,7 +159,7 @@ def _check_sum(p, q):
     """
     pq = p.matrix @ q.matrix
     orthogonal = sum((e * e.conjugate() for e in pq.entries), ZERO).is_zero
-    assert _trace_of_product_is_zero(p.matrix, q.matrix) == orthogonal == pq.is_zero()
+    assert _trace_of_product_is_zero(p.matrix, q.matrix) == orthogonal == (pq == Matrix.zero(pq.rows, pq.cols))
     got = _built_or_refused(Projector.sum, p, q)
     assert (got is not None) == p.orthogonal_to(q) == orthogonal
     if got is not None:
@@ -204,14 +205,14 @@ class TestOrthogonalityOnIntegers:
         # cancel exactly. The trace is summed off the GaussianRational product.
         n = data.draw(st.integers(1, 4))
         a, b = (data.draw(sparse_matrices_st(n, n, height)) for _ in range(2))
-        p, q = a + a.conjugate_transpose(), b + b.conjugate_transpose()
+        p, q = a + adjoint(a), b + adjoint(b)
 
         def trace(x, y):
             return sum(((x @ y).at(i, i) for i in range(n)), ZERO)
 
         assert _trace_of_product_is_zero(p, q) == trace(p, q).is_zero
-        if not p.is_zero():
-            cancelled = q - p.scale(trace(p, q) / trace(p, p))
+        if p != Matrix.zero(n, n):
+            cancelled = q + p.scale(-trace(p, q) / trace(p, p))
             assert trace(p, cancelled).is_zero and _trace_of_product_is_zero(p, cancelled)
 
     @pytest.mark.parametrize("height", (2, 1000))
@@ -375,7 +376,7 @@ class TestRangeIsTheColumnSpace:
         product = Projector.product(projector_onto(u.join(w)), projector_onto(u.join(v)))
         total = Projector.sum(pu, pw)
         assert product == pu and total == projector_onto(u.join(w))
-        complement = Projector(Matrix.identity(4) - pu.matrix)
+        complement = Projector(Matrix.identity(4) + pu.matrix.scale(-1))
         self.assert_ranges(
             product, total, complement, Projector(pu.matrix), Projector.product(pu, complement),
             projector_meet(product, total), projector_join(total, complement),
@@ -446,7 +447,7 @@ class TestOntoFromTheSmallerSide:
                 p = projector_onto(s)
                 assert solves == ([] if k in (0, n) else [(min(k, n - k), 2 * k > n)])
                 assert checks == [p.matrix]
-                assert p.matrix == gram_projector(s) == Matrix.identity(n) - gram_projector(s.orthocomplement())
+                assert p.matrix == gram_projector(s) == Matrix.identity(n) + gram_projector(s.orthocomplement()).scale(-1)
                 assert range_of(p) is s
 
 
