@@ -36,7 +36,7 @@ class ParseError(QgapError):
 class InvalidValueError(QgapError, ValueError):
     """A value object was built from arguments that break its invariant, or cannot be printed.
 
-    Raised by ``Projector``, ``SpinBasis`` and ``TruthValueSet.from_values``;
+    Raised by ``Projector``, ``SpinBasis``, ``Population`` and ``TruthValueSet.from_values``;
     by ``Particle``, ``Axis`` and ``Direction`` on an unknown value; by
     ``run_epr`` on a query that is too long or holds anything but ``Atom``s;
     by ``render_report`` and ``report_to_dict`` on an unknown semantics; and

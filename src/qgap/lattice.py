@@ -11,18 +11,20 @@ integers: join reduces the stacked bases, complement the null-space rows
 ``linalg._null_rows`` reads off the basis's integer forms; meet eliminates
 Zassenhaus's block forward over its left half and then reduces only the
 rows left below its pivots. ``contains`` and ``leq`` are rank tests by
-``linalg._rank``. Every canonical basis is read off ``linalg._reduced`` by
-``_span``: ``Subspace.row_space`` (which ``parse_span``, the CLI and audit
-span reader, calls), ``from_vectors`` (its vectors' integer forms),
-``column_space``, ``meet``, ``join`` and ``orthocomplement`` pass it their
-rows as Gaussian integers. ``_reduced`` returns each basis vector with its
-``StateVector._integer_form`` already stored, so meet, join, complement,
-``contains``, ``leq`` and ``projectors.projector_onto`` read a lattice
-result's basis as Gaussian integers without scaling it again; a vector from
-outside, as ``contains`` may get, is scaled once, on first use.
-``Subspace(n, basis)`` takes a basis from outside only if its
-vectors, all of dimension n, stacked equal their own ``Matrix.rref``; the
-lattice's own results are already reduced and are stored by ``Frozen._of``.
+``linalg._rank``. No operation has a case for the zero space: no rows
+have rank 0, and ``_span`` of no rows is the zero space. Every canonical
+basis is read off ``linalg._reduced`` by ``_span``: ``Subspace.row_space``
+(which ``parse_span``, the CLI and audit span reader, calls),
+``from_vectors`` (its vectors' integer forms), ``column_space``, ``meet``,
+``join`` and ``orthocomplement`` pass it their rows as Gaussian integers.
+``_reduced`` returns each basis vector with its ``StateVector._integer_form``
+already stored, so meet, join, complement, ``contains``, ``leq`` and
+``projectors.projector_onto`` read a lattice result's basis as Gaussian
+integers without scaling it again; a vector from outside, as ``contains``
+may get, is scaled once, on first use. ``Subspace(n, basis)`` takes a basis
+from outside only if its vectors, all of dimension n, stacked equal their
+own ``Matrix.rref``; the lattice's own results are already reduced and are
+stored by ``Frozen._of``.
 """
 
 from __future__ import annotations
@@ -96,12 +98,12 @@ class Subspace(Frozen):
         """Membership test: v adds nothing to the rank of the basis. Scale-invariant, as spans are."""
         if v.dim != self.ambient_dim:
             raise ShapeError(f"vector of dim {v.dim} against ambient dim {self.ambient_dim}")
-        return _rank(*_integer_forms(self.basis + (v,))) == self.dim
+        return _rank(*_integer_forms(self.basis + (v,)), self.ambient_dim) == self.dim
 
     def leq(self, other: "Subspace") -> bool:
-        """The lattice order: self's basis adds no rank to other's; a zero self is below everything."""
+        """The lattice order: self's basis adds no rank to other's. A zero self adds no row, so it is below everything."""
         self._check_ambient(other)
-        return self.is_zero or _rank(*_integer_forms(other.basis + self.basis)) == other.dim
+        return _rank(*_integer_forms(other.basis + self.basis), self.ambient_dim) == other.dim
 
     def __le__(self, other: "Subspace") -> bool:
         return self.leq(other)
@@ -133,9 +135,9 @@ class Subspace(Frozen):
         are independent. A forward ``_eliminate`` over the first n columns
         leaves its k pivot rows first, k the dimension of the sum; the rows
         after them have a zero left half, and their right halves span the
-        intersection, which is zero when no row is left. ``_reduced`` of
-        those halves is its canonical basis. A zero operand needs no case of
-        its own: every row of the block then pivots, so none is left.
+        intersection. ``_span`` of those halves is its canonical basis, and
+        the zero space when no row is left, as it is whenever an operand is
+        zero: every row of the block then pivots.
         """
         self._check_ambient(other)
         n = self.ambient_dim
@@ -145,8 +147,6 @@ class Subspace(Frozen):
         re = [x + x for x in ar] + [x + zeros for x in br]
         im = [x + x for x in ai] + [x + zeros for x in bi]
         k = len(_eliminate(re, im, n, above=False))
-        if k == len(re):
-            return Subspace._of(n, ())
         return _span([r[n:] for r in re[k:]], [r[n:] for r in im[k:]], n)
 
     def __str__(self) -> str:

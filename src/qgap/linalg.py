@@ -337,9 +337,9 @@ def _reduced(re: list[Sequence[int]], im: list[Sequence[int]], cols: int) -> lis
     return basis
 
 
-def _rank(re: list[Sequence[int]], im: list[Sequence[int]]) -> int:
-    """The rank of one or more Gaussian-integer rows of equal length: their pivot count under a forward ``_eliminate``, no reduced form built."""
-    return len(_eliminate(re, im, len(re[0]), above=False))
+def _rank(re: list[Sequence[int]], im: list[Sequence[int]], cols: int) -> int:
+    """The rank of Gaussian-integer rows of length cols: their pivot count under a forward ``_eliminate``, no reduced form built; no rows have rank 0."""
+    return len(_eliminate(re, im, cols, above=False))
 
 
 def _is_idempotent(m: Matrix) -> bool:

@@ -44,7 +44,7 @@ from .propositions import (
     population,
     valuate,
 )
-from .scalars import I_UNIT, ONE, Frozen, Scalarish, coerce_scalar
+from .scalars import I_UNIT, ONE, Frozen, Scalarish
 
 
 def pauli(axis: Axis) -> Matrix:
@@ -177,12 +177,8 @@ def eigencheck(observable: Matrix, candidate: StateVector, eigenvalue: Scalarish
     """Exact check that observable @ candidate == eigenvalue * candidate."""
     if not observable.is_square:
         raise ShapeError("eigencheck needs a square observable")
-    if observable.cols != candidate.dim:
-        raise ShapeError(
-            f"observable of dim {observable.cols} against vector of dim {candidate.dim}"
-        )
-    lam = coerce_scalar(eigenvalue)
-    return observable.apply(candidate) == tuple(lam * e for e in candidate.entries)
+    # apply refuses a vector of the wrong dimension before the eigenvalue is read.
+    return observable.apply(candidate) == tuple(e * eigenvalue for e in candidate.entries)
 
 
 def verify(state: StateVector, atom: Atom) -> StateVector:

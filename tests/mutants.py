@@ -198,22 +198,40 @@ MUTANTS = [
         "a range of exactly half the dimension is solved on its complement's rows",
     ),
     Mutant(
-        "meet_exit_on_a_full_sum", "src/qgap/lattice.py",
-        "if k == len(re):",
-        "if k == n:",
-        "the meet is taken as zero whenever the sum is the whole space",
+        "meet_keeps_a_pivot_row", "src/qgap/lattice.py",
+        "[r[n:] for r in re[k:]], [r[n:] for r in im[k:]]",
+        "[r[n:] for r in re[k - 1:]], [r[n:] for r in im[k - 1:]]",
+        "the last pivot row's right half joins the intersection's spanning rows",
     ),
     Mutant(
-        "leq_without_zero_guard", "src/qgap/lattice.py",
-        "return self.is_zero or _rank(",
-        "return _rank(",
-        "the zero space is ranked like any other, and two zero spaces give no rows",
+        "leq_ranks_self_alone", "src/qgap/lattice.py",
+        "_rank(*_integer_forms(other.basis + self.basis), self.ambient_dim) == other.dim",
+        "_rank(*_integer_forms(self.basis), self.ambient_dim) == other.dim",
+        "the order compares dimensions only: self's rank against other's dimension",
+    ),
+    Mutant(
+        "population_without_its_check", "src/qgap/propositions.py",
+        "if len(t) != len(labels) or not all(type(x) is int and x in (0, 1) for x in t):",
+        "if False:",
+        "a population takes tuples of any length holding any values",
     ),
     Mutant(
         "classical_xor_as_or", "src/qgap/propositions.py",
         "x + y - 2 * x * y",
         "x + y - x * y",
         "bivalent exclusive-or evaluated as inclusive or",
+    ),
+    Mutant(
+        "sub_negates_only_the_real_part", "src/qgap/scalars.py",
+        "return _add(self, _make(-o._a, -o._b, o._d))",
+        "return _add(self, _make(-o._a, o._b, o._d))",
+        "x - y adds conj(-y) instead of -y",
+    ),
+    Mutant(
+        "add_keeps_the_unreduced_denominator", "src/qgap/scalars.py",
+        "o._b * d1, d1 * d2\n        g = gcd(a, b, d)\n        return _make(a // g, b // g, d // g)",
+        "o._b * d1, d1 * d2\n        g = gcd(a, b, d)\n        return _make(a // g, b // g, d)",
+        "a sum divides its numerators by the gcd but keeps the product of the denominators",
     ),
     Mutant(
         "scalar_eq_ignores_denominator", "src/qgap/scalars.py",

@@ -226,9 +226,10 @@ class TestEliminationCount:
     """Each lattice operation on nonzero, non-full spans reduces one matrix by one elimination pass.
 
     A meet eliminates Zassenhaus's block forward, then reduces the rows left
-    below its pivots, and only when there are any. No operation here runs
-    ``Matrix.rref``. Each pass is recorded as (rows, row length, clears
-    above the pivots). ``projector_onto`` solves on the smaller side of the
+    below its pivots; a zero meet has none left, and that second pass runs
+    on no rows. No operation here runs ``Matrix.rref``. Each pass is
+    recorded as (rows, row length or 0 for no rows, clears above the
+    pivots). ``projector_onto`` solves on the smaller side of the
     range, min(k, 4 - k) rows, and runs no pass for the zero space or C^4. A
     projector built by ``projector_onto`` keeps its range, so the projector
     meet and join reduce no 4x4 column space.
@@ -240,7 +241,7 @@ class TestEliminationCount:
         eliminate, rref = linalg._eliminate, Matrix.rref
 
         def counted_eliminate(re, im, cols, *, above=True):
-            calls.append((len(re), len(re[0]), above))
+            calls.append((len(re), len(re[0]) if re else 0, above))
             return eliminate(re, im, cols, above=above)
 
         def counted_rref(self):
@@ -265,7 +266,7 @@ class TestEliminationCount:
             for b in self.SPANS:
                 passes.clear()
                 c = a.meet(b)
-                assert passes == [(a.dim + b.dim, 8, False)] + ([(c.dim, 4, True)] if c.dim else [])
+                assert passes == [(a.dim + b.dim, 8, False), (c.dim, 4 if c.dim else 0, True)]
 
     def test_join(self, passes):
         for a in self.SPANS:
@@ -293,7 +294,7 @@ class TestEliminationCount:
                 c = a.meet(b)
                 passes.clear()
                 projector_meet(pa, pb)
-                assert passes == [(a.dim + b.dim, 8, False)] + ([(c.dim, 4, True)] if c.dim else []) + self.onto_passes(c.dim)
+                assert passes == [(a.dim + b.dim, 8, False), (c.dim, 4 if c.dim else 0, True)] + self.onto_passes(c.dim)
                 c = a.join(b)
                 passes.clear()
                 projector_join(pa, pb)
@@ -400,7 +401,7 @@ class TestIntegerForms:
 class TestDerivedResults:
     """The lattice's own results are stored by ``Frozen._of``: no vector, subspace or scalar is checked again.
 
-    ``kernel_of`` builds I - P from the constants ``ONE`` and ``ZERO``, which need no coercion either.
+    ``kernel_of`` is the orthocomplement of the projector's kept range, so it builds no matrix either.
     """
 
     @pytest.fixture

@@ -59,7 +59,7 @@ def test_rref_and_rank_agree_with_sympy():
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         reduced, pivots = to_sympy(m).rref()
         assert Subspace.row_space(m).dim == len(pivots)
-        assert _rank(*_integer_rows([m.row(i) for i in range(m.rows)])) == len(pivots)
+        assert _rank(*_integer_rows([m.row(i) for i in range(m.rows)]), m.cols) == len(pivots)
         assert to_sympy(m.rref()) == reduced
 
 
@@ -73,7 +73,7 @@ def test_sparse_rref_agrees_with_sympy(height, data):
     m = data.draw(sparse_matrices_st(rows, cols, height))
     reduced, pivots = to_sympy(m).rref()
     assert to_sympy(m.rref()) == reduced
-    assert _rank(*_integer_rows([m.row(i) for i in range(m.rows)])) == len(pivots)
+    assert _rank(*_integer_rows([m.row(i) for i in range(m.rows)]), m.cols) == len(pivots)
     assert Subspace.row_space(m) == sympy_span(cols, [reduced.row(i) for i in range(len(pivots))])
 
 

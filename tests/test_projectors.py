@@ -315,8 +315,18 @@ class TestMeetJoin:
         assert projector_join(a, b) == DIFF_X
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            projector_meet(P_Z_UD, Projector.identity(2))
+        # Each refusal comes from the layer below: the subspaces' ambient check, @, or Projector.sum's own.
+        operations = (
+            projector_meet,
+            projector_join,
+            Projector.commutes_with,
+            Projector.orthogonal_to,
+            Projector.sum,
+        )
+        for op in operations:
+            for p, q in ((P_Z_UD, Projector.identity(2)), (Projector.identity(2), P_Z_UD)):
+                with pytest.raises(ShapeError):
+                    op(p, q)
 
     @given(states_st(), states_st())
     def test_lattice_coherence_on_random_lines(self, u, v):

@@ -26,6 +26,7 @@ from qgap import (
     Matrix,
     ParseError,
     Particle,
+    Population,
     Projector,
     QgapError,
     ShapeError,
@@ -434,6 +435,19 @@ class TestPopulation:
 
     def test_empty_component_list(self):
         assert population([], []).tuples == ((),)
+
+    @pytest.mark.parametrize(
+        "tuples",
+        [[(1, 0)], [(7,)], [()], [(1,), (True,)], [(1.0,)]],
+        ids=["too-long", "not-a-truth-value", "too-short", "bool", "float"],
+    )
+    def test_refuses_tuples_that_do_not_fit_its_labels(self, tuples):
+        with pytest.raises(InvalidValueError, match="is not one 0 or 1 per label"):
+            Population(["a"], tuples)
+
+    def test_is_the_population_built_through_init(self):
+        pop = population([T, IND], ["a", "b"])
+        assert pop == Population(["a", "b"], [(1, 1), (1, 0)]) and type(pop.labels) is tuple
 
     @given(st.lists(st.sampled_from([T, F, G, IND]), max_size=5))
     def test_size_is_product_of_component_sizes(self, components):
