@@ -84,10 +84,6 @@ class Subspace(Frozen):
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.basis
-
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError(

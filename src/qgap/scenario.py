@@ -1,32 +1,35 @@
 """The two spin-half particle setup: states, observables, verification.
 
 This module wires the abstract machinery to the concrete four-dimensional
-pair space. Spin eigenvectors are fixed unnormalized representatives (phase
-conventions matter only for golden-output determinism, never for any
-predicate), the singlet is built directly from them, and a verification is
-an unnormalized projection of the state, which reproduces the separable
-post-state without ever introducing irrational normalizers. The spin
-basis, the prepared singlet and the post-state of verifying spin A up are
-per-axis constants, each built once per process and cached per ``Axis``
-member, so ``"z"`` and ``Axis.Z`` share one entry; the shared states keep
-their integer forms, so later valuations scale nothing. ``verify`` itself
-stays general and uncached. Every value
-derived from the pair space is built here only: the fixture audit
-compares the transcribed displays with a table of them, whose projectors
-it reads off the run table's rows. A spin basis, a valuation row and a run's
-report are immutable values (``scalars.Frozen``), equal when their field
-tuples are.
+pair space. The Pauli matrix is the one hand-written constant per axis:
+each atom's projector is its eigenprojector (I +- sigma)/2 on one factor,
+each spin eigenvector is the canonical basis vector of that projector's
+range, an unnormalized representative whose phase matters only for
+golden-output determinism, never for any predicate; the singlet is built
+directly from them, and a verification is an unnormalized projection of
+the state, which reproduces the separable post-state without ever
+introducing irrational normalizers. An axis's spin basis, prepared
+singlet and post-state of verifying spin A up are built together once per
+process, in one cache keyed by ``Axis`` member, so ``"z"`` and ``Axis.Z``
+share one entry; the shared states keep their integer forms, so later
+valuations scale nothing. ``verify`` itself stays general and uncached.
+Every value derived from the pair space is built here only: the fixture
+audit compares the transcribed displays with a table of them, whose
+projectors it reads off the run table's rows. A spin basis, a valuation
+row and a run's report are immutable values (``scalars.Frozen``), equal
+when their field tuples are.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 from .errors import ImpossibleOutcomeError, InvalidValueError, ShapeError
 from .fixtures import AuditSummary, FixtureResult, check_fixtures
-from .linalg import Matrix, StateVector, inner, state_tensor, tensor_product
+from .lattice import Subspace
+from .linalg import Matrix, StateVector, state_tensor, tensor_product
 from .projectors import Projector, range_of
 from .propositions import (
     ATOMS,
@@ -63,7 +66,12 @@ def pair_observable(axis: Axis) -> Matrix:
 
 
 class SpinBasis(Frozen):
-    """Unnormalized +1/-1 eigenvectors of the axis observable, validated on construction."""
+    """Unnormalized +1/-1 eigenvectors of the axis observable.
+
+    A basis given from outside is eigenchecked on construction; the
+    library's own, read off the eigenprojectors by ``_axis_states``, is
+    stored without a second check.
+    """
 
     _fields = ("axis", "up", "down")
 
@@ -74,8 +82,6 @@ class SpinBasis(Frozen):
             raise InvalidValueError(f"up vector is not a +1 eigenvector along {axis.value}")
         if not eigencheck(sigma, down, -1):
             raise InvalidValueError(f"down vector is not a -1 eigenvector along {axis.value}")
-        if not inner(up, down).is_zero:
-            raise InvalidValueError(f"spin basis along {axis.value} is not orthogonal")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
@@ -84,63 +90,55 @@ class SpinBasis(Frozen):
         return self.up if Direction(direction) is Direction.UP else self.down
 
 
-_T = TypeVar("_T")
+_HALF = ONE / 2
 
 
-def _per_axis(build: Callable[[Axis], _T]) -> Callable[[Axis], _T]:
-    """``build`` cached per ``Axis`` member: the argument becomes its member before the lookup.
+def _eigenprojector(axis: Axis, direction: Direction) -> Matrix:
+    """(I + sigma)/2 for up and (I - sigma)/2 for down: the 2x2 projector onto one spin direction."""
+    sigma = pauli(axis)
+    return (Matrix.identity(2) + (sigma if direction is Direction.UP else sigma.scale(-1))).scale(_HALF)
 
-    So ``"z"`` and ``Axis.Z`` share one entry, and the cache holds at most
-    three. The wrapper exposes the cache's ``cache_info`` and ``cache_clear``.
+
+@lru_cache(maxsize=None)
+def _axis_states(axis: Axis) -> tuple[SpinBasis, StateVector, StateVector]:
+    """The axis's spin basis, prepared singlet and post-state of verifying spin A up, built once per member.
+
+    Each eigenvector is the canonical basis vector of its eigenprojector's
+    range; the singlet is up x down - down x up.
     """
-    cached = lru_cache(maxsize=None)(build)
-
-    @wraps(build)
-    def per_member(axis: Axis) -> _T:
-        return cached(Axis(axis))
-
-    per_member.cache_info = cached.cache_info
-    per_member.cache_clear = cached.cache_clear
-    return per_member
+    up, down = (Subspace.column_space(_eigenprojector(axis, d)).basis[0] for d in Direction)
+    a, b = state_tensor(up, down), state_tensor(down, up)
+    prepared = StateVector._of(tuple(x - y for x, y in zip(a.entries, b.entries)))
+    post = verify(prepared, Atom(Particle.A, axis, Direction.UP))
+    return SpinBasis._of(axis, up, down), prepared, post
 
 
-@_per_axis
 def spin_basis(axis: Axis) -> SpinBasis:
-    if axis is Axis.X:
-        return SpinBasis(axis, StateVector.of(1, 1), StateVector.of(1, -1))
-    if axis is Axis.Y:
-        return SpinBasis(axis, StateVector.of(1, I_UNIT), StateVector.of(1, -I_UNIT))
-    return SpinBasis(axis, StateVector.of(1, 0), StateVector.of(0, 1))
+    return _axis_states(Axis(axis))[0]
 
 
-@_per_axis
 def singlet(axis: Axis) -> StateVector:
-    """The total-spin-zero pair state, up x down - down x up along the axis, built once per axis.
+    """The total-spin-zero pair state, up x down - down x up along the axis.
 
     Whatever the axis, the result is a nonzero scalar multiple of
     [0, 1, -1, 0]: the singlet is one ray.
     """
-    basis = spin_basis(axis)
-    a = state_tensor(basis.up, basis.down)
-    b = state_tensor(basis.down, basis.up)
-    return StateVector(tuple(x - y for x, y in zip(a.entries, b.entries)))
+    return _axis_states(Axis(axis))[1]
 
 
 @lru_cache(maxsize=None)
 def atom_projector(atom: Atom) -> Projector:
     """The pair-space projector asserting one particle's spin direction.
 
-    The single-particle projector onto the spin eigenvector is tensored
-    with the identity on the other factor, giving a rank-2 projector on
-    the four-dimensional pair space.
+    The single-particle eigenprojector (I +- sigma)/2 is tensored with the
+    identity on the other factor, giving a rank-2 projector on the
+    four-dimensional pair space.
     """
-    v = spin_basis(atom.axis).vector(atom.direction)
-    unnormalized = Matrix(2, 2, tuple(x * y.conjugate() for x in v.entries for y in v.entries))
-    outer = unnormalized.scale(ONE / inner(v, v))
+    p = _eigenprojector(atom.axis, atom.direction)
     eye = Matrix.identity(2)
     if atom.particle is Particle.A:
-        return Projector(tensor_product(outer, eye))
-    return Projector(tensor_product(eye, outer))
+        return Projector(tensor_product(p, eye))
+    return Projector(tensor_product(eye, p))
 
 
 @lru_cache(maxsize=None)
@@ -192,12 +190,6 @@ def verify(state: StateVector, atom: Atom) -> StateVector:
     if all(e.is_zero for e in image):
         raise ImpossibleOutcomeError(f"verifying {atom} is impossible in state {state}")
     return StateVector._of(image)
-
-
-@_per_axis
-def _post_state(axis: Axis) -> StateVector:
-    """The singlet after spin A is verified up along the axis, built once per axis."""
-    return verify(singlet(axis), Atom(Particle.A, axis, Direction.UP))
 
 
 class ValuationRecord(Frozen):
@@ -342,9 +334,8 @@ def run_epr(verify_axis: Axis, joint_query: Sequence[Atom]) -> ScenarioReport:
     for element in query:
         if not isinstance(element, Atom):
             raise InvalidValueError(f"query element {element!r} is not an Atom")
-    prepared = singlet(verify_axis)
+    _, prepared, post = _axis_states(verify_axis)
     verified_atom = Atom(Particle.A, verify_axis, Direction.UP)
-    post = _post_state(verify_axis)
     pre_entries, post_entries = _run_table()
     post_valuations = _valuation_records(post, post_entries)
     after = {r.proposition: r.value for r in post_valuations}

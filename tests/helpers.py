@@ -248,7 +248,7 @@ def meet_oracle(a: Subspace, b: Subspace) -> Subspace:
     Takes sympy's null space of basisA^T x - basisB^T y = 0 and maps the x
     part back, which shares no elimination with Subspace.meet.
     """
-    if a.is_zero or b.is_zero:
+    if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
     rows_a = to_sympy(Matrix.from_rows([v.entries for v in a.basis]))
     rows_b = to_sympy(Matrix.from_rows([v.entries for v in b.basis]))
@@ -263,7 +263,7 @@ def zassenhaus_meet(a: Subspace, b: Subspace) -> Subspace:
     is zero, and their right halves are the canonical basis of the
     intersection; ``Subspace(n, basis)`` checks that they are.
     """
-    if a.is_zero or b.is_zero:
+    if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
     n = a.ambient_dim
     block = Matrix.from_rows([v.entries * 2 for v in a.basis] + [v.entries + (ZERO,) * n for v in b.basis]).rref()
@@ -284,7 +284,7 @@ def gram_projector(s: Subspace) -> Matrix:
     the matrix before its elimination moved to Gaussian integers.
     """
     n = s.ambient_dim
-    if s.is_zero:
+    if s.dim == 0:
         return Matrix.zero(n, n)
     m = Matrix.from_rows([[e.conjugate() for e in v.entries] for v in s.basis])
     m_star = adjoint(m)

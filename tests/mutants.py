@@ -248,21 +248,27 @@ MUTANTS = [
     ),
     Mutant(
         "post_state_verifies_down", "src/qgap/scenario.py",
-        "return verify(singlet(axis), Atom(Particle.A, axis, Direction.UP))",
-        "return verify(singlet(axis), Atom(Particle.A, axis, Direction.DOWN))",
+        "post = verify(prepared, Atom(Particle.A, axis, Direction.UP))",
+        "post = verify(prepared, Atom(Particle.A, axis, Direction.DOWN))",
         "the shared post-state is the singlet after verifying spin A down",
     ),
     Mutant(
-        "singlet_cache_returns_z", "src/qgap/scenario.py",
-        "    basis = spin_basis(axis)\n    a = state_tensor(basis.up, basis.down)",
-        "    basis = spin_basis(Axis.Z)\n    a = state_tensor(basis.up, basis.down)",
-        "every axis's cached singlet is the z-axis representative",
+        "axis_states_read_the_z_axis", "src/qgap/scenario.py",
+        "Subspace.column_space(_eigenprojector(axis, d))",
+        "Subspace.column_space(_eigenprojector(Axis.Z, d))",
+        "every axis's spin basis, singlet and post-state are the z-axis ones",
     ),
     Mutant(
-        "per_axis_states_not_cached", "src/qgap/scenario.py",
-        "cached = lru_cache(maxsize=None)(build)",
-        "cached = lru_cache(maxsize=0)(build)",
-        "every run builds the singlet and the post-state again; same answers, slower",
+        "axis_states_not_cached", "src/qgap/scenario.py",
+        "@lru_cache(maxsize=None)\ndef _axis_states(",
+        "@lru_cache(maxsize=0)\ndef _axis_states(",
+        "every run builds the spin basis, the singlet and the post-state again; same answers, slower",
+    ),
+    Mutant(
+        "eigenprojector_sign_swapped", "src/qgap/scenario.py",
+        "sigma if direction is Direction.UP else sigma.scale(-1)",
+        "sigma.scale(-1) if direction is Direction.UP else sigma",
+        "each atom's projector and eigenvector is the other direction's",
     ),
 ]
 

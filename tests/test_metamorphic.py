@@ -107,7 +107,7 @@ def test_lattice_projectors_and_valuation_are_carried_over_by_a_unitary(height):
         moved_p = u @ p.matrix @ u_star
         assert projector_onto(ua).matrix == moved_p
         moved_projector = Projector(moved_p)
-        states = [rand_combination(rng, s.basis) for s in (a, a.orthocomplement()) if not s.is_zero]
+        states = [rand_combination(rng, s.basis) for s in (a, a.orthocomplement()) if s.dim != 0]
         for psi in states + [rand_state(rng)]:
             value, u_psi = valuate(psi, p), StateVector(u.apply(psi))
             assert valuate(u_psi, moved_projector) == value

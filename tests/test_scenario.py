@@ -29,6 +29,7 @@ from qgap import (
     compile_proposition,
     different_spins,
     eigencheck,
+    inner,
     pair_observable,
     pauli,
     population,
@@ -83,11 +84,21 @@ class TestPauli:
         )
 
 
+# Each axis's eigenvectors as literals, up then down: the library reads them off (I +- sigma)/2.
+EIGENVECTORS = {
+    Axis.X: ((1, 1), (1, -1)),
+    Axis.Y: ((1, gr(0, 1)), (1, gr(0, -1))),
+    Axis.Z: ((1, 0), (0, 1)),
+}
+
+
 class TestSpinBasis:
-    def test_z_vectors(self):
-        basis = spin_basis(Axis.Z)
-        assert basis.up == vec(1, 0)
-        assert basis.down == vec(0, 1)
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_vectors(self, axis):
+        basis = spin_basis(axis)
+        up, down = EIGENVECTORS[axis]
+        assert basis.up == vec(*up)
+        assert basis.down == vec(*down)
 
     @pytest.mark.parametrize("axis", list(Axis))
     def test_eigenvector_validation(self, axis):
@@ -122,6 +133,17 @@ class TestAtomProjector:
     @pytest.mark.parametrize("direction", list(Direction))
     def test_rank_two(self, particle, axis, direction):
         assert range_of(atom_projector(Atom(particle, axis, direction))).dim == 2
+
+    @pytest.mark.parametrize("atom", ALL_ATOMS, ids=str)
+    def test_equals_the_normalized_outer_product_of_its_eigenvector(self, atom):
+        # Reference: |v><v| / <v|v> on one factor, from the literal eigenvector, not from sigma.
+        up, down = EIGENVECTORS[atom.axis]
+        v = vec(*(up if atom.direction is Direction.UP else down))
+        norm = inner(v, v)
+        outer = Matrix(2, 2, tuple(x * y.conjugate() / norm for x in v.entries for y in v.entries))
+        eye = Matrix.identity(2)
+        expected = tensor_product(outer, eye) if atom.particle is Particle.A else tensor_product(eye, outer)
+        assert atom_projector(atom).matrix == expected
 
 
 class TestMemberDispatch:
@@ -536,32 +558,30 @@ class TestSemantics:
 
 
 class TestPerAxisStates:
-    """The prepared singlet and the post-state are built once per axis and shared by every run."""
+    """The spin basis, the prepared singlet and the post-state are built once per axis, in one cache, and shared by every run."""
 
-    PER_AXIS = [spin_basis, singlet, scenario._post_state]
-
-    @pytest.mark.parametrize("build", PER_AXIS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("build", [spin_basis, singlet], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("axis", list(Axis))
     def test_both_spellings_share_one_entry(self, build, axis):
-        build.cache_clear()
+        scenario._axis_states.cache_clear()
         first = build(axis.value)
         assert build(axis) is first
-        info = build.cache_info()
+        info = scenario._axis_states.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
-    @pytest.mark.parametrize("build", PER_AXIS, ids=lambda f: f.__name__)
-    def test_each_cache_holds_one_entry_per_axis(self, build):
-        build.cache_clear()
+    def test_the_cache_holds_one_entry_per_axis(self):
+        scenario._axis_states.cache_clear()
         for axis in Axis:
             for spelling in (axis.value, axis, axis.value):
-                build(spelling)
-        assert build.cache_info().currsize == 3
+                spin_basis(spelling)
+                singlet(spelling)
+        assert scenario._axis_states.cache_info().currsize == 3
 
     def test_the_post_state_is_the_singlet_verified_up_along_the_axis(self):
         for axis in Axis:
             expected = verify(singlet(axis), Atom(Particle.A, axis, Direction.UP))
-            assert scenario._post_state(axis) == expected
-        assert scenario._post_state(Axis.Z) == vec(0, 1, 0, 0)
+            assert scenario._axis_states(axis)[2] == expected
+        assert scenario._axis_states(Axis.Z)[2] == vec(0, 1, 0, 0)
 
     @pytest.mark.parametrize("axis", list(Axis))
     def test_a_warm_run_prepares_verifies_and_scales_nothing(self, monkeypatch, axis):
@@ -570,15 +590,14 @@ class TestPerAxisStates:
         for module, name in ((scenario, "verify"), (scenario, "state_tensor"), (linalg, "_integer_rows")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
-        singlet.cache_clear()
-        scenario._post_state.cache_clear()
+        scenario._axis_states.cache_clear()
         run_epr(axis, query)
         assert sorted(set(calls)) == ["_integer_rows", "state_tensor", "verify"]
         calls.clear()
         for spelling in (axis, axis.value):
             report = run_epr(spelling, query)
             assert report.prepared_state is singlet(axis)
-            assert report.post_state is scenario._post_state(axis)
+            assert report.post_state is scenario._axis_states(axis)[2]
         assert calls == []
 
     @pytest.mark.parametrize("axis", list(Axis))
@@ -588,8 +607,7 @@ class TestPerAxisStates:
         for spelling in (axis, axis.value):
             for query in queries:
                 warm = run_epr(spelling, query)
-                singlet.cache_clear()
-                scenario._post_state.cache_clear()
+                scenario._axis_states.cache_clear()
                 assert run_epr(spelling, query) == warm, (spelling, query)
 
 
