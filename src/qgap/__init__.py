@@ -18,11 +18,9 @@ from .errors import (
 )
 from .fixtures import AuditSummary, FixtureResult
 from .lattice import Subspace, parse_span
-from .linalg import Matrix, StateVector, inner, state_tensor, tensor_product
+from .linalg import Matrix, StateVector, state_tensor, tensor_product
 from .projectors import (
     Projector,
-    kernel_of,
-    projector_from_span,
     projector_join,
     projector_meet,
     projector_onto,

@@ -6,12 +6,11 @@ is referentially transparent. There is no floating point anywhere:
 elimination uses exact division, so reduced row-echelon forms are
 canonical rather than tolerance-dependent.
 
-``@`` is the one product loop: ``Matrix.apply`` is its one-column case and
-``inner`` a one-row ``apply``. It runs over the nonzero entries only, and a
-sum combines only where both entries are nonzero. The spin projectors and
-states of the pair space are mostly zeros, and adding an exact zero changes
-no canonical triple, so the results are the same values without those
-multiplies and adds.
+``@`` is the one product loop, and ``Matrix.apply`` is its one-column case.
+It runs over the nonzero entries only, and a sum combines only where both
+entries are nonzero. The spin projectors and states of the pair space are
+mostly zeros, and adding an exact zero changes no canonical triple, so the
+results are the same values without those multiplies and adds.
 
 Elimination, ranks, projector construction, the idempotence and
 orthogonality checks and valuation's two tests run on Gaussian integers.
@@ -540,13 +539,6 @@ class StateVector(Frozen):
         return "[" + ",".join(str(e) for e in self.entries) + "]"
 
 
-def inner(u: StateVector, v: StateVector) -> GaussianRational:
-    """Hermitian inner product, conjugate-linear in u: the one-row matrix conj(u) applied to v."""
-    if u.dim != v.dim:
-        raise ShapeError(f"inner product of dim {u.dim} with dim {v.dim}")
-    return Matrix._of(1, u.dim, tuple(x.conjugate() for x in u.entries)).apply(v)[0]
-
-
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with dimensions (a.rows*b.rows, a.cols*b.cols)."""
     out = []
@@ -559,5 +551,9 @@ def tensor_product(a: Matrix, b: Matrix) -> Matrix:
 
 
 def state_tensor(u: StateVector, v: StateVector) -> StateVector:
-    """Kronecker product of column vectors, e.g. dim 2 x dim 2 -> dim 4."""
-    return StateVector(tuple(x * y for x in u.entries for y in v.entries))
+    """Kronecker product of column vectors, e.g. dim 2 x dim 2 -> dim 4.
+
+    Stored by ``_of``: the entries are products of scalars, and some u_i v_j
+    is nonzero because some u_i and some v_j are.
+    """
+    return StateVector._of(tuple(x * y for x in u.entries for y in v.entries))

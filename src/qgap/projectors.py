@@ -8,11 +8,11 @@ connectives' closed forms skip that check, since a cheaper test implies it:
 makes it idempotent, and ``Projector.sum(p, q)`` checks only that
 tr(PQ) = 0, which makes PQ = 0 and so P + Q a projector; each then stores
 its matrix by ``Frozen._of``, without ``Projector``'s own check.
-``commutes_with`` and ``orthogonal_to`` decide by the same two tests, so
-commutation and orthogonality each have one rule. The operator lattice
-(meet, join) is computed through the subspace lattice of ranges, which also
-covers non-commuting pairs. The kernel of P is the orthocomplement of its
-range, which holds exactly for every orthogonal projector.
+``orthogonal_to`` decides by ``sum``'s test, so orthogonality has one rule.
+The operator lattice (meet, join) is computed through the subspace lattice
+of ranges, which also covers non-commuting pairs. The kernel of P is the
+orthocomplement of its range, ``range_of(P).orthocomplement()``, which
+holds exactly for every orthogonal projector.
 
 ``projector_onto``, the idempotence check and the orthogonality test call
 ``linalg``'s private Gaussian-integer kernels (``_projection``,
@@ -28,21 +28,19 @@ and idempotence checks. A projector keeps its range as the private cached
 ``_range``: ``projector_onto`` stores the subspace it was given, since the
 column space of M* (M M*)^-1 M is the span of M's rows, and any other
 projector reduces its column space once, on first use. ``range_of`` reads
-it, so ``projector_meet``, ``projector_join`` and ``kernel_of`` of
-projectors built by ``projector_onto`` reduce no column space. Equality,
-hash and repr read only the matrix.
+it, so ``projector_meet`` and ``projector_join`` of projectors built by
+``projector_onto`` reduce no column space. Equality, hash and repr read
+only the matrix.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
 
 from .errors import InvalidValueError, ShapeError
 from .lattice import Subspace
 from .linalg import (
     Matrix,
-    StateVector,
     _integer_forms,
     _is_idempotent,
     _null_rows,
@@ -116,10 +114,6 @@ class Projector(Frozen):
     def dim(self) -> int:
         return self.matrix.rows
 
-    def commutes_with(self, other: "Projector") -> bool:
-        """Whether PQ = QP, decided as ``product`` decides it: PQ is Hermitian, since (PQ)* = QP."""
-        return (self.matrix @ other.matrix).is_hermitian()
-
     def orthogonal_to(self, other: "Projector") -> bool:
         """Whether PQ = 0, decided as ``sum`` decides it: tr(PQ) = 0, with no matrix product."""
         self._check_dim(other)
@@ -162,22 +156,9 @@ def projector_onto(subspace: Subspace) -> Projector:
     return p
 
 
-def projector_from_span(vectors: Sequence[StateVector]) -> Projector:
-    """Projector onto the span of one or more nonzero vectors of equal dimension."""
-    if not vectors:
-        raise ShapeError("projector_from_span needs at least one vector")
-    dim = vectors[0].dim
-    return projector_onto(Subspace.from_vectors(dim, vectors))
-
-
 def range_of(p: Projector) -> Subspace:
     """Canonical column space of the projector's matrix: the range ``projector_onto`` was given, or else computed once."""
     return p._range
-
-
-def kernel_of(p: Projector) -> Subspace:
-    """Canonical null space: the orthocomplement of the range, read off the range's integer forms."""
-    return range_of(p).orthocomplement()
 
 
 def projector_meet(a: Projector, b: Projector) -> Projector:

@@ -276,6 +276,19 @@ def adjoint(m: Matrix) -> Matrix:
     return Matrix(m.cols, m.rows, [m.at(i, j).conjugate() for j in range(m.cols) for i in range(m.rows)])
 
 
+def inner(u: StateVector, v: StateVector) -> GaussianRational:
+    """The Hermitian inner product, conjugate-linear in u: a plain conjugate dot product."""
+    total = ZERO
+    for x, y in zip(u.entries, v.entries, strict=True):
+        total = total + x.conjugate() * y
+    return total
+
+
+def commutes(p: Projector, q: Projector) -> bool:
+    """Whether PQ = QP, by comparing both products, not by the library's Hermitian test."""
+    return p.matrix @ q.matrix == q.matrix @ p.matrix
+
+
 def gram_projector(s: Subspace) -> Matrix:
     """The projector onto s by the Gram formula M* (M M*)^-1 M, on ``Matrix`` ``@`` and ``rref``.
 

@@ -270,6 +270,25 @@ MUTANTS = [
         "sigma.scale(-1) if direction is Direction.UP else sigma",
         "each atom's projector and eigenvector is the other direction's",
     ),
+    # The fixture audit's MATCH decisions and the span reader it shares with the CLI.
+    Mutant(
+        "audit_ray_checks_only_the_length", "src/qgap/fixtures.py",
+        "same = printed.dim == ray.ambient_dim and ray.contains(printed)",
+        "same = printed.dim == ray.ambient_dim",
+        "any printed ray of the right length matches, on the derived ray or off it",
+    ),
+    Mutant(
+        "audit_chain_ignores_the_printed_chain", "src/qgap/fixtures.py",
+        "status = MATCH if all(printed_holds) and all(derived_holds) else MISMATCH",
+        "status = MATCH if all(derived_holds) else MISMATCH",
+        "a printed chain that fails matches whenever the derived chain holds",
+    ),
+    Mutant(
+        "parse_span_refuses_no_vectors_as_a_shape_error", "src/qgap/lattice.py",
+        'raise ParseError("a span needs at least one vector")',
+        'raise ShapeError("a span needs at least one vector")',
+        "a span of no vectors is refused with the right message but the wrong class",
+    ),
 ]
 
 

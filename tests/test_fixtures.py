@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qgap import Matrix, StateVector, Subspace, fixtures
+from qgap import Matrix, ParseError, StateVector, Subspace, fixtures, parse_span
 from qgap.fixtures import MATCH, MISMATCH, AuditSummary, check_fixtures, render_audit_table
 from qgap.scenario import audit, audit_summary
 
@@ -306,6 +306,40 @@ def test_check_fixtures_compares_with_the_table_it_is_given(monkeypatch):
 
 
 PLANE = Subspace.from_vectors(2, [StateVector.of(1, 0), StateVector.of(0, 1)])
+
+
+def test_a_wrong_transcription_that_parses_is_a_mismatch(monkeypatch):
+    # A printed ray of the right length off the derived ray, and a printed chain
+    # that fails while the derived chain holds: each MISMATCH, each value shown.
+    derivations = {
+        "e1": StateVector.of(1, 0),
+        "line": Subspace.from_vectors(2, [StateVector.of(1, 1)]),
+        "plane": PLANE,
+        "singlet_z": StateVector.of(1, 1),
+    }
+    entries = (
+        {"label": "off_ray", "kind": "ray", "derived": "e1", "printed": ["1", "1"]},
+        {
+            "label": "failing_chain",
+            "kind": "chain",
+            "derived": ["line", "line", "plane"],
+            "printed": [[["1", "0"]], [["0", "1"]], [["1", "0"], ["0", "1"]]],
+        },
+    )
+    monkeypatch.setattr(fixtures, "load_fixture_entries", lambda: entries)
+    ray, chain = check_fixtures(derivations)
+    assert (ray.status, ray.printed, ray.derived) == (MISMATCH, "[1,1]", "[1,0]")
+    assert (chain.status, chain.printed, chain.derived) == (
+        MISMATCH,
+        "z<=x: false, x<=y: true (printed families)",
+        "z<=x: true, x<=y: true (derived ranges); singlet in all three: true",
+    )
+
+
+def test_a_span_of_no_vectors_is_a_parse_error():
+    # The audit and the CLI read spans with parse_span; an empty one is refused by class, not only by message.
+    with pytest.raises(ParseError, match="^a span needs at least one vector$"):
+        parse_span([])
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,15 @@ is compared with is built in ``scenario``, so it imports none of the
 modules that build pair-space values. A cold CLI process pays for every
 module it imports, so ``qgap.cli`` keeps ``dataclasses`` and ``inspect``
 (with its ``ast``, ``dis`` and ``tokenize``) out of the process.
+
+Every name the package exports has a caller besides the tests of that name:
+another module of the package, a module of the benchmark, the acceptance
+tests or the README's example reads it.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -18,6 +23,7 @@ import qgap
 
 PACKAGE_DIR = Path(qgap.__file__).resolve().parent
 MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _tree(module):
@@ -82,3 +88,20 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def _names_read(source):
+    nodes = list(ast.walk(ast.parse(source)))
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
+def test_every_exported_name_has_a_caller():
+    imports = [node for node in ast.walk(_tree("__init__")) if isinstance(node, ast.ImportFrom)]
+    exported = {alias.asname or alias.name for node in imports for alias in node.names}
+    examples = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text("utf-8"), re.M | re.S)
+    assert examples
+    sources = [(PACKAGE_DIR / f"{module}.py").read_text("utf-8") for module in MODULES if module != "__init__"]
+    sources += [path.read_text("utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources += [(ROOT / "tests" / "test_acceptance.py").read_text("utf-8"), *examples]
+    read = set().union(*map(_names_read, sources))
+    assert sorted(exported - read) == []

@@ -10,6 +10,7 @@ from helpers import (
     E2,
     counted_arithmetic,
     gr,
+    inner,
     meet_oracle,
     rand_combination,
     rand_span_pair,
@@ -30,8 +31,6 @@ from qgap import (
     ShapeError,
     StateVector,
     Subspace,
-    inner,
-    kernel_of,
     parse_span,
     projector_join,
     projector_meet,
@@ -336,13 +335,13 @@ class TestEliminationCount:
             s.orthocomplement()
             assert passes == [(4 - s.dim, 4, True)]
 
-    def test_kernel_of(self, passes):
+    def test_kernel_of_a_projector(self, passes):
         # The kernel is the orthocomplement of the range projector_onto kept:
         # one pass over the 4 - rank null rows, no column space reduced.
         projectors = [projector_onto(s) for s in (Subspace.zero(4),) + self.SPANS]
         for p in projectors:
             passes.clear()
-            kernel_of(p)
+            range_of(p).orthocomplement()
             assert passes == [(4 - range_of(p).dim, 4, True)]
 
 
@@ -386,7 +385,7 @@ class TestIntegerForms:
         forms = [x._integer_form for x in vectors]
         patterns = [m._integer_pattern for m in matrices]
         a.meet(b), b.meet(a), a.join(b), a.orthocomplement(), a.contains(v), a.leq(b), b.leq(a)
-        projector_onto(a), projector_meet(pa, pb), projector_join(pa, pb), kernel_of(pa)
+        projector_onto(a), projector_meet(pa, pb), projector_join(pa, pb), range_of(pa).orthocomplement()
         valuate(v, pa), valuate(v, pb), Projector(pa.matrix)
         for x, form in zip(vectors, forms):
             assert x._integer_form is form
@@ -401,7 +400,7 @@ class TestIntegerForms:
 class TestDerivedResults:
     """The lattice's own results are stored by ``Frozen._of``: no vector, subspace or scalar is checked again.
 
-    ``kernel_of`` is the orthocomplement of the projector's kept range, so it builds no matrix either.
+    A projector's kernel is the orthocomplement of its kept range, so it builds no matrix either.
     """
 
     @pytest.fixture
@@ -431,7 +430,12 @@ class TestDerivedResults:
             p = projector_onto(a)
             checks.clear()
             results = (
-                Subspace.row_space(stacked), a.meet(b), a.orthocomplement(), a.join(b), range_of(p), kernel_of(p)
+                Subspace.row_space(stacked),
+                a.meet(b),
+                a.orthocomplement(),
+                a.join(b),
+                range_of(p),
+                range_of(p).orthocomplement(),
             )
             assert not checks, checks
             assert results[0] == results[3] and results[4] == a and results[5] == results[2]

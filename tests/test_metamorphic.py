@@ -23,6 +23,7 @@ import pytest
 from helpers import (
     SINGLET,
     adjoint,
+    commutes,
     rand_combination,
     rand_projector_pairs,
     rand_scalar,
@@ -127,9 +128,9 @@ def test_orthogonality_and_commutation_are_carried_over_by_a_unitary(height):
         for p, q in rand_projector_pairs(rng, span_height(height)):
             up, uq = Projector(u @ p.matrix @ u_star), Projector(u @ q.matrix @ u_star)
             assert up.orthogonal_to(uq) == p.orthogonal_to(q)
-            assert up.commutes_with(uq) == p.commutes_with(q)
+            assert commutes(up, uq) == commutes(p, q)
             orthogonal.add(p.orthogonal_to(q))
-            commuting.add(p.commutes_with(q))
+            commuting.add(commutes(p, q))
     assert orthogonal == commuting == {True, False}
 
 

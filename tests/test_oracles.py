@@ -35,8 +35,6 @@ from qgap import (
     ShapeError,
     StateVector,
     Subspace,
-    kernel_of,
-    projector_from_span,
     projector_onto,
     range_of,
     tensor_product,
@@ -188,7 +186,7 @@ def test_kernel_agrees_with_sympy():
                 conj_b = to_sympy(Matrix.from_rows(basis)).conjugate() if basis else sp.zeros(0, 4)
                 assert s.orthocomplement() == sympy_span(4, conj_b.nullspace())
                 p = projector_onto(s)
-                assert kernel_of(p) == sympy_span(4, to_sympy(p.matrix).nullspace())
+                assert range_of(p).orthocomplement() == sympy_span(4, to_sympy(p.matrix).nullspace())
                 assert range_of(p) == s
                 # range_of reads the range projector_onto was given; sympy reads the matrix's.
                 assert Subspace.column_space(p.matrix) == range_of(p) == sympy_span(4, to_sympy(p.matrix).columnspace())
@@ -309,8 +307,9 @@ def test_span_projector_agrees_with_sympy_formula():
     for i in range(16):
         height = (2, 1000)[i % 2]
         vectors = [rand_state(rng, height=height) for _ in range(rng.randint(1, 4))]
-        p = projector_from_span(vectors)
-        basis = Subspace.from_vectors(4, vectors).basis
+        s = Subspace.from_vectors(4, vectors)
+        p = projector_onto(s)
+        basis = s.basis
         b = sp.Matrix.hstack(*[to_sympy_vec(v) for v in basis])
         sym_p = b * (b.H * b).inv() * b.H
         assert to_sympy(p.matrix) == sp.simplify(sym_p)

@@ -9,8 +9,10 @@ from helpers import (
     SINGLET,
     atom_order,
     classical_solutions_oracle,
+    commutes,
     counted_arithmetic,
     gr,
+    inner,
     partner,
     rand_state,
     rand_subspace,
@@ -41,7 +43,6 @@ from qgap import (
     classical_value_sets,
     compile_proposition,
     different_spins,
-    inner,
     parse_atom,
     parse_proposition,
     population,
@@ -183,7 +184,7 @@ class TestCompile:
         props = list(ctx) + [f(ax) for f in (different_spins, same_spins) for ax in Axis]
         compiled = [compile_proposition(p, ctx) for p in props]
         for a, b in itertools.combinations_with_replacement(compiled, 2):
-            meet = projector_meet(a, b) if a.commutes_with(b) else None
+            meet = projector_meet(a, b) if commutes(a, b) else None
             join = projector_join(a, b) if a.orthogonal_to(b) else None
             for pair in ({A_UP: a, B_UP: b}, {A_UP: b, B_UP: a}):
                 for connective, expected in ((And, meet), (Xor, join)):

@@ -4,7 +4,9 @@ Each class compares and hashes by its field tuple, prints as
 ``Name(field=value, ...)``, refuses assignment and deletion of attributes,
 survives copying and pickling, and is built from its fields by position or
 keyword, every sequence field stored as a tuple. The rule lives once, in
-``Frozen``; only ``GaussianRational`` and ``Atom`` write it out.
+``Frozen``; only ``GaussianRational`` and ``Atom`` write it out. A
+``ScenarioReport`` has no ``__init__``: ``run_epr`` alone builds one, and
+stores its fields by ``Frozen._of``, so the cases build it that way too.
 """
 
 import copy
@@ -29,6 +31,7 @@ from qgap import (
     Subspace,
     TruthValueSet,
     Xor,
+    state_tensor,
 )
 from qgap.scalars import ONE, ZERO, Frozen, GaussianRational
 from qgap.scenario import ValuationRecord, atom_projector, render_report, singlet, verify
@@ -126,14 +129,18 @@ def case(request):
     return request.param
 
 
+def _build(cls, fields):
+    return cls._of(*fields.values()) if cls is ScenarioReport else cls(**fields)
+
+
 def test_every_class_is_pinned():
     assert len(set(IDS)) == len(IDS) == 13
 
 
 def test_built_by_position_or_keyword_with_fields_in_order(case):
     cls, fields, _ = case
-    by_keyword, by_position = cls(**fields), cls(*fields.values())
-    for x in (by_keyword, by_position):
+    built = [cls._of(*fields.values())] if cls is ScenarioReport else [cls(**fields), cls(*fields.values())]
+    for x in built:
         assert type(x) is cls
         assert tuple(getattr(x, name) for name in fields) == tuple(fields.values())
         assert list(vars(x)) == list(fields)
@@ -141,7 +148,7 @@ def test_built_by_position_or_keyword_with_fields_in_order(case):
 
 def test_equal_and_hashed_by_the_field_tuple(case):
     cls, fields, _ = case
-    x, y = cls(**fields), cls(**fields)
+    x, y = _build(cls, fields), _build(cls, fields)
     values = tuple(fields.values())
     assert x == y and not (x != y) and x is not y
     assert hash(x) == hash(y) == hash(values)
@@ -150,7 +157,7 @@ def test_equal_and_hashed_by_the_field_tuple(case):
 
 def test_repr_names_every_field(case):
     cls, fields, expected = case
-    assert repr(cls(**fields)) == expected
+    assert repr(_build(cls, fields)) == expected
 
 
 @pytest.mark.parametrize(
@@ -160,7 +167,7 @@ def test_repr_names_every_field(case):
 )
 def test_survives_copy_and_pickle(case, clone):
     cls, fields, expected = case
-    x = cls(**fields)
+    x = _build(cls, fields)
     y = clone(x)
     assert type(y) is cls and y == x and x == y
     assert hash(y) == hash(x) and repr(y) == expected
@@ -191,12 +198,8 @@ def test_every_class_but_projector_checks_its_arguments_in_init():
         (Population(["A.z.up"], [(1,)]), Population(("A.z.up",), ((1,),))),
         (Population(("A.z.up",), [[1], [0]]), Population(("A.z.up",), ((1,), (0,)))),
         (AuditSummary(1, 0, ["eq"]), AuditSummary(1, 0, ("eq",))),
-        (
-            ScenarioReport(**{**REPORT_FIELDS, "query": [A_Z_UP], "pre_valuations": [], "post_valuations": []}),
-            ScenarioReport(**REPORT_FIELDS),
-        ),
     ],
-    ids=["Matrix", "Subspace", "Population", "Population-rows", "AuditSummary", "ScenarioReport"],
+    ids=["Matrix", "Subspace", "Population", "Population-rows", "AuditSummary"],
 )
 def test_a_list_of_entries_or_basis_vectors_is_stored_as_a_tuple(from_list, from_tuple):
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
@@ -205,19 +208,20 @@ def test_a_list_of_entries_or_basis_vectors_is_stored_as_a_tuple(from_list, from
 @pytest.mark.parametrize("name", ["field", "other"])
 def test_no_attribute_can_be_assigned_or_deleted(case, name):
     cls, fields, _ = case
-    x = cls(**fields)
+    x = _build(cls, fields)
     attr = next(iter(fields)) if name == "field" else "other"
     with pytest.raises(AttributeError, match=f"^cannot assign to field '{attr}'$"):
         setattr(x, attr, None)
     with pytest.raises(AttributeError, match=f"^cannot delete field '{attr}'$"):
         delattr(x, attr)
-    assert x == cls(**fields) and not hasattr(x, "other")
+    assert x == _build(cls, fields) and not hasattr(x, "other")
 
 
 def test_a_wrong_argument_count_is_a_type_error(case):
     cls, fields, _ = case
-    with pytest.raises(TypeError):
-        cls()
+    if cls is not ScenarioReport:  # with no __init__, a report takes no argument at all
+        with pytest.raises(TypeError):
+            cls()
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
     with pytest.raises(TypeError):
@@ -236,7 +240,7 @@ def test_connectives_with_the_same_operands_differ():
 
 
 def test_a_report_without_valuation_rows_renders():
-    lines = render_report(ScenarioReport(**REPORT_FIELDS)).splitlines()
+    lines = render_report(ScenarioReport._of(*REPORT_FIELDS.values())).splitlines()
     start = lines.index("valuations before verification (prepared state)")
     assert lines[start : start + 5] == [
         "valuations before verification (prepared state)",
@@ -284,6 +288,7 @@ def _derived():
         "Projector.sum": Projector.sum(up_down, down_up),
         "verify": verify(singlet(Axis.Z), A_Z_UP),
         "StateVector.scale": UP.scale(GaussianRational(2, -3)),
+        "state_tensor": state_tensor(StateVector((ONE, i)), StateVector((ZERO, GaussianRational(1, -1)))),
     }
 
 
