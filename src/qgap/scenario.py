@@ -210,6 +210,10 @@ class ScenarioReport(Frozen):
         "fixture_summary",
     )
 
+    def __init__(self) -> None:
+        # Without it object.__init__ would accept no arguments and leave a report with no fields.
+        raise TypeError("a ScenarioReport is built by run_epr alone")
+
 
 _RUN_NOTE = (
     "Populations describe a single run. Verifying another axis happens in a "

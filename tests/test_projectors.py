@@ -250,6 +250,9 @@ class TestFromSpan:
         p = projector_onto(Subspace.from_vectors(4, [E2, E2.scale(3)]))
         assert p == P_Z_UD
 
+    def test_no_vectors_give_the_zero_projector(self):
+        assert projector_onto(Subspace.from_vectors(4, [])) == Projector.zero(4)
+
     @given(states_st(), states_st())
     def test_projects_span_members_to_themselves(self, u, v):
         p = projector_onto(Subspace.from_vectors(4, [u, v]))

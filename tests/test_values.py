@@ -5,8 +5,8 @@ Each class compares and hashes by its field tuple, prints as
 survives copying and pickling, and is built from its fields by position or
 keyword, every sequence field stored as a tuple. The rule lives once, in
 ``Frozen``; only ``GaussianRational`` and ``Atom`` write it out. A
-``ScenarioReport`` has no ``__init__``: ``run_epr`` alone builds one, and
-stores its fields by ``Frozen._of``, so the cases build it that way too.
+``ScenarioReport``'s ``__init__`` refuses every call: ``run_epr`` alone builds
+one, and stores its fields by ``Frozen._of``, so the cases build it that way too.
 """
 
 import copy
@@ -34,7 +34,7 @@ from qgap import (
     state_tensor,
 )
 from qgap.scalars import ONE, ZERO, Frozen, GaussianRational
-from qgap.scenario import ValuationRecord, atom_projector, render_report, singlet, verify
+from qgap.scenario import ValuationRecord, atom_projector, render_report, run_epr, singlet, verify
 
 G1 = "GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1))"
 G0 = "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))"
@@ -219,13 +219,19 @@ def test_no_attribute_can_be_assigned_or_deleted(case, name):
 
 def test_a_wrong_argument_count_is_a_type_error(case):
     cls, fields, _ = case
-    if cls is not ScenarioReport:  # with no __init__, a report takes no argument at all
-        with pytest.raises(TypeError):
-            cls()
+    with pytest.raises(TypeError):
+        cls()
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
     with pytest.raises(TypeError):
         cls(**fields, other=None)
+
+
+def test_a_scenario_report_is_built_by_run_epr_alone():
+    with pytest.raises(TypeError, match="built by run_epr alone"):
+        ScenarioReport()
+    report = run_epr(Axis.Z, [A_Z_UP])
+    assert type(report) is ScenarioReport and report.verified_atom == A_Z_UP
 
 
 def test_defaults():
